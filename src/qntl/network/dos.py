@@ -6,6 +6,9 @@ admitted attack request therefore squats on its server until the embryonic
 timeout; legitimate clients give up when service does not start within
 their patience.  Mitigations act either at admission (per-source token
 bucket, per-source embryonic cap) or at scheduling (suspicion-ranked queue).
+The scheduler ranks sources by their arrival count over a trailing window.
+Every source shares the mean and spread of those counts at a given instant,
+so this is the same order as ranking by the arrival-rate z-score.
 
 Everything is event-driven over pregenerated Poisson arrivals, so a run is a
 pure function of its parameters and seed, and the outcome counters always
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,8 +48,9 @@ class Mitigation:
     capacity, checked at arrival.  embryonic-cap: at most
     ``max_embryonic_per_source`` half-open connections per source, checked at
     arrival.  suspicion-scheduler: no admission filtering; when a server
-    frees, the queued request whose source currently has the lowest arrival
-    rate z-score is served first.
+    frees, the oldest queued request of the source with the fewest arrivals
+    in the trailing ``suspicion_window_ms`` is served first.  That is the
+    same order as ranking sources by their arrival-rate z-score.
     """
 
     kind: MitigationKind
@@ -200,30 +205,15 @@ def dos_simulate(
         for i, (t, is_attack, src) in enumerate(merged)
     ]
 
-    # Per-source arrival time index for the suspicion window counts.
-    source_times: dict[str, list[float]] = {
-        f"legit-{i}": [] for i in range(n_legit_sources)
-    }
-    source_times.update({f"attack-{i}": [] for i in range(n_attack_sources)})
+    # Per-source arrival times for the suspicion window counts.
+    arrival_times: dict[str, list[float]] = {}
     for req in requests:
-        source_times[req.source].append(req.arrival_ms)
+        arrival_times.setdefault(req.source, []).append(req.arrival_ms)
 
-    def suspicion(source: str, now: float) -> float:
-        """Source arrival-rate z-score over the trailing window."""
-        lo, hi = now - suspicion_window_ms, now
-        counts = np.array(
-            [
-                bisect_right(times, hi) - bisect_left(times, lo)
-                for times in source_times.values()
-            ],
-            dtype=float,
-        )
-        spread = float(counts.std())
-        if spread == 0.0:
-            return 0.0
-        times = source_times[source]
-        mine = bisect_right(times, hi) - bisect_left(times, lo)
-        return (mine - float(counts.mean())) / spread
+    def window_count(source: str, now: float) -> int:
+        """Arrivals from ``source`` within the trailing suspicion window."""
+        times = arrival_times[source]
+        return bisect_right(times, now) - bisect_left(times, now - suspicion_window_ms)
 
     buckets = (
         _TokenBuckets(mitigation.rate_per_s, mitigation.burst)
@@ -244,7 +234,10 @@ def dos_simulate(
 
     free_at = [0.0] * n_servers
     heapq.heapify(free_at)
-    queue: list[ConnectionRequest] = []
+    # Waiting requests per source, oldest first; a source leaves when its
+    # line empties.
+    queue: dict[str, deque[ConnectionRequest]] = {}
+    scheduled = mitigation.kind is MitigationKind.SUSPICION_SCHEDULER
     next_arrival = 0
 
     def assign(req: ConnectionRequest, start: float) -> None:
@@ -257,48 +250,37 @@ def dos_simulate(
             heapq.heappush(free_at, start + float(rng.exponential(mean_service_ms)))
         served[req.is_attack] += 1
 
-    def pick_index(now: float) -> int | None:
-        """Choose which queued request the freed server takes, dropping
-        abandoned ones as they surface; None when the queue empties."""
+    def pick(now: float) -> ConnectionRequest | None:
+        """Dequeue the request the freed server takes, dropping abandoned
+        ones as they surface; None when the queue empties.  Requests are
+        numbered in arrival order, so ``seq`` alone ranks the heads by age."""
         while queue:
-            if mitigation.kind is MitigationKind.SUSPICION_SCHEDULER:
-                # Suspicion is a per-source figure, so rank each source once
-                # and take the best source's oldest request.
-                earliest: dict[str, int] = {}
-                for i, item in enumerate(queue):
-                    if item.source not in earliest:
-                        earliest[item.source] = i
-                best = min(
-                    earliest.values(),
-                    key=lambda i: (
-                        suspicion(queue[i].source, now),
-                        queue[i].arrival_ms,
-                        queue[i].seq,
-                    ),
+            if scheduled:
+                line = min(
+                    queue.values(),
+                    key=lambda line: (window_count(line[0].source, now), line[0].seq),
                 )
             else:
-                best = 0
-            req = queue[best]
+                line = min(queue.values(), key=lambda line: line[0].seq)
+            req = line.popleft()
+            if not line:
+                del queue[req.source]
             start = max(now, req.arrival_ms)
             if not req.is_attack and start - req.arrival_ms > patience_ms:
-                queue.pop(best)
                 dropped[False] += 1
                 continue
-            return best
+            return req
         return None
 
     while next_arrival < len(requests) or queue:
         next_t = requests[next_arrival].arrival_ms if next_arrival < len(requests) else None
         if queue and (next_t is None or free_at[0] <= next_t):
             now = heapq.heappop(free_at)
-            index = pick_index(now)
-            if index is None:
+            req = pick(now)
+            if req is None:
                 # Queue emptied by abandonment; the server stays free.
                 heapq.heappush(free_at, now)
-                if next_t is None:
-                    break
                 continue
-            req = queue.pop(index)
             assign(req, max(now, req.arrival_ms))
             continue
         req = requests[next_arrival]
@@ -313,11 +295,12 @@ def dos_simulate(
         ):
             blocked[req.is_attack] += 1
             continue
-        queue.append(req)
+        queue.setdefault(req.source, deque()).append(req)
 
     still = {False: 0, True: 0}
-    for req in queue:
-        still[req.is_attack] += 1
+    for line in queue.values():
+        for req in line:
+            still[req.is_attack] += 1
 
     return DosResult(
         duration_ms=float(duration_ms),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qntl.network import Mitigation, MitigationKind, dos_simulate
 from qntl.stats import stream
@@ -38,6 +40,34 @@ def test_conservation_holds_everywhere():
             assert result.legit_still_queued == 0
             assert result.attack_still_queued == 0
             assert result.mitigation == mitigation.kind.value
+
+
+@given(
+    mitigation=st.sampled_from(ALL_MITIGATIONS),
+    n_legit_sources=st.integers(1, 12),
+    n_attack_sources=st.integers(1, 12),
+    n_servers=st.integers(1, 20),
+    duration=st.floats(100.0, 5_000.0),
+    legit=st.floats(0.0, 40.0),
+    attack=st.floats(0.0, 100.0),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_queue_invariants_over_source_mixes(
+    mitigation, n_legit_sources, n_attack_sources, n_servers, duration, legit, attack, seed
+):
+    result = dos_simulate(
+        duration, legit, attack, n_servers, mitigation, stream(seed, "dos-prop"),
+        n_legit_sources=n_legit_sources, n_attack_sources=n_attack_sources,
+    )
+    assert result.conservation_ok()
+    # the post-window drain empties every source's line
+    assert result.legit_still_queued == 0
+    assert result.attack_still_queued == 0
+    # attackers never abandon; they only leave by service or admission refusal
+    assert result.attack_dropped == 0
+    if mitigation.kind is MitigationKind.SUSPICION_SCHEDULER:
+        assert result.legit_blocked == 0
 
 
 def test_runs_are_deterministic():
