@@ -8,13 +8,12 @@ with identical semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .photonics import PhotonPulse
 from .quantum import (
     Basis,
     MeasurementOutcome,
@@ -32,7 +31,6 @@ __all__ = [
     "PnsVariant",
     "PnsStrategy",
     "PnsExperimentResult",
-    "pns_intercept",
     "pns_transform_counts",
     "pns_experiment",
     "TrojanVariant",
@@ -46,8 +44,6 @@ __all__ = [
     "interlock_exchange",
     "interlock_detection_rate",
     "intercept_resend",
-    "BitFlipCodeWord",
-    "encode_bitflip",
     "QecResult",
     "qec_bitflip_experiment",
     "iid_logical_error_rate",
@@ -109,31 +105,6 @@ class PnsStrategy:
         if self.variant is PnsVariant.RANDOM_INTERCEPT:
             return f"random-{self.intercept_probability:g}"
         return self.variant.value
-
-
-def pns_intercept(
-    pulse: PhotonPulse,
-    strategy: PnsStrategy,
-    rng: np.random.Generator,
-) -> tuple[int, PhotonPulse]:
-    """Apply a splitting strategy to one pulse.
-
-    Returns (photons kept by the eavesdropper, forwarded pulse).  Photons are
-    conserved: kept + forwarded == original count, always.
-    """
-    count = pulse.photon_count
-    if strategy.variant is PnsVariant.NO_EVE:
-        taken = 0
-    elif strategy.variant is PnsVariant.ALWAYS_MINUS_ONE:
-        taken = min(1, count)
-    elif strategy.variant is PnsVariant.RANDOM_INTERCEPT:
-        if count == 0:
-            taken = 0
-        else:
-            taken = int(np.count_nonzero(rng.random(count) < strategy.intercept_probability))
-    else:  # BLOCK_SINGLES: forward one photon only from multi-photon pulses
-        taken = count if count < 2 else count - 1
-    return taken, replace(pulse, photon_count=count - taken)
 
 
 def pns_transform_counts(
@@ -485,37 +456,6 @@ def intercept_resend(
 # ---------------------------------------------------------------------------
 # Bit-flip code under iid and adversarial noise
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BitFlipCodeWord:
-    """Three physical bits encoding one logical bit (valid words 000/111)."""
-
-    bits: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != 3 or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("codeword must be three 0/1 bits")
-
-    @property
-    def is_valid(self) -> bool:
-        return self.bits in ((0, 0, 0), (1, 1, 1))
-
-    def decode(self) -> int:
-        """Majority vote."""
-        return 1 if sum(self.bits) >= 2 else 0
-
-    def flip(self, positions: Sequence[int]) -> "BitFlipCodeWord":
-        bits = list(self.bits)
-        for p in positions:
-            bits[p] ^= 1
-        return BitFlipCodeWord(tuple(bits))
-
-
-def encode_bitflip(logical: int) -> BitFlipCodeWord:
-    if logical not in (0, 1):
-        raise ValueError("logical bit must be 0 or 1")
-    return BitFlipCodeWord((logical,) * 3)
-
 
 def iid_logical_error_rate(p: float) -> float:
     """Analytic majority-vote failure rate under iid flips: 3p^2 - 2p^3."""

@@ -10,55 +10,45 @@ from scipy.stats import poisson as sp_poisson
 from qntl.attacks import (
     BASIS_DIAG,
     BASIS_RECT,
-    BitFlipCodeWord,
     GainLedger,
     PnsStrategy,
     TrojanPolicy,
-    encode_bitflip,
     iid_logical_error_rate,
     interlock_detection_rate,
     interlock_exchange,
     photon_gain_increment,
     pns_experiment,
-    pns_intercept,
     pns_transform_counts,
     probe_infiltrate,
     qec_bitflip_experiment,
     trojan_gain_experiment,
 )
-from qntl.photonics import PhotonPulse
 from qntl.quantum import Basis, basis_state, bell_pair, measure_qubit
 from qntl.stats import Histogram, chi_square_gof, poisson_sample_array, stream
-
-
-def pulse_of(count):
-    return PhotonPulse(photon_count=count, encoded_bit=0, basis=Basis.RECTILINEAR)
 
 
 # ---------------------------------------------------------------- splitting
 
 def test_pns_always_minus_one_takes_exactly_one():
     rng = stream(0, "pns-amo")
-    taken, fwd = pns_intercept(pulse_of(5), PnsStrategy.always_minus_one(), rng)
-    assert (taken, fwd.photon_count) == (1, 4)
-    taken, fwd = pns_intercept(pulse_of(0), PnsStrategy.always_minus_one(), rng)
-    assert (taken, fwd.photon_count) == (0, 0)
+    taken, fwd = pns_transform_counts([5, 0], PnsStrategy.always_minus_one(), rng)
+    assert taken.tolist() == [1, 0]
+    assert fwd.tolist() == [4, 0]
 
 
 def test_pns_no_eve_is_transparent():
     rng = stream(0, "pns-noeve")
-    taken, fwd = pns_intercept(pulse_of(3), PnsStrategy.no_eve(), rng)
-    assert taken == 0
-    assert fwd.photon_count == 3
+    taken, fwd = pns_transform_counts([3, 0], PnsStrategy.no_eve(), rng)
+    assert taken.tolist() == [0, 0]
+    assert fwd.tolist() == [3, 0]
 
 
 def test_pns_block_singles_semantics():
     rng = stream(0, "pns-block")
-    strategy = PnsStrategy.block_singles()
-    for count, want_fwd in [(0, 0), (1, 0), (2, 1), (5, 1)]:
-        taken, fwd = pns_intercept(pulse_of(count), strategy, rng)
-        assert fwd.photon_count == want_fwd
-        assert taken == count - want_fwd
+    counts, want_fwd = [0, 1, 2, 5], [0, 0, 1, 1]
+    taken, fwd = pns_transform_counts(counts, PnsStrategy.block_singles(), rng)
+    assert fwd.tolist() == want_fwd
+    assert taken.tolist() == [c - f for c, f in zip(counts, want_fwd)]
 
 
 def test_pns_random_intercept_thins_poisson():
@@ -266,21 +256,6 @@ def test_interlock_validation():
 
 
 # ---------------------------------------------------------------- bit-flip code
-
-def test_codeword_encode_decode_and_flips():
-    word = encode_bitflip(1)
-    assert word.bits == (1, 1, 1)
-    assert word.is_valid
-    assert word.decode() == 1
-    hit = word.flip([0])
-    assert not hit.is_valid
-    assert hit.decode() == 1  # single flip corrected by majority
-    assert word.flip([0, 2]).decode() == 0  # double flip defeats it
-    with pytest.raises(ValueError):
-        encode_bitflip(2)
-    with pytest.raises(ValueError):
-        BitFlipCodeWord((1, 1))
-
 
 def test_iid_rate_matches_pattern_enumeration():
     # independent oracle: walk all 8 flip patterns, weight by probability,
