@@ -3,8 +3,12 @@
 Every experiment in this package draws its randomness from a stream derived
 from a root seed, a text label, and a trial index.  The derivation mixes the
 label through SHA-256, so streams for different experiments (or different
-trials of the same experiment) are independent, and the same triple always
-reproduces the same draws on any platform.
+trials of the same experiment) are independent, and under one numpy version
+the same triple always reproduces the same draws.  The promise stops at that
+version: ``binomial``, ``exponential``, ``choice``, ``permutation`` and
+``spawn``, which callers also use, fall outside NumPy's stream-compatibility
+policy (NEP 19), so another numpy release may change their draws and the rows
+built from them.
 """
 from __future__ import annotations
 
@@ -95,13 +99,17 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
     """Vectorized form of :func:`poisson_sample`.
 
     Consumes exactly one uniform per draw, in order, and returns the same
-    counts the scalar routine would produce from the same stream.
+    counts the scalar routine would produce from the same stream.  At
+    ``mu == 0`` the stream positions part: this routine still draws ``size``
+    uniforms, while the scalar routine draws none.
     """
     mu = _check_mean(mu)
     if size < 0:
         raise ValueError("size must be >= 0")
     if mu == 0.0:
-        rng.random(size)  # keep stream position consistent with the scalar path
+        # Discarded, but the decoy experiment keeps drawing from this stream
+        # after a vacuum class, so its rows depend on this position.
+        rng.random(size)
         return np.zeros(size, dtype=np.int64)
     u = rng.random(size)
     if size == 0:

@@ -3,7 +3,8 @@
 A refactor that keeps behaviour keeps every pin.  A change that alters rows
 on purpose regenerates the file with ``python tests/test_golden.py >
 tests/data/rows.sha256`` (from the repo root, with ``src`` on the path) and
-says in CHANGES.md which pins moved and why.
+says in CHANGES.md which pins moved and why.  The digests hold for one numpy
+version (see ``qntl.stats``).
 """
 import hashlib
 from pathlib import Path
