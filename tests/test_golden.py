@@ -30,12 +30,19 @@ EXPERIMENT_PARAMS: dict[str, dict[str, str]] = {
 }
 EXPERIMENT_SEED = 7
 
+# Every family at the default fractions 0-0.8, so that many pairs fall to
+# zero paths part-way and stay there for the later fractions.
+DECAY_DEFAULT_FRACTIONS = {"trials": "3", "pairs": "10"}
+
 # Legitimate load alone (20/s x 500 ms) exceeds four servers, so every
-# mitigation keeps a backlog of many sources, and a cap of 2 binds.
+# mitigation keeps a backlog of many sources, and a cap of 2 binds.  With
+# several sources per class, equal trailing-window counts are common, so
+# the scheduler's tie-break by arrival order decides many picks.
 DOS_BASE = {"duration": "5000", "legit_rate": "20", "servers": "4", "cap": "2"}
 DOS_MIXES = {
     "1-attack": {"attack_sources": "1"},
     "10-attack-1-legit": {"attack_sources": "10", "legit_sources": "1"},
+    "5-attack-5-legit": {"attack_sources": "5", "legit_sources": "5"},
 }
 DOS_MITIGATIONS = ("none", "rate-limit", "embryonic-cap", "suspicion-scheduler")
 DOS_SEEDS = range(5)
@@ -44,6 +51,10 @@ DOS_SEEDS = range(5)
 def _cases():
     for name, params in EXPERIMENT_PARAMS.items():
         yield name, name, params, EXPERIMENT_SEED
+    yield (
+        "topology-decay/default-fractions", "topology-decay",
+        DECAY_DEFAULT_FRACTIONS, EXPERIMENT_SEED,
+    )
     for mitigation in DOS_MITIGATIONS:
         for mix, extra in DOS_MIXES.items():
             for seed in DOS_SEEDS:

@@ -1,5 +1,6 @@
 """Tests for topology generation, path counting, routing, instantaneous
 link state, and the network experiments."""
+import hashlib
 import math
 
 import numpy as np
@@ -76,6 +77,17 @@ def test_generation_is_deterministic():
     a = generate_topology("waxman", 1)
     b = generate_topology("waxman", 2)
     assert a.edges != b.edges
+
+
+def test_barabasi_albert_exports_are_pinned():
+    # sha256 over the concatenated exports of seeds 0-49 at default params;
+    # a change to the attachment draws or their order moves it.
+    digest = hashlib.sha256()
+    for seed in range(50):
+        digest.update(export_topology(generate_topology("barabasi-albert", seed)).encode())
+    assert digest.hexdigest() == (
+        "f0dd94dc979ddb6255663edf304c9da96f58b2fa04d092fc24852f8c7805aefd"
+    )
 
 
 def test_generation_param_overrides_and_errors():
