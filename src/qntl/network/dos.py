@@ -8,7 +8,10 @@ their patience.  Mitigations act either at admission (per-source token
 bucket, per-source embryonic cap) or at scheduling (suspicion-ranked queue).
 The scheduler ranks sources by their arrival count over a trailing window.
 Every source shares the mean and spread of those counts at a given instant,
-so this is the same order as ranking by the arrival-rate z-score.
+so this is the same order as ranking by the arrival-rate z-score.  Because
+it ranks each source on its own, a flood split across many sources slips
+under it: ten attack sources at 5/s each against one legitimate source at
+20/s leave it serving about as few legitimate requests as no mitigation.
 
 Everything is event-driven over pregenerated Poisson arrivals, so a run is a
 pure function of its parameters and seed, and the outcome counters always
@@ -50,7 +53,9 @@ class Mitigation:
     arrival.  suspicion-scheduler: no admission filtering; when a server
     frees, the oldest queued request of the source with the fewest arrivals
     in the trailing ``suspicion_window_ms`` is served first.  That is the
-    same order as ranking sources by their arrival-rate z-score.
+    same order as ranking sources by their arrival-rate z-score.  The rank
+    is per source, so an attack spread over many sources, each no busier
+    than a legitimate one, is not pushed back.
     """
 
     kind: MitigationKind

@@ -6,6 +6,8 @@ between random endpoint pairs falls as a growing fraction of nodes becomes
 untrusted.  Compromise sets are nested (prefixes of one per-trial
 permutation), and viability carries the intact-path hop budget, so each
 sampled pair's count is non-increasing in the fraction by construction.
+The sweep relies on that: once a pair's count reaches zero, its later
+fractions record zero without counting again.
 """
 from __future__ import annotations
 
@@ -117,20 +119,21 @@ def untrusted_node_experiment(
             node_ids = sorted(topology.nodes)
             order = rng.permutation(n)
             pair_index = rng.integers(0, n, size=(pairs_per_trial, 2))
+            compromised_sets = [
+                frozenset(node_ids[int(i)] for i in order[: math.floor(f * n)])
+                for f in fracs
+            ]
             for raw_u, raw_v in pair_index:
                 u = node_ids[int(raw_u)]
                 v = node_ids[int(raw_v)]
                 if u == v:
                     v = node_ids[(int(raw_v) + 1) % n]
                 intact_distance = hop_distance(topology, u, v)
-                for f in fracs:
-                    prefix = order[: math.floor(f * n)]
-                    compromised = {node_ids[int(i)] for i in prefix}
+                count = 0 if intact_distance < 0 else 1
+                for f, compromised in zip(fracs, compromised_sets):
                     if u in compromised or v in compromised:
                         count = 0
-                    elif intact_distance < 0:
-                        count = 0
-                    else:
+                    if count:  # zero stays zero (see the module docstring)
                         count = count_viable_paths(
                             topology, u, v, compromised, hop_bound=intact_distance
                         )

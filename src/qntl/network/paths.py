@@ -91,10 +91,42 @@ def _bfs_distances(
     return dist
 
 
+def _layered_walk(
+    adjacency: Mapping[int, tuple[int, ...]],
+    source: int,
+    target: int,
+    seen: set[int],
+    hop_bound: int | None,
+) -> tuple[int, int]:
+    """(hop distance, number of shortest paths) from source to target, or
+    (-1, 0) when unreachable within ``hop_bound``.  Each BFS layer carries
+    every node's path count (Brandes' sigma), summed from the layer before;
+    the target's own layer is never built, its count is summed over its
+    neighbours.  The walk never enters ``seen`` and adds what it reaches."""
+    if source == target:
+        return 0, 1
+    layer = {source: 1}
+    depth = 0
+    while layer and (hop_bound is None or depth < hop_bound):
+        depth += 1
+        ways = sum(layer.get(nbr, 0) for nbr in adjacency.get(target, ()))
+        if ways:
+            return depth, ways
+        ahead: dict[int, int] = {}
+        for node, node_ways in layer.items():
+            for nbr in adjacency[node]:
+                if nbr in ahead:
+                    ahead[nbr] += node_ways
+                elif nbr not in seen:
+                    ahead[nbr] = node_ways
+        seen.update(ahead)
+        layer = ahead
+    return -1, 0
+
+
 def hop_distance(graph: Topology | InstantTopology, source: int, target: int) -> int:
     """Minimum hop count between two nodes, or -1 when disconnected."""
-    dist = _bfs_distances(_adjacency(graph), int(source), frozenset())
-    return dist.get(int(target), -1)
+    return _layered_walk(_adjacency(graph), int(source), int(target), {int(source)}, None)[0]
 
 
 def count_viable_paths(
@@ -109,36 +141,21 @@ def count_viable_paths(
     Compromised intermediates are excluded; a compromised endpoint makes the
     question meaningless and raises.  When ``hop_bound`` is given and even
     the best safe path exceeds it, the count is zero: detours longer than
-    the budget are not viable.  Counting uses the layered-BFS recurrence
-    (ways[v] = sum of ways over predecessors one hop closer), so it stays
+    the budget are not viable.  One layered walk from the source carries
+    exact per-node path counts and stops at the target's layer, so it stays
     polynomial even when the count itself is astronomically large.
     """
     source = int(source)
     target = int(target)
-    blocked = frozenset(int(x) for x in compromised)
+    blocked = set(map(int, compromised))
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
     adjacency = _adjacency(graph)
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
-    if source == target:
-        return 1
-    dist = _bfs_distances(adjacency, source, blocked)
-    if target not in dist:
-        return 0
-    if hop_bound is not None and dist[target] > int(hop_bound):
-        return 0
-    order = sorted(dist, key=lambda node: dist[node])
-    ways = {source: 1}
-    for node in order:
-        if node == source:
-            continue
-        ways[node] = sum(
-            ways.get(nbr, 0)
-            for nbr in adjacency[node]
-            if nbr in dist and dist[nbr] == dist[node] - 1
-        )
-    return ways[target]
+    blocked.add(source)
+    bound = None if hop_bound is None else int(hop_bound)
+    return _layered_walk(adjacency, source, target, blocked, bound)[1]
 
 
 def _greedy_shortest(

@@ -166,8 +166,8 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
     degrees[: k + 1] = k
     for new in range(k + 1, n):
         targets: set[int] = set()
+        cumulative = np.cumsum(degrees[:new])
         while len(targets) < k:
-            cumulative = np.cumsum(degrees[:new])
             pick = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
             targets.add(pick)
         for t in sorted(targets):

@@ -3,8 +3,11 @@ link state, and the network experiments."""
 import hashlib
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qntl.network import (
     DecayRow,
@@ -229,6 +232,60 @@ def test_count_is_monotone_in_compromise():
         relaxed = count_viable_paths(topo, u, v, small, hop_bound=bound)
         assert constrained <= relaxed
         assert relaxed <= count_viable_paths(topo, u, v, hop_bound=bound)
+
+
+@st.composite
+def compromised_graphs(draw):
+    """A small graph, endpoints, a compromised set that spares them, and a
+    hop bound: None, 0, the intact distance or random.  The graph is either
+    random (often disconnected) or a full lattice of up to 4 x 4, where
+    long geodesics fan out and merge again."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    else:
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        n = rows * cols
+        edges = [(i, i + 1) for i in range(n) if (i + 1) % cols]
+        edges += [(i, i + cols) for i in range(n - cols)]
+    source = draw(st.integers(0, n - 1))
+    target = draw(st.integers(0, n - 1))
+    others = [x for x in range(n) if x not in (source, target)]
+    compromised = draw(st.sets(st.sampled_from(others))) if others else set()
+    intact = nx.Graph(edges)
+    intact.add_nodes_from(range(n))
+    if nx.has_path(intact, source, target):
+        intact_distance = nx.shortest_path_length(intact, source, target)
+    else:
+        intact_distance = None
+    hop_bound = draw(st.sampled_from([None, 0, intact_distance]) | st.integers(0, n))
+    return n, edges, source, target, compromised, hop_bound
+
+
+@given(compromised_graphs())
+@settings(max_examples=300, deadline=None)
+def test_counts_and_distances_match_networkx(case):
+    # Oracle: networkx on the subgraph with the compromised nodes removed.
+    n, edges, source, target, compromised, hop_bound = case
+    nodes = {i: NodeInfo(node_id=i) for i in range(n)}
+    topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
+    safe_edges = tuple(e for e in edges if compromised.isdisjoint(e))
+    survivors = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=safe_edges)
+    graph = nx.Graph(safe_edges)
+    graph.add_nodes_from(x for x in range(n) if x not in compromised)
+
+    if nx.has_path(graph, source, target):
+        distance = nx.shortest_path_length(graph, source, target)
+        paths = sum(1 for _ in nx.all_shortest_paths(graph, source, target))
+    else:
+        distance, paths = -1, 0
+    assert hop_distance(survivors, source, target) == distance
+    if hop_bound is not None and distance > hop_bound and source != target:
+        paths = 0
+    count = count_viable_paths(topo, source, target, compromised, hop_bound)
+    assert type(count) is int
+    assert count == paths
 
 
 def test_hop_distance():
