@@ -47,10 +47,29 @@ DOS_MIXES = {
 DOS_MITIGATIONS = ("none", "rate-limit", "embryonic-cap", "suspicion-scheduler")
 DOS_SEEDS = range(5)
 
+# Protocol paths the default-config pins miss: the in-flight and pair-source
+# attack hooks, and the weak-coherent source with a lossy channel.  Under
+# attack half the sifted key is disclosed, so the pinned error rate and CHSH
+# estimate depend on most of the receiver's measured bits.
+PROTOCOL_CASES = {
+    "bb84/intercept-resend": (
+        "bb84",
+        {"rounds": "2000", "attack": "intercept-resend", "disclosed_fraction": "0.5",
+         "abort_threshold": "1"},
+    ),
+    "bb84/weak-coherent": (
+        "bb84",
+        {"rounds": "4000", "source": "weak-coherent", "mu": "0.5", "transmittance": "0.1"},
+    ),
+    "e91/probe": ("e91", {"rounds": "1000", "attack": "probe", "disclosed_fraction": "0.5"}),
+}
+
 
 def _cases():
     for name, params in EXPERIMENT_PARAMS.items():
         yield name, name, params, EXPERIMENT_SEED
+    for label, (name, params) in PROTOCOL_CASES.items():
+        yield label, name, params, EXPERIMENT_SEED
     yield (
         "topology-decay/default-fractions", "topology-decay",
         DECAY_DEFAULT_FRACTIONS, EXPERIMENT_SEED,
