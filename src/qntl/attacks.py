@@ -334,6 +334,9 @@ def trojan_gain_experiment(
 # Entangling probe
 # ---------------------------------------------------------------------------
 
+_PROBE_ZERO = basis_state("0")
+
+
 def probe_infiltrate(pair: PureState) -> PureState:
     """Attach a probe qubit to an entangled pair.
 
@@ -344,7 +347,7 @@ def probe_infiltrate(pair: PureState) -> PureState:
     """
     if pair.num_qubits != 2:
         raise ValueError("infiltration expects a two-qubit pair")
-    extended = pair.tensor(basis_state("0"))
+    extended = pair.tensor(_PROBE_ZERO)
     return apply_cnot(extended, control=1, target=2)
 
 
@@ -401,7 +404,7 @@ def interlock_exchange(
     delivered_a2 = a2
     if eve_present:
         guess = rng.integers(0, 2, size=half, dtype=np.int8)
-        detected = not np.array_equal(guess, a2)
+        detected = guess.tobytes() != a2.tobytes()
         delivered_a2 = guess
     halves = (
         ("alice-first", a1),

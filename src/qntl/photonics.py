@@ -10,7 +10,7 @@ closed under transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -175,7 +175,9 @@ def transmit(pulse: PhotonPulse, channel: LossChannel, rng: np.random.Generator)
     if pulse.photon_count == 0:
         return pulse
     survivors = int(np.count_nonzero(rng.random(pulse.photon_count) < channel.transmittance))
-    return replace(pulse, photon_count=survivors)
+    return PhotonPulse(
+        survivors, pulse.encoded_bit, pulse.basis, pulse.phase, pulse.intensity_label
+    )
 
 
 def detect(pulse: PhotonPulse, detector: Detector, rng: np.random.Generator) -> bool:

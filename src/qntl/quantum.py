@@ -3,8 +3,10 @@
 States are dense complex amplitude vectors over one to four qubits.  Qubit 0
 is the leftmost position in a basis label, i.e. the most significant bit of
 the amplitude index: for a two-qubit register, index 2 = 0b10 is |10> with
-qubit 0 equal to 1.  Operations are pure; every one returns a fresh state and
-never mutates its input, so states can be shared freely across threads.
+qubit 0 equal to 1.  States are immutable: operations never mutate their
+input, and the prepared states (:func:`encoded_qubit`, :func:`bell_pair`)
+are module constants shared by every caller, so states can be shared freely
+across threads.
 
 Global phase is physically meaningless but is not normalized away; use
 :func:`equal_up_to_global_phase` to compare states.
@@ -12,6 +14,7 @@ Global phase is physically meaningless but is not normalized away; use
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +97,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector of length {amps.size} does not match {n} qubit(s)"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
@@ -110,7 +113,7 @@ class PureState:
         total = self.num_qubits + other.num_qubits
         if total > MAX_QUBITS:
             raise ValueError(f"combined register would exceed {MAX_QUBITS} qubits")
-        return PureState(np.kron(self.amplitudes, other.amplitudes), total)
+        return PureState(np.outer(self.amplitudes, other.amplitudes).ravel(), total)
 
 
 @dataclass(frozen=True)
@@ -149,10 +152,10 @@ def basis_state(bits: Sequence[int] | str) -> PureState:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _ENCODED = {
-    (0, Basis.RECTILINEAR): (1.0, 0.0),
-    (1, Basis.RECTILINEAR): (0.0, 1.0),
-    (0, Basis.DIAGONAL): (_SQRT_HALF, _SQRT_HALF),
-    (1, Basis.DIAGONAL): (_SQRT_HALF, -_SQRT_HALF),
+    (0, Basis.RECTILINEAR): PureState((1.0, 0.0), 1),
+    (1, Basis.RECTILINEAR): PureState((0.0, 1.0), 1),
+    (0, Basis.DIAGONAL): PureState((_SQRT_HALF, _SQRT_HALF), 1),
+    (1, Basis.DIAGONAL): PureState((_SQRT_HALF, -_SQRT_HALF), 1),
 }
 
 
@@ -160,32 +163,33 @@ def encoded_qubit(bit: int, basis: Basis) -> PureState:
     """Single qubit carrying ``bit`` in ``basis``: |0>, |1>, |+>, or |->.
 
     These are the four sender states of prepare-and-measure key exchange;
-    measuring in the preparation basis recovers the bit with certainty.
+    measuring in the preparation basis recovers the bit with certainty.  Each
+    is one shared immutable constant, validated once at import.
     """
     try:
-        amps = _ENCODED[(int(bit), basis)]
+        return _ENCODED[(int(bit), basis)]
     except KeyError:
         raise ValueError(f"bit must be 0 or 1, got {bit!r}") from None
-    return PureState(np.array(amps, dtype=np.complex128), 1)
 
 
-_BELL_AMPLITUDES = {
-    BellVariant.PHI_PLUS: (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF),
-    BellVariant.PHI_MINUS: (_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF),
-    BellVariant.PSI_PLUS: (0.0, _SQRT_HALF, _SQRT_HALF, 0.0),
-    BellVariant.PSI_MINUS: (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0),
+_BELL = {
+    BellVariant.PHI_PLUS: PureState((_SQRT_HALF, 0.0, 0.0, _SQRT_HALF), 2),
+    BellVariant.PHI_MINUS: PureState((_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF), 2),
+    BellVariant.PSI_PLUS: PureState((0.0, _SQRT_HALF, _SQRT_HALF, 0.0), 2),
+    BellVariant.PSI_MINUS: PureState((0.0, _SQRT_HALF, -_SQRT_HALF, 0.0), 2),
 }
 
 
 def bell_pair(variant: BellVariant | str = BellVariant.PHI_PLUS) -> PureState:
-    """Maximally entangled two-qubit pair of the requested variant."""
+    """Maximally entangled two-qubit pair of the requested variant; each
+    variant is one shared immutable constant, validated once at import."""
     if isinstance(variant, str):
         try:
             variant = BellVariant(variant.lower())
         except ValueError:
             names = ", ".join(v.value for v in BellVariant)
             raise ValueError(f"unknown pair variant {variant!r}; expected one of {names}") from None
-    return PureState(np.array(_BELL_AMPLITUDES[variant], dtype=np.complex128), 2)
+    return _BELL[variant]
 
 
 def _check_qubit(state: PureState, qubit_index: int) -> int:
@@ -195,6 +199,15 @@ def _check_qubit(state: PureState, qubit_index: int) -> int:
             f"qubit index {qubit_index} out of range for {state.num_qubits} qubit(s)"
         )
     return qubit_index
+
+
+# Amplitude index pairs (i, i | stride) that differ only in one qubit, keyed
+# by (register size, qubit index); stride is that qubit's place value.
+_PAIRS = {
+    (n, q): tuple((i, i | 1 << (n - 1 - q)) for i in range(2**n) if not i >> (n - 1 - q) & 1)
+    for n in range(1, MAX_QUBITS + 1)
+    for q in range(n)
+}
 
 
 def measure_rotated(
@@ -213,28 +226,28 @@ def measure_rotated(
     """
     q = _check_qubit(state, qubit_index)
     n = state.num_qubits
-    t = state.amplitudes.reshape([2] * n)
-    a0 = np.take(t, 0, axis=q)
-    a1 = np.take(t, 1, axis=q)
+    pairs = _PAIRS[n, q]
+    amps = state.amplitudes.tolist()
     c, s = math.cos(angle), math.sin(angle)
-    comp0 = c * a0 + s * a1
-    comp1 = -s * a0 + c * a1
-    p0 = float(np.sum(np.abs(comp0) ** 2))
-    p1 = float(np.sum(np.abs(comp1) ** 2))
+    comp0 = [c * amps[i] + s * amps[j] for i, j in pairs]
+    comp1 = [-s * amps[i] + c * amps[j] for i, j in pairs]
+    p0 = sum(abs(z) ** 2 for z in comp0)
+    p1 = sum(abs(z) ** 2 for z in comp1)
     bit = 0 if rng.random() < p0 else 1
     if p1 == 0.0:  # guard the float gap between p0 and 1
         bit = 0
     elif p0 == 0.0:
         bit = 1
     if bit == 0:
-        scale = 1.0 / math.sqrt(p0)
-        new0, new1 = c * comp0 * scale, s * comp0 * scale
+        comp, u0, u1, scale = comp0, c, s, 1.0 / math.sqrt(p0)
     else:
-        scale = 1.0 / math.sqrt(p1)
-        new0, new1 = -s * comp1 * scale, c * comp1 * scale
-    post = np.stack([new0, new1], axis=q).reshape(2**n)
-    post = post / math.sqrt(float(np.sum(np.abs(post) ** 2)))
-    return MeasurementOutcome(bit=bit, post_state=PureState(post, n))
+        comp, u0, u1, scale = comp1, -s, c, 1.0 / math.sqrt(p1)
+    post = [0j] * 2**n
+    for (i, j), z in zip(pairs, comp):
+        post[i] = u0 * z * scale
+        post[j] = u1 * z * scale
+    norm = math.sqrt(sum(abs(z) ** 2 for z in post))
+    return MeasurementOutcome(bit=bit, post_state=PureState([z / norm for z in post], n))
 
 
 def measure_qubit(
@@ -250,6 +263,16 @@ def measure_qubit(
     return measure_rotated(state, qubit_index, basis.analyzer_angle, rng)
 
 
+@functools.cache
+def _cnot_sources(n: int, control: int, target: int) -> np.ndarray:
+    """CNOT amplitude permutation, cached and shared, hence read-only."""
+    idx = np.arange(2**n)
+    c_bit = (idx >> (n - 1 - control)) & 1
+    source = np.where(c_bit == 1, idx ^ (1 << (n - 1 - target)), idx)
+    source.setflags(write=False)
+    return source
+
+
 def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     """Controlled-NOT: flips ``target`` wherever ``control`` is 1."""
     c = _check_qubit(state, control)
@@ -257,10 +280,7 @@ def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     if c == t:
         raise ValueError("control and target must be distinct qubits")
     n = state.num_qubits
-    idx = np.arange(2**n)
-    c_bit = (idx >> (n - 1 - c)) & 1
-    source = np.where(c_bit == 1, idx ^ (1 << (n - 1 - t)), idx)
-    return PureState(state.amplitudes[source], n)
+    return PureState(state.amplitudes[_cnot_sources(n, c, t)], n)
 
 
 def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:

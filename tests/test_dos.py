@@ -89,6 +89,34 @@ def test_no_attack_means_full_service():
             assert result.mean_legit_wait_ms >= 0.0
 
 
+def erlang_c(servers, offered_load):
+    """Probability that an arrival waits in an M/M/c queue (Erlang C)."""
+    c, a = servers, offered_load
+    tail = a**c / math.factorial(c) * c / (c - a)
+    return tail / (sum(a**k / math.factorial(k) for k in range(c)) + tail)
+
+
+def test_unattacked_queue_matches_erlang_c_mean_wait():
+    # With no attacker and unbounded patience the simulator is an M/M/c
+    # queue, whose mean wait is C(c, a) / (c*mu - lambda).
+    servers, rate_per_s, service_ms = 10, 15.0, 500.0
+    mu_per_s = 1000.0 / service_ms
+    expected_ms = 1000.0 * erlang_c(servers, rate_per_s / mu_per_s) / (
+        servers * mu_per_s - rate_per_s
+    )
+    means = []
+    for seed in range(8):
+        result = dos_simulate(
+            1_000_000.0, rate_per_s, 0.0, servers, Mitigation.none(),
+            stream(seed, "erlang-c"), mean_service_ms=service_ms, patience_ms=1e12,
+        )
+        assert result.legit_dropped == result.legit_blocked == result.legit_still_queued == 0
+        assert result.legit_served == result.legit_arrivals
+        means.append(result.mean_legit_wait_ms)
+    stderr = np.std(means, ddof=1) / math.sqrt(len(means))
+    assert abs(np.mean(means) - expected_ms) <= 4.0 * stderr
+
+
 def test_no_legit_traffic_yields_nan_wait():
     result = run(Mitigation.none(), 0, legit=0.0)
     assert result.legit_arrivals == 0

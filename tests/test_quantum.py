@@ -10,6 +10,7 @@ from qntl.quantum import (
     CHSH_OPTIMAL_ANGLES,
     Basis,
     BellVariant,
+    MeasurementOutcome,
     PureState,
     apply_cnot,
     apply_phase,
@@ -123,6 +124,78 @@ def test_measurement_is_seed_deterministic():
     bits_a = [measure_qubit(plus, 0, Basis.RECTILINEAR, stream(9, "det", t)).bit for t in range(64)]
     bits_b = [measure_qubit(plus, 0, Basis.RECTILINEAR, stream(9, "det", t)).bit for t in range(64)]
     assert bits_a == bits_b
+
+
+def reference_measure_rotated(state, qubit_index, angle, rng):
+    """The earlier array kernel: reshape the register to one axis per qubit,
+    rotate the measured axis, and renormalise the kept branch."""
+    q = qubit_index
+    n = state.num_qubits
+    t = state.amplitudes.reshape([2] * n)
+    a0 = np.take(t, 0, axis=q)
+    a1 = np.take(t, 1, axis=q)
+    c, s = math.cos(angle), math.sin(angle)
+    comp0 = c * a0 + s * a1
+    comp1 = -s * a0 + c * a1
+    p0 = float(np.sum(np.abs(comp0) ** 2))
+    p1 = float(np.sum(np.abs(comp1) ** 2))
+    bit = 0 if rng.random() < p0 else 1
+    if p1 == 0.0:
+        bit = 0
+    elif p0 == 0.0:
+        bit = 1
+    if bit == 0:
+        scale = 1.0 / math.sqrt(p0)
+        new0, new1 = c * comp0 * scale, s * comp0 * scale
+    else:
+        scale = 1.0 / math.sqrt(p1)
+        new0, new1 = -s * comp1 * scale, c * comp1 * scale
+    post = np.stack([new0, new1], axis=q).reshape(2**n)
+    post = post / math.sqrt(float(np.sum(np.abs(post) ** 2)))
+    return MeasurementOutcome(bit=bit, post_state=PureState(post, n))
+
+
+@st.composite
+def registers(draw):
+    """A 1-4 qubit state (random, or a computational basis state) and a
+    qubit index into it."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        state = basis_state(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        state = random_state(n, draw(st.integers(0, 10**6)))
+    return state, draw(st.integers(0, n - 1))
+
+
+@given(
+    register=registers(),
+    angle=st.one_of(
+        st.sampled_from([0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8]),
+        st.floats(-2 * math.pi, 2 * math.pi),
+    ),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=400, deadline=None)
+def test_measure_rotated_matches_reference_kernel(register, angle, seed):
+    state, qubit = register
+    rng, ref_rng = stream(seed, "kernel"), stream(seed, "kernel")
+    out = measure_rotated(state, qubit, angle, rng)
+    ref = reference_measure_rotated(state, qubit, angle, ref_rng)
+    assert out.bit == ref.bit
+    assert np.max(np.abs(out.post_state.amplitudes - ref.post_state.amplitudes)) <= 1e-12
+    # Exactly one uniform was drawn by each kernel.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_prepared_states_are_shared_constants():
+    for bit in (0, 1):
+        for basis in Basis:
+            state = encoded_qubit(bit, basis)
+            assert encoded_qubit(np.int8(bit), basis) is state
+            assert not state.amplitudes.flags.writeable
+    for variant in BellVariant:
+        assert bell_pair(variant.value.upper()) is bell_pair(variant)
+        assert not bell_pair(variant).amplitudes.flags.writeable
 
 
 def test_measurement_index_errors():
