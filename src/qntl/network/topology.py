@@ -1,9 +1,9 @@
 """Seeded network topology generation and a text interchange format.
 
 Six families are supported: three deterministic lattices (grid, hexagonal,
-tree) built with networkx, and three random families (Erdos-Renyi, Waxman,
-Barabasi-Albert) generated here so that edge sets depend only on (seed, kind)
-and this package's own stream discipline, never on library internals.
+tree) and three random families (Erdos-Renyi, Waxman, Barabasi-Albert), all
+built here, so that edge sets depend only on (seed, kind) and this package's
+own stream discipline, never on library internals.
 
 Nodes are integers 0..n-1.  Edges are stored normalized (u < v) and sorted,
 and the adjacency map is derived from them, so two topologies with equal
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from ..stats import stream
@@ -125,16 +124,30 @@ class Topology:
 
 
 def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, list[tuple[int, int]]]:
-    """Deterministic lattice families, relabeled to 0..n-1 by sorted position."""
+    """Deterministic lattice families, relabeled to 0..n-1 by sorted position.
+
+    The tree is numbered in level order.  The hexagonal lattice has node
+    columns i = 0..cols of 2*rows + 2 nodes j, less one corner at each end;
+    (i, j) links to (i, j + 1), and to (i + 1, j) when i and j share parity.
+    """
+    sizes = ("branching", "height") if kind is TopologyKind.TREE else ("rows", "cols")
+    a, b = (int(params[key]) for key in sizes)
+    if a < 0 or b < 0:
+        raise ValueError(f"{kind.value} {sizes[0]} and {sizes[1]} must be >= 0, got {a} and {b}")
+    if kind is TopologyKind.TREE:
+        n = b + 1 if a == 1 else (a ** (b + 1) - 1) // (a - 1)
+        return n, [((c - 1) // a, c) for c in range(1, n)]
     if kind is TopologyKind.GRID:
-        graph = nx.grid_2d_graph(int(params["rows"]), int(params["cols"]))
-    elif kind is TopologyKind.HEXAGONAL:
-        graph = nx.hexagonal_lattice_graph(int(params["rows"]), int(params["cols"]))
-    else:
-        graph = nx.balanced_tree(int(params["branching"]), int(params["height"]))
-    labels = {old: i for i, old in enumerate(sorted(graph.nodes()))}
-    edges = [(labels[u], labels[v]) for u, v in graph.edges()]
-    return len(labels), edges
+        cells = [(i, j) for i in range(a) for j in range(b)]
+    elif a and b:  # hexagonal
+        corners = {(0, 2 * a + 1), (b, (2 * a + 1) * (b % 2))}
+        cells = [(i, j) for i in range(b + 1) for j in range(2 * a + 2) if (i, j) not in corners]
+    else:  # a hexagonal lattice with no hexagons has no nodes
+        return 0, []
+    labels = {cell: k for k, cell in enumerate(cells)}
+    links = [((i, j), (i, j + 1)) for i, j in cells]
+    links += [((i, j), (i + 1, j)) for i, j in cells if kind is TopologyKind.GRID or i % 2 == j % 2]
+    return len(cells), [(labels[u], labels[v]) for u, v in links if v in labels]
 
 
 def _erdos_renyi_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .attacks import PnsStrategy, pns_transform_counts
 from .photonics import (
@@ -211,9 +210,12 @@ def privacy_amplify(
         return np.zeros(0, dtype=np.int8)
     diagonals = stream(hash_seed, "toeplitz-hash").integers(0, 2, size=n + m - 1)
     # Row j of the Toeplitz matrix is diagonals[n-1+j : j-1 : -1], so the
-    # product against x is a slice of the full convolution.  Counts stay far
-    # below 2**53, making the rounded FFT convolution exact.
-    full = fftconvolve(x.astype(float), diagonals.astype(float))
+    # product against x is entry n-1+j of the full convolution.  A circular
+    # convolution at any length >= n + m - 1 does not wrap onto those entries;
+    # a power of two keeps the FFT fast.  Counts stay far below 2**53, making
+    # the rounded FFT convolution exact.
+    size = 1 << (n + m - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(diagonals, size), size)
     products = np.rint(full[n - 1 : n - 1 + m]).astype(np.int64)
     return (products & 1).astype(np.int8)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 __all__ = [
     "MAX_SEED",
@@ -257,8 +256,12 @@ def chi_square_gof(
     Expected counts below ``min_expected`` are merged rightward into the tail
     before the statistic is formed, so sparse tail bins cannot dominate.
     The last bin is treated as the distribution's full upper tail when the
-    histogram aggregates overflow.
+    histogram aggregates overflow.  The p-value is ``scipy.special.chdtrc``
+    (what ``scipy.stats.chi2.sf`` calls), imported on the first call so that
+    importing this module loads no scipy.
     """
+    from scipy.special import chdtrc
+
     if hist.total == 0:
         raise ValueError("cannot test an empty histogram")
     if hist.counts.size < 2:
@@ -291,7 +294,7 @@ def chi_square_gof(
         raise ValueError("fewer than two usable bins after tail merging")
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = exp_arr.size - 1
-    return float(_chi2.sf(stat, dof))
+    return float(chdtrc(dof, stat))
 
 
 def chsh_estimate(

@@ -1,10 +1,14 @@
 """Tests for the command-line layer: config parsing, reports, catalog, plots."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qntl
 from qntl.cli.catalog import catalog_sha256, filter_catalog, load_catalog
 from qntl.cli.config import ConfigError, parse_int_list, parse_range, parse_str_list
 from qntl.cli.main import main
@@ -16,6 +20,24 @@ PINNED_SHA = Path(__file__).parent / "data" / "catalog.sha256"
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("QNTL_SEED", raising=False)
+
+
+# ---------------------------------------------------------------- start-up
+
+def test_import_loads_no_scipy_or_networkx():
+    # What every `qntl run` imports, in a fresh interpreter.
+    probe = (
+        "import sys, qntl\n"
+        "from qntl.cli.runners import EXPERIMENTS\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(qntl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == []
 
 
 # ---------------------------------------------------------------- parsing

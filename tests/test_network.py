@@ -102,6 +102,35 @@ def test_generation_param_overrides_and_errors():
         generate_topology("barabasi-albert", 0, {"n": 4})  # below k + 2
 
 
+# Oracle: the networkx lattice generators, nodes relabeled 0..n-1 in sorted
+# order, over every size pair in range.
+NX_LATTICES = {
+    TopologyKind.GRID: (("rows", "cols"), range(13), nx.grid_2d_graph),
+    TopologyKind.HEXAGONAL: (("rows", "cols"), range(13), nx.hexagonal_lattice_graph),
+    TopologyKind.TREE: (("branching", "height"), range(6), nx.balanced_tree),
+}
+
+
+@pytest.mark.parametrize("kind", list(NX_LATTICES))
+def test_lattices_match_networkx(kind):
+    keys, sizes, generator = NX_LATTICES[kind]
+    for a in sizes:
+        for b in sizes:
+            graph = generator(a, b)
+            labels = {node: i for i, node in enumerate(sorted(graph.nodes()))}
+            expected = {tuple(sorted((labels[u], labels[v]))) for u, v in graph.edges()}
+            topo = generate_topology(kind, 0, dict(zip(keys, (a, b))))
+            assert topo.n_nodes == len(labels), (a, b)
+            assert set(topo.edges) == expected, (a, b)
+
+
+def test_lattice_negative_sizes_raise():
+    for kind, (keys, _, _) in NX_LATTICES.items():
+        for sizes in ((-1, 3), (3, -1), (-2, -2)):
+            with pytest.raises(ValueError, match=">= 0"):
+                generate_topology(kind, 0, dict(zip(keys, sizes)))
+
+
 def test_generation_quality_ranges():
     topo = generate_topology(
         "grid", 7, error_rate_range=(0.01, 0.05), response_time_range=(10.0, 50.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qntl.attacks import PnsStrategy, intercept_resend, probe_hook
 from qntl.photonics import Detector, LossChannel, PhotonSource, SIGNAL, decoy_label
 from qntl.qkd import (
+    DEFAULT_HASH_SEED,
     DecoyIntensity,
     decoy_state_analysis,
     estimate_qber,
@@ -158,6 +159,39 @@ def test_amplify_is_linear_over_gf2(a, b, leaked):
     hxor = privacy_amplify(a ^ b, leaked)
     assert np.array_equal(hxor, ha ^ hb)
     assert ha.size == max(0, n - leaked)
+
+
+def toeplitz_diagonals(n, m):
+    return stream(DEFAULT_HASH_SEED, "toeplitz-hash").integers(0, 2, size=n + m - 1)
+
+
+def test_amplify_matches_exact_toeplitz_product():
+    # Oracle: the explicit m x n matrix T[j, i] = diagonals[n - 1 + j - i]
+    # times the key in exact int64 arithmetic, mod 2.
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(1, 1500))
+        leaked = int(rng.integers(0, n))
+        margin = int(rng.integers(0, n - leaked))
+        key = rng.integers(0, 2, size=n)
+        m = n - leaked - margin
+        diagonals = toeplitz_diagonals(n, m)
+        matrix = diagonals[n - 1 + np.arange(m)[:, None] - np.arange(n)[None, :]]
+        expected = (matrix @ key) & 1
+        out = privacy_amplify(key, leaked, safety_margin=margin)
+        assert out.dtype == np.int8
+        assert np.array_equal(out, expected), (n, leaked, margin)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1025, 4099, 65537, 200_000])
+def test_amplify_all_ones_key_matches_window_sums(n):
+    # An all-ones key makes row j the sum of diagonals[j : j + n], the largest
+    # products a key can give, so FFT rounding is at its worst here.
+    for leaked in {0, n // 3, n - 1}:
+        m = n - leaked
+        window = np.concatenate(([0], np.cumsum(toeplitz_diagonals(n, m))))
+        expected = (window[n : n + m] - window[:m]) & 1
+        assert np.array_equal(privacy_amplify(np.ones(n, dtype=np.int8), leaked), expected)
 
 
 # ---------------------------------------------------------------- bb84

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2 as sp_chi2
 from scipy.stats import poisson as sp_poisson
 
 from qntl.stats import (
@@ -254,6 +255,20 @@ def test_chi_square_gross_mismatch():
     h = Histogram.from_samples(draws, max_bin=15)
     p = chi_square_gof(h, lambda k: sp_poisson.pmf(k, 2.5))
     assert p < 1e-6
+
+
+@pytest.mark.parametrize(
+    "counts", [[10, 10], [30, 10, 20], [5, 9, 13, 7, 16], [100, 0, 50, 25, 25, 0, 50]]
+)
+def test_chi_square_equals_scipy_chi2_sf(counts):
+    # A uniform pmf over the bins with no overflow keeps every bin (each
+    # expects >= 5), so the statistic and dof follow by hand.
+    counts = np.array(counts)
+    h = Histogram(counts=counts, total=int(counts.sum()), overflow=False)
+    expected = counts.sum() / counts.size
+    stat = float(np.sum((counts - expected) ** 2 / expected))
+    p = chi_square_gof(h, lambda k: 1.0 / counts.size)
+    assert p == pytest.approx(sp_chi2.sf(stat, counts.size - 1), rel=1e-12, abs=1e-300)
 
 
 def test_chi_square_rejects_degenerate_input():
