@@ -6,7 +6,8 @@ the amplitude index: for a two-qubit register, index 2 = 0b10 is |10> with
 qubit 0 equal to 1.  States are immutable: operations never mutate their
 input, and the prepared states (:func:`encoded_qubit`, :func:`bell_pair`)
 are module constants shared by every caller, so states can be shared freely
-across threads.
+across threads.  Measurement outcomes are memoised by value and shared the
+same way; each measurement still draws one uniform variate.
 
 Global phase is physically meaningless but is not normalized away; use
 :func:`equal_up_to_global_phase` to compare states.
@@ -221,27 +222,43 @@ def measure_rotated(
     The outcome-0 eigenvector is cos(angle)|0> + sin(angle)|1>; angle 0 is the
     rectilinear basis and pi/4 the diagonal one.  The returned post-state is
     the renormalized projection, so repeating the same measurement reproduces
-    the same bit with certainty.  One uniform variate is consumed per call,
-    making results deterministic for a fixed generator state.
+    the same bit with certainty.  Both outcomes are memoised by (amplitudes,
+    qubit, angle) value and returned as shared immutable objects; one uniform
+    variate is still consumed per call, making results deterministic for a
+    fixed generator state.  Angles compare with ``==``: -0.0 shares the entry
+    of 0.0, so its post-state may differ from an unmemoised one in the sign
+    of a zero amplitude.
     """
     q = _check_qubit(state, qubit_index)
-    n = state.num_qubits
+    threshold, out0, out1 = _split(state.amplitudes.tobytes(), state.num_qubits, q, float(angle))
+    return out0 if rng.random() < threshold else out1
+
+
+@functools.lru_cache(maxsize=1024)
+def _split(
+    amplitudes: bytes, n: int, q: int, angle: float
+) -> tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]:
+    """Born split of qubit ``q`` of the complex128 ``amplitudes``: the bound a
+    uniform must fall below for outcome 0 (+-inf guard the float gap between
+    p0 and 1), and both outcomes, ``None`` where the probability is 0."""
     pairs = _PAIRS[n, q]
-    amps = state.amplitudes.tolist()
+    amps = np.frombuffer(amplitudes, dtype=np.complex128).tolist()
     c, s = math.cos(angle), math.sin(angle)
     comp0 = [c * amps[i] + s * amps[j] for i, j in pairs]
     comp1 = [-s * amps[i] + c * amps[j] for i, j in pairs]
     p0 = sum(abs(z) ** 2 for z in comp0)
     p1 = sum(abs(z) ** 2 for z in comp1)
-    bit = 0 if rng.random() < p0 else 1
-    if p1 == 0.0:  # guard the float gap between p0 and 1
-        bit = 0
-    elif p0 == 0.0:
-        bit = 1
-    if bit == 0:
-        comp, u0, u1, scale = comp0, c, s, 1.0 / math.sqrt(p0)
-    else:
-        comp, u0, u1, scale = comp1, -s, c, 1.0 / math.sqrt(p1)
+    threshold = math.inf if p1 == 0.0 else -math.inf if p0 == 0.0 else p0
+    out0 = _collapse(pairs, n, 0, comp0, c, s, p0)
+    return threshold, out0, _collapse(pairs, n, 1, comp1, -s, c, p1)
+
+
+def _collapse(pairs, n, bit, comp, u0, u1, p) -> MeasurementOutcome | None:
+    """Outcome ``bit`` with the renormalised projection ``comp`` along the
+    eigenvector (u0, u1), or ``None`` when its probability ``p`` is 0."""
+    if p == 0.0:
+        return None
+    scale = 1.0 / math.sqrt(p)
     post = [0j] * 2**n
     for (i, j), z in zip(pairs, comp):
         post[i] = u0 * z * scale

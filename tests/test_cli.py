@@ -24,6 +24,14 @@ def clean_env(monkeypatch):
 
 # ---------------------------------------------------------------- start-up
 
+def _source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(qntl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_import_loads_no_scipy_or_networkx():
     # What every `qntl run` imports, in a fresh interpreter.
     probe = (
@@ -31,13 +39,22 @@ def test_import_loads_no_scipy_or_networkx():
         "from qntl.cli.runners import EXPERIMENTS\n"
         "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(qntl.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True,
+        check=True,
     )
     assert result.stdout.split() == []
+
+
+def test_python_dash_m_qntl_runs_the_cli(capsys):
+    argv = ["run", "bb84", "--rounds", "200", "--seed", "3"]
+    result = subprocess.run(
+        [sys.executable, "-m", "qntl", *argv], env=_source_env(), capture_output=True
+    )
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert main(argv) == 0
+    assert result.stdout.decode("utf-8") == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- parsing

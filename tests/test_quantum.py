@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qntl.attacks import intercept_resend, probe_hook
+from qntl.photonics import LossChannel, PhotonSource
+from qntl.qkd import run_bb84, run_e91
 from qntl.quantum import (
     CHSH_OPTIMAL_ANGLES,
     Basis,
@@ -23,6 +26,7 @@ from qntl.quantum import (
     measure_qubit,
     measure_rotated,
     pure_state,
+    _split,
 )
 from qntl.stats import stream
 
@@ -185,6 +189,79 @@ def test_measure_rotated_matches_reference_kernel(register, angle, seed):
     assert np.max(np.abs(out.post_state.amplitudes - ref.post_state.amplitudes)) <= 1e-12
     # Exactly one uniform was drawn by each kernel.
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    n=st.integers(1, 4),
+    state_seed=st.integers(0, 10**6),
+    angle=st.floats(-2 * math.pi, 2 * math.pi),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_memoised_split_is_keyed_by_qubit_and_angle(n, state_seed, angle, seed):
+    # One state object measured at every (qubit, angle) in turn, each setting
+    # twice so the second call is a cache hit: any key field left out, or a
+    # uniform skipped on a hit, parts the two generators.
+    state = random_state(n, state_seed)
+    rng, ref_rng = stream(seed, "memo"), stream(seed, "memo")
+    for qubit in range(n):
+        for theta in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, angle):
+            for _ in range(2):
+                out = measure_rotated(state, qubit, theta, rng)
+                ref = reference_measure_rotated(state, qubit, theta, ref_rng)
+                assert out.bit == ref.bit
+                diff = out.post_state.amplitudes - ref.post_state.amplitudes
+                assert np.max(np.abs(diff)) <= 1e-12
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+SESSIONS = {
+    "bb84": lambda rng: run_bb84(300, rng),
+    "bb84-intercept": lambda rng: run_bb84(300, rng, eavesdropper=intercept_resend("random")),
+    "bb84-weak-coherent": lambda rng: run_bb84(
+        1000, rng, source=PhotonSource.weak_coherent(0.5), channel=LossChannel(0.5)
+    ),
+    "e91": lambda rng: run_e91(300, rng),
+    "e91-probe": lambda rng: run_e91(300, rng, pair_hook=probe_hook()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_sessions_repeat_from_cold_and_warm_cache(name):
+    _split.cache_clear()
+    runs = []
+    for _ in ("cold", "warm"):
+        rng = stream(5, f"memo-session-{name}")
+        session = SESSIONS[name](rng)
+        runs.append((session, rng.bit_generator.state))
+    (cold, cold_rng), (warm, warm_rng) = runs
+    assert _split.cache_info().hits > 0
+    for field in ("sifted_alice", "sifted_bob", "final_key"):
+        assert np.array_equal(getattr(cold, field), getattr(warm, field))
+    assert (cold.qber_estimate, cold.chsh_estimate) == (warm.qber_estimate, warm.chsh_estimate)
+    assert cold_rng == warm_rng
+
+
+def test_measurement_outcomes_are_shared_and_read_only():
+    rng = stream(3, "memo-shared")
+    plus = encoded_qubit(0, Basis.DIAGONAL)
+    outcomes = {}
+    while len(outcomes) < 2:
+        out = measure_qubit(plus, 0, Basis.RECTILINEAR, rng)
+        assert outcomes.setdefault(out.bit, out) is out
+    for out in outcomes.values():
+        assert not out.post_state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            out.post_state.amplitudes[0] = 0.0
+
+
+def test_split_cache_stays_bounded():
+    rng = stream(4, "memo-bound")
+    maxsize = _split.cache_info().maxsize
+    assert maxsize == 1024
+    for theta in np.linspace(0.0, math.pi, maxsize + 100):
+        measure_rotated(pure_state([math.cos(theta), math.sin(theta)]), 0, 0.1, rng)
+    assert _split.cache_info().currsize <= maxsize
 
 
 def test_prepared_states_are_shared_constants():
