@@ -64,11 +64,24 @@ PROTOCOL_CASES = {
     "e91/probe": ("e91", {"rounds": "1000", "attack": "probe", "disclosed_fraction": "0.5"}),
 }
 
+# Photon-batch paths the default-config pins miss: the splitting attacks in
+# the decoy test, a second decoy class, a Poisson mean whose CDF spans many
+# steps (max_bin 60 keeps its whole tail in the rows), fixed Trojan phases
+# including zero, and both noise modes at a low and a high flip rate.
+ARRAY_CASES = {
+    "decoy/block-singles": ("decoy", {"pulses": "2000", "attack": "block-singles"}),
+    "decoy/random-0.5": ("decoy", {"pulses": "2000", "attack": "random-0.5"}),
+    "decoy/two-decoys": ("decoy", {"pulses": "2000", "decoy_mus": "0.1,0.05"}),
+    "pns/mu-20": ("pns", {"pulses": "10000", "mu": "20", "max_bin": "60"}),
+    "trojan/fixed-1-fixed-0": ("trojan", {"photons": "5000", "policies": "fixed-1,fixed-0"}),
+    "qec/p0.05-p0.3": ("qec", {"flip_probs": "0.05,0.3", "blocks": "2000"}),
+}
+
 
 def _cases():
     for name, params in EXPERIMENT_PARAMS.items():
         yield name, name, params, EXPERIMENT_SEED
-    for label, (name, params) in PROTOCOL_CASES.items():
+    for label, (name, params) in {**PROTOCOL_CASES, **ARRAY_CASES}.items():
         yield label, name, params, EXPERIMENT_SEED
     yield (
         "topology-decay/default-fractions", "topology-decay",
