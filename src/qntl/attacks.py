@@ -305,27 +305,27 @@ def trojan_gain_experiment(
     """
     if n_photons <= 0:
         raise ValueError("need at least one photon")
-    states = rng.integers(0, 4, size=n_photons)
-    alice = np.where(states < 2, BASIS_RECT, BASIS_DIAG).astype(np.int8)
-    shifts = np.zeros(n_photons, dtype=float)
-    diag = alice == BASIS_DIAG
-    if policy.variant is TrojanVariant.FIXED_SHIFT:
-        shifts[diag] = policy.shift
-    elif policy.variant is TrojanVariant.RANDOM_SHIFT:
-        shifts[diag] = rng.random(int(diag.sum())) * (2.0 * math.pi)
-    eve = np.where(rng.integers(0, 2, size=n_photons) == 0, BASIS_RECT, BASIS_DIAG).astype(np.int8)
+    diag = rng.integers(0, 4, size=n_photons) >= 2
+    if policy.variant is TrojanVariant.RANDOM_SHIFT:
+        shifts = np.zeros(n_photons)
+        diagonal = np.flatnonzero(diag)
+        shifts[diagonal] = rng.random(diagonal.size) * (2.0 * math.pi)
+    else:
+        shifts = diag * policy.shift  # the no-shift policy's shift is 0.0
+    eve_diag = rng.integers(0, 2, size=n_photons) == 1
 
-    gains = np.full(n_photons, 0.5)
-    correct = eve == alice
-    gains[correct & (alice == BASIS_RECT)] = 1.0
-    diag_correct = correct & diag
-    half = 0.5 * shifts[diag_correct]
-    shifted_value = 0.5 * np.cos(half) ** 2 + 0.5 * np.sin(half) ** 2
-    gains[diag_correct] = np.where(shifts[diag_correct] == 0.0, 1.0, shifted_value)
+    # A wrong guess gains 1/2 and a correct one 1, except a correct diagonal
+    # guess, which feels the phase.
+    correct = eve_diag == diag
+    gains = 0.5 + 0.5 * correct
+    probed = np.flatnonzero(correct & diag)
+    shift = shifts[probed]
+    half = 0.5 * shift
+    gains[probed] = np.where(shift == 0.0, 1.0, 0.5 * np.cos(half) ** 2 + 0.5 * np.sin(half) ** 2)
     return GainLedger(
         per_photon_gain=gains,
-        eve_bases=eve,
-        alice_bases=alice,
+        eve_bases=1 - 2 * eve_diag.view(np.int8),  # BASIS_RECT or BASIS_DIAG
+        alice_bases=1 - 2 * diag.view(np.int8),
         phase_shifts=shifts,
     )
 
@@ -486,11 +486,15 @@ def qec_bitflip_experiment(
     mode: str = "iid",
     rng: np.random.Generator | None = None,
 ) -> QecResult:
-    """Encode, corrupt, majority-decode, and count logical errors.
+    """Count the logical errors of the three-bit repetition code.
 
     Modes: "iid" flips each physical bit independently with probability p;
     "burst-2" flips one randomly chosen adjacent pair with probability p,
-    which defeats the code exactly when it fires (logical rate p).
+    which defeats the code exactly when it fires (logical rate p).  Majority
+    decoding fails exactly when two or more of a block's three bits flip,
+    whatever its logical bit, so failures are counted from the flips alone.
+    The logical bits and burst offsets are still drawn, and discarded, so
+    that later draws from ``rng`` do not move.
     """
     if rng is None:
         raise ValueError("an explicit rng is required")
@@ -502,20 +506,14 @@ def qec_bitflip_experiment(
     if mode not in ("iid", "burst-2"):
         raise ValueError(f"unknown noise mode {mode!r}")
 
-    logical = rng.integers(0, 2, size=n_blocks, dtype=np.int8)
-    words = np.repeat(logical[:, None], 3, axis=1)
+    rng.integers(0, 2, size=n_blocks, dtype=np.int8)  # logical bits
     if mode == "iid":
-        flips = rng.random((n_blocks, 3)) < p
+        flips = (rng.random((n_blocks, 3)) < p).view(np.uint8)
+        failed = flips[:, 0] + flips[:, 1] + flips[:, 2] >= 2
     else:
-        fires = rng.random(n_blocks) < p
-        first = rng.integers(0, 2, size=n_blocks)  # adjacent pair (0,1) or (1,2)
-        flips = np.zeros((n_blocks, 3), dtype=bool)
-        rows = np.nonzero(fires)[0]
-        flips[rows, first[rows]] = True
-        flips[rows, first[rows] + 1] = True
-    corrupted = words ^ flips
-    decoded = (corrupted.sum(axis=1) >= 2).astype(np.int8)
-    errors = int(np.count_nonzero(decoded != logical))
+        failed = rng.random(n_blocks) < p  # a burst flips two adjacent bits
+        rng.integers(0, 2, size=n_blocks)  # its offset: pair (0,1) or (1,2)
+    errors = int(np.count_nonzero(failed))
     return QecResult(
         mode=mode,
         flip_probability=p,

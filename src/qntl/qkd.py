@@ -631,10 +631,11 @@ def simulate_decoy_transmissions(
             arriving = rng.binomial(counts, channel.transmittance)
         else:
             _, arriving = pns_transform_counts(counts, attacker, rng)
-        p_click = 1.0 - (1.0 - detector.dark_count_prob) * (
-            (1.0 - detector.efficiency) ** arriving
+        # Click probability per arriving photon number, looked up by count.
+        by_count = 1.0 - (1.0 - detector.dark_count_prob) * (
+            (1.0 - detector.efficiency) ** np.arange(arriving.max() + 1)
         )
-        clicks = int(np.count_nonzero(rng.random(item.n_pulses) < p_click))
+        clicks = int(np.count_nonzero(rng.random(item.n_pulses) < by_count[arriving]))
         tallies.append(
             DecoyTally(
                 label=label,

@@ -37,6 +37,10 @@ MAX_SEED = 2**64 - 1
 # float range (exp(-mu) underflows near 745).
 _MAX_POISSON_MEAN = 700.0
 
+# Buckets of the array sampler's guide table over [0, 1); a power of two,
+# so u * _GUIDE_BUCKETS is exact and truncates to the bucket holding u.
+_GUIDE_BUCKETS = 1 << 12
+
 
 def _label_entropy(label: str) -> int:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -101,6 +105,13 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
     counts the scalar routine would produce from the same stream.  At
     ``mu == 0`` the stream positions part: this routine still draws ``size``
     uniforms, while the scalar routine draws none.
+
+    Each count is #(cdf < u), found by indexed search (a guide table, Chen
+    and Asau 1974): bucket b of 2**12 equal buckets over [0, 1) stores
+    #(cdf < b/G) when that equals #(cdf < (b+1)/G), and -1 otherwise.  The
+    lookup is exact because u*G is exact for a power-of-two G, and for u in
+    [b/G, (b+1)/G) the count is squeezed between those two.  Only draws in
+    a bucket that holds a CDF step are binary-searched.
     """
     mu = _check_mean(mu)
     if size < 0:
@@ -121,7 +132,13 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
         k += 1
         pmf *= mu / k
         cdf_steps.append(cdf_steps[-1] + pmf)
-    return np.searchsorted(np.asarray(cdf_steps), u, side="left").astype(np.int64)
+    cdf = np.asarray(cdf_steps)
+    cut = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
+    table = np.where(cut[:-1] == cut[1:], cut[:-1], -1)
+    counts = table[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    ambiguous = np.flatnonzero(counts < 0)
+    counts[ambiguous] = np.searchsorted(cdf, u[ambiguous], side="left")
+    return counts
 
 
 @dataclass(frozen=True, eq=False)

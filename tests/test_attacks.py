@@ -275,6 +275,38 @@ def test_iid_rate_matches_pattern_enumeration():
         assert iid_logical_error_rate(p) == pytest.approx(enumerated(p), abs=1e-12)
 
 
+def reference_qec_errors(n_blocks, p, mode, rng):
+    """Encode, corrupt and majority-decode every block: the reference for the
+    kernel, which counts blocks with two or more flips instead."""
+    logical = rng.integers(0, 2, size=n_blocks, dtype=np.int8)
+    words = np.repeat(logical[:, None], 3, axis=1)
+    if mode == "iid":
+        flips = rng.random((n_blocks, 3)) < p
+    else:
+        fires = rng.random(n_blocks) < p
+        first = rng.integers(0, 2, size=n_blocks)
+        flips = np.zeros((n_blocks, 3), dtype=bool)
+        rows = np.nonzero(fires)[0]
+        flips[rows, first[rows]] = True
+        flips[rows, first[rows] + 1] = True
+    decoded = ((words ^ flips).sum(axis=1) >= 2).astype(np.int8)
+    return int(np.count_nonzero(decoded != logical))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_blocks=st.integers(1, 3000),
+    p=st.floats(0.0, 1.0),
+    mode=st.sampled_from(["iid", "burst-2"]),
+    seed=st.integers(0, 2**32),
+)
+def test_qec_counts_match_decoding_reference(n_blocks, p, mode, seed):
+    got_rng, want_rng = stream(seed, "qec-ref"), stream(seed, "qec-ref")
+    result = qec_bitflip_experiment(n_blocks, p, mode, got_rng)
+    assert result.logical_errors == reference_qec_errors(n_blocks, p, mode, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_qec_zero_noise_is_error_free():
     result = qec_bitflip_experiment(5000, 0.0, "iid", stream(0, "qec-clean"))
     assert result.logical_errors == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qntl.attacks import PnsStrategy, intercept_resend, probe_hook
+from qntl.attacks import PnsStrategy, intercept_resend, pns_transform_counts, probe_hook
 from qntl.photonics import Detector, LossChannel, PhotonSource, SIGNAL, decoy_label
 from qntl.qkd import (
     DEFAULT_HASH_SEED,
@@ -22,7 +22,7 @@ from qntl.qkd import (
     sift_keys,
     simulate_decoy_transmissions,
 )
-from qntl.stats import stream
+from qntl.stats import poisson_sample_array, stream
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=128).map(
     lambda xs: np.array(xs, dtype=np.int8)
@@ -442,6 +442,52 @@ def test_decoy_single_photon_yield_bound():
     assert honest.single_photon_yield_lower_bound == pytest.approx(0.3, abs=0.05)
     blocked = decoy_run(attacker=PnsStrategy.block_singles())
     assert blocked.single_photon_yield_lower_bound < 0.05
+
+
+def reference_decoy_clicks(intensities, channel, detector, rng, attacker):
+    """Click counts with the click probability raised per pulse: the
+    reference for the kernel, which looks it up by photon number."""
+    clicks = []
+    for item in intensities:
+        counts = poisson_sample_array(item.mean_photons, rng, item.n_pulses)
+        if attacker is None:
+            arriving = rng.binomial(counts, channel.transmittance)
+        else:
+            _, arriving = pns_transform_counts(counts, attacker, rng)
+        p_click = 1.0 - (1.0 - detector.dark_count_prob) * (
+            (1.0 - detector.efficiency) ** arriving
+        )
+        clicks.append(int(np.count_nonzero(rng.random(item.n_pulses) < p_click)))
+    return clicks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mus=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3),
+    n=st.integers(1, 3000),
+    transmittance=st.floats(0.0, 1.0),
+    efficiency=st.floats(0.0, 1.0),
+    dark=st.floats(0.0, 0.5),
+    attack=st.sampled_from([None, "block-singles", "random-0.5", "always-minus-one"]),
+    seed=st.integers(0, 2**32),
+)
+def test_decoy_clicks_match_per_pulse_reference(
+    mus, n, transmittance, efficiency, dark, attack, seed
+):
+    intensities = [DecoyIntensity(decoy_label(i), mu, n) for i, mu in enumerate(mus)]
+    channel = LossChannel(transmittance)
+    detector = Detector(efficiency=efficiency, dark_count_prob=dark)
+    attacker = {
+        None: None,
+        "block-singles": PnsStrategy.block_singles(),
+        "random-0.5": PnsStrategy.random_intercept(0.5),
+        "always-minus-one": PnsStrategy.always_minus_one(),
+    }[attack]
+    got_rng, want_rng = stream(seed, "decoy-ref"), stream(seed, "decoy-ref")
+    tallies = simulate_decoy_transmissions(intensities, channel, detector, got_rng, attacker)
+    want = reference_decoy_clicks(intensities, channel, detector, want_rng, attacker)
+    assert [t.detected for t in tallies] == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_decoy_validation():

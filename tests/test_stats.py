@@ -85,6 +85,85 @@ def test_poisson_array_matches_scalar_path():
     assert scalar_rng.random() == vector_rng.random()
 
 
+def reference_poisson_array(mu, rng, size):
+    """The plain binary-search kernel that the indexed search replaced: one
+    uniform per draw, the CDF up to the largest draw, then #(cdf < u)."""
+    u = rng.random(size)
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    pmf = math.exp(-mu)
+    cdf_steps = [pmf]
+    k = 0
+    while cdf_steps[-1] < float(u.max()) and pmf > 0.0:
+        k += 1
+        pmf *= mu / k
+        cdf_steps.append(cdf_steps[-1] + pmf)
+    return np.searchsorted(np.asarray(cdf_steps), u, side="left").astype(np.int64)
+
+
+class CraftedUniforms:
+    """Stands in for a generator whose ``random(size)`` returns fixed draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+        self.calls = 0
+
+    def random(self, size):
+        assert size == self.draws.size
+        self.calls += 1
+        return self.draws.copy()
+
+
+def crafted_draws(mu):
+    """0, every bucket edge b/4096, each CDF step below 1 and its two float
+    neighbours, and the largest double below 1."""
+    steps, pmf, cdf, k = [], math.exp(-mu), math.exp(-mu), 0
+    while cdf < 1.0 and pmf > 0.0:
+        steps.append(cdf)
+        k += 1
+        pmf *= mu / k
+        cdf += pmf
+    near = [np.nextafter(c, 0.0) for c in steps] + [np.nextafter(c, 1.0) for c in steps]
+    draws = [0.0, *(b / 4096 for b in range(4096)), *steps, *near, 1.0 - 2.0**-53]
+    return [u for u in draws if 0.0 <= u < 1.0]
+
+
+# ln 2 and ln 4 put a CDF step exactly on a bucket edge (0.5 and 0.25).
+@pytest.mark.parametrize("mu", [1e-6, 0.01, 0.5, math.log(2), math.log(4), 5.0, 20.0, 700.0])
+def test_indexed_search_matches_binary_search_on_crafted_draws(mu):
+    draws = crafted_draws(mu)
+    got_rng, want_rng = CraftedUniforms(draws), CraftedUniforms(draws)
+    got = poisson_sample_array(mu, got_rng, len(draws))
+    want = reference_poisson_array(mu, want_rng, len(draws))
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert got_rng.calls == want_rng.calls == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(1e-6, 700.0),
+    size=st.integers(0, 5000),
+    seed=st.integers(0, 2**32),
+)
+def test_indexed_search_matches_binary_search(mu, size, seed):
+    got_rng, want_rng = stream(seed, "indexed"), stream(seed, "indexed")
+    got = poisson_sample_array(mu, got_rng, size)
+    want = reference_poisson_array(mu, want_rng, size)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(1e-6, 700.0), size=st.integers(0, 300), seed=st.integers(0, 2**32))
+def test_poisson_array_matches_scalar_path_at_any_mean(mu, size, seed):
+    scalar_rng, vector_rng = stream(seed, "pair"), stream(seed, "pair")
+    scalar = [poisson_sample(mu, scalar_rng) for _ in range(size)]
+    assert poisson_sample_array(mu, vector_rng, size).tolist() == scalar
+    assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
+
+
 def test_poisson_array_zero_mean_consumes_stream():
     a = stream(5, "zero-consume")
     b = stream(5, "zero-consume")
