@@ -226,13 +226,14 @@ class TrojanPolicy:
 
 
 def photon_gain_increment(eve_basis: int, alice_basis: int, phase_shift: float) -> float:
-    """Expected information gain from one probed photon.
+    """Expected information gain from one probed photon: the probability
+    that the prober reads the sender's bit.
 
     A wrong basis guess is worth 1/2.  A correct rectilinear guess reads the
     photon perfectly (gain 1), phase shifts being invisible in that basis.  A
-    correct diagonal guess is perfect only when no phase shift was applied;
-    any shift randomizes the read-out to the coin-flip value
-    cos^2(theta/2)/2 + sin^2(theta/2)/2.
+    correct diagonal guess reads the phase-shifted state with the Born
+    probability cos^2(theta/2): perfect without a shift, a coin flip at a
+    quarter turn, always wrong at a half turn.
     """
     if eve_basis not in (BASIS_RECT, BASIS_DIAG) or alice_basis not in (BASIS_RECT, BASIS_DIAG):
         raise ValueError("basis tags must be +1 (rectilinear) or -1 (diagonal)")
@@ -240,10 +241,7 @@ def photon_gain_increment(eve_basis: int, alice_basis: int, phase_shift: float) 
         return 0.5
     if alice_basis == BASIS_RECT:
         return 1.0
-    if phase_shift == 0.0:
-        return 1.0
-    half = 0.5 * phase_shift
-    return 0.5 * math.cos(half) ** 2 + 0.5 * math.sin(half) ** 2
+    return math.cos(0.5 * phase_shift) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,9 +317,7 @@ def trojan_gain_experiment(
     correct = eve_diag == diag
     gains = 0.5 + 0.5 * correct
     probed = np.flatnonzero(correct & diag)
-    shift = shifts[probed]
-    half = 0.5 * shift
-    gains[probed] = np.where(shift == 0.0, 1.0, 0.5 * np.cos(half) ** 2 + 0.5 * np.sin(half) ** 2)
+    gains[probed] = np.cos(0.5 * shifts[probed]) ** 2
     return GainLedger(
         per_photon_gain=gains,
         eve_bases=1 - 2 * eve_diag.view(np.int8),  # BASIS_RECT or BASIS_DIAG

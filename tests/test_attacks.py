@@ -23,7 +23,7 @@ from qntl.attacks import (
     qec_bitflip_experiment,
     trojan_gain_experiment,
 )
-from qntl.quantum import Basis, basis_state, bell_pair, measure_qubit
+from qntl.quantum import Basis, apply_phase, basis_state, bell_pair, encoded_qubit, measure_qubit
 from qntl.stats import Histogram, chi_square_gof, poisson_sample_array, stream
 
 
@@ -121,11 +121,44 @@ def test_gain_increment_case_table():
     assert photon_gain_increment(BASIS_DIAG, BASIS_RECT, 1.0) == 0.5
     # correct rectilinear guess reads perfectly; phase is invisible there
     assert photon_gain_increment(BASIS_RECT, BASIS_RECT, 2.0) == 1.0
-    # correct diagonal guess: perfect without shift, coin flip with pi/2
+    # correct diagonal guess: perfect without shift, coin flip with pi/2,
+    # always wrong with pi
     assert photon_gain_increment(BASIS_DIAG, BASIS_DIAG, 0.0) == 1.0
     assert photon_gain_increment(BASIS_DIAG, BASIS_DIAG, math.pi / 2) == pytest.approx(0.5)
+    assert photon_gain_increment(BASIS_DIAG, BASIS_DIAG, math.pi) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         photon_gain_increment(0, BASIS_RECT, 0.0)
+
+
+def born_read_probability(bit, theta):
+    """Probability of reading ``bit`` back from the phase-shifted diagonal
+    state, from the state engine: project onto the diagonal eigenvector."""
+    state = apply_phase(encoded_qubit(bit, Basis.DIAGONAL), 0, theta)
+    angle = Basis.DIAGONAL.analyzer_angle
+    c, s = math.cos(angle), math.sin(angle)
+    u0, u1 = (c, s) if bit == 0 else (-s, c)
+    return abs(u0 * state.amplitudes[0] + u1 * state.amplitudes[1]) ** 2
+
+
+THETA_GRID = [2 * math.pi * k / 72 for k in range(72)]
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_gain_increment_is_the_born_probability(bit):
+    for theta in THETA_GRID:
+        born = born_read_probability(bit, theta)
+        assert abs(photon_gain_increment(BASIS_DIAG, BASIS_DIAG, theta) - born) <= 1e-12
+
+
+def test_trojan_kernel_gains_are_the_born_probability():
+    for k, theta in enumerate(THETA_GRID):
+        ledger = trojan_gain_experiment(
+            400, TrojanPolicy.fixed_shift(theta), stream(k, "trojan-born")
+        )
+        probed = (ledger.eve_bases == BASIS_DIAG) & (ledger.alice_bases == BASIS_DIAG)
+        assert probed.any()
+        born = born_read_probability(0, theta)
+        assert np.all(np.abs(ledger.per_photon_gain[probed] - born) <= 1e-12)
 
 
 def expected_slope(shift):
