@@ -1,5 +1,5 @@
-"""Network layer: topologies, instantaneous link state, routing, and the
-node-compromise, route-diversion, and connection-flood experiments."""
+"""Network layer: topologies, routing, and the node-compromise,
+route-diversion, and connection-flood experiments."""
 from .dos import ConnectionRequest, DosResult, Mitigation, MitigationKind, dos_simulate
 from .experiments import (
     DecayRow,
@@ -9,7 +9,6 @@ from .experiments import (
     diversion_experiment,
     untrusted_node_experiment,
 )
-from .instant import InstantTopology, establish_e2e, sample_instant_topology
 from .paths import (
     RoutePolicyKind,
     RoutingPolicy,
@@ -40,9 +39,6 @@ __all__ = [
     "DiversionResult",
     "diversion_experiment",
     "untrusted_node_experiment",
-    "InstantTopology",
-    "establish_e2e",
-    "sample_instant_topology",
     "RoutePolicyKind",
     "RoutingPolicy",
     "count_viable_paths",

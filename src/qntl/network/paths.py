@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Mapping
 
-from .instant import InstantTopology
 from .topology import NodeInfo, Topology
 
 __all__ = [
@@ -62,16 +61,6 @@ class RoutingPolicy:
     @classmethod
     def prune_compromised(cls) -> "RoutingPolicy":
         return cls(RoutePolicyKind.PRUNE_COMPROMISED)
-
-
-def _adjacency(graph: Topology | InstantTopology) -> Mapping[int, tuple[int, ...]]:
-    if isinstance(graph, InstantTopology):
-        return {node: graph.live_neighbors(node) for node in graph.base.nodes}
-    return graph.adjacency
-
-
-def _base(graph: Topology | InstantTopology) -> Topology:
-    return graph.base if isinstance(graph, InstantTopology) else graph
 
 
 def _bfs_distances(
@@ -124,13 +113,13 @@ def _layered_walk(
     return -1, 0
 
 
-def hop_distance(graph: Topology | InstantTopology, source: int, target: int) -> int:
+def hop_distance(graph: Topology, source: int, target: int) -> int:
     """Minimum hop count between two nodes, or -1 when disconnected."""
-    return _layered_walk(_adjacency(graph), int(source), int(target), {int(source)}, None)[0]
+    return _layered_walk(graph.adjacency, int(source), int(target), {int(source)}, None)[0]
 
 
 def count_viable_paths(
-    graph: Topology | InstantTopology,
+    graph: Topology,
     source: int,
     target: int,
     compromised: AbstractSet[int] = frozenset(),
@@ -150,7 +139,7 @@ def count_viable_paths(
     blocked = set(map(int, compromised))
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
-    adjacency = _adjacency(graph)
+    adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
     blocked.add(source)
@@ -223,7 +212,7 @@ def _dijkstra_trust(
 
 
 def route(
-    graph: Topology | InstantTopology,
+    graph: Topology,
     source: int,
     target: int,
     policy: RoutingPolicy,
@@ -237,7 +226,7 @@ def route(
     """
     source = int(source)
     target = int(target)
-    adjacency = _adjacency(graph)
+    adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
     if source == target:
@@ -245,16 +234,15 @@ def route(
     if policy.kind is RoutePolicyKind.SHORTEST_HOP:
         return _greedy_shortest(adjacency, source, target, frozenset())
     if policy.kind is RoutePolicyKind.PRUNE_COMPROMISED:
-        info = _base(graph).nodes
         blocked = frozenset(
-            node for node, meta in info.items() if not meta.trusted and node != source
+            node for node, meta in graph.nodes.items() if not meta.trusted and node != source
         )
         if target in blocked:
             return None
         return _greedy_shortest(adjacency, source, target, blocked)
     return _dijkstra_trust(
         adjacency,
-        _base(graph).nodes,
+        graph.nodes,
         source,
         target,
         policy.response_time_scale,

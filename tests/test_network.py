@@ -1,5 +1,5 @@
-"""Tests for topology generation, path counting, routing, instantaneous
-link state, and the network experiments."""
+"""Tests for topology generation, path counting, routing, and the network
+experiments."""
 import hashlib
 import math
 
@@ -11,21 +11,18 @@ from hypothesis import strategies as st
 
 from qntl.network import (
     DecayRow,
-    InstantTopology,
     NodeInfo,
     RoutingPolicy,
     Topology,
     TopologyKind,
     count_viable_paths,
     diversion_experiment,
-    establish_e2e,
     export_topology,
     generate_topology,
     hop_distance,
     import_topology,
     mark_untrusted,
     route,
-    sample_instant_topology,
     untrusted_node_experiment,
 )
 from qntl.stats import stream
@@ -414,72 +411,6 @@ def test_advertised_weights_override_only_listed_nodes():
     assert honest == [0, 2, 3]
     lied = route(topo, 0, 3, RoutingPolicy.trust_weighted(), advertised_weights={1: 0.0})
     assert lied == [0, 1, 3]
-
-
-# ---------------------------------------------------------------- instants
-
-def test_instant_extremes():
-    topo = generate_topology("grid", 0)
-    rng = stream(0, "instant")
-    assert sample_instant_topology(topo, 1.0, rng).n_live == topo.n_edges
-    assert sample_instant_topology(topo, 0.0, rng).n_live == 0
-
-
-def test_instant_half_probability():
-    topo = generate_topology("grid", 0)
-    for seed in range(5):
-        instant = sample_instant_topology(topo, 0.5, stream(seed, "instant-half"))
-        assert abs(instant.n_live - 90) < 20  # 3 sigma of Binomial(180, 1/2)
-
-
-def test_instant_validation():
-    topo = tiny_path_topology()
-    with pytest.raises(ValueError):
-        sample_instant_topology(topo, 1.5, stream(0, "x"))
-    with pytest.raises(ValueError):
-        InstantTopology(base=topo, live_links=frozenset({(0, 2)}))
-
-
-def test_e2e_direct_link_always_succeeds():
-    topo = tiny_path_topology()
-    instant = sample_instant_topology(topo, 1.0, stream(0, "e2e"))
-    rng = stream(1, "e2e-direct")
-    assert all(establish_e2e(instant, [0, 1], 0.0, rng) for _ in range(50))
-
-
-def test_e2e_swap_chain_rates():
-    topo = generate_topology("grid", 0)
-    instant = sample_instant_topology(topo, 1.0, stream(0, "e2e-chain"))
-    for k in (1, 2, 4):
-        path = list(range(k + 2))  # first grid row runs 0..9 left to right
-        rng = stream(42, f"e2e-k{k}")
-        wins = sum(establish_e2e(instant, path, 0.9, rng) for _ in range(10**4))
-        expected = 0.9**k
-        sigma = math.sqrt(expected * (1.0 - expected) / 10**4)
-        assert abs(wins / 10**4 - expected) < 3 * sigma
-
-
-def test_e2e_validation():
-    topo = tiny_path_topology()
-    rng = stream(0, "e2e-err")
-    dead = sample_instant_topology(topo, 0.0, rng)
-    with pytest.raises(ValueError):
-        establish_e2e(dead, [0, 1], 0.9, rng)
-    live = sample_instant_topology(topo, 1.0, rng)
-    with pytest.raises(ValueError):
-        establish_e2e(live, [0], 0.9, rng)
-    with pytest.raises(ValueError):
-        establish_e2e(live, [0, 1, 0], 0.9, rng)
-    with pytest.raises(ValueError):
-        establish_e2e(live, [0, 1], 1.1, rng)
-
-
-def test_routing_works_on_instant_topologies():
-    topo = tiny_path_topology()
-    partial = InstantTopology(base=topo, live_links=frozenset({(0, 1)}))
-    assert route(partial, 0, 2, RoutingPolicy.shortest_hop()) is None
-    assert route(partial, 0, 1, RoutingPolicy.shortest_hop()) == [0, 1]
-    assert count_viable_paths(partial, 0, 2) == 0
 
 
 # ---------------------------------------------------------------- decay
