@@ -1,9 +1,9 @@
 """Attack models: photon-number splitting, Trojan-horse probing, entangling
 probes, interlock spoofing, intercept-resend, and code-aware noise.
 
-Each attack exposes both the single-shot operation a protocol hooks into and,
-where the reproduced experiments need volume, a vectorized experiment driver
-with identical semantics.
+Intercept-resend and the entangling probe are hooks that a protocol calls on
+one flying qubit or pair at a time.  The splitting, Trojan-horse, interlock
+and repetition-code models draw a whole experiment's variates as arrays.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ __all__ = [
     "trojan_gain_experiment",
     "probe_infiltrate",
     "probe_hook",
-    "InterlockTranscript",
     "interlock_exchange",
     "interlock_detection_rate",
     "intercept_resend",
@@ -110,21 +109,22 @@ class PnsStrategy:
 def pns_transform_counts(
     counts: np.ndarray,
     strategy: PnsStrategy,
-    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized strategy semantics over an array of photon counts.
+    """Vectorized semantics of the strategies that act on the emitted count.
 
     Returns (taken, forwarded) arrays with taken + forwarded == counts.
+    Random intercept is not such a map: it skims each photon independently,
+    so its forwarded counts are drawn directly as Poisson(mu * (1 - q)).
     """
     counts = np.asarray(counts, dtype=np.int64)
     if strategy.variant is PnsVariant.NO_EVE:
         taken = np.zeros_like(counts)
     elif strategy.variant is PnsVariant.ALWAYS_MINUS_ONE:
         taken = np.minimum(counts, 1)
-    elif strategy.variant is PnsVariant.RANDOM_INTERCEPT:
-        taken = rng.binomial(counts, strategy.intercept_probability)
-    else:
+    elif strategy.variant is PnsVariant.BLOCK_SINGLES:
         taken = np.where(counts < 2, counts, counts - 1)
+    else:
+        raise ValueError("random intercept thins each photon; draw Poisson(mu * (1 - q)) instead")
     return taken, counts - taken
 
 
@@ -170,8 +170,14 @@ def pns_experiment(
     histograms: dict[str, Histogram] = {}
     zscores: dict[str, ZScoreSeries] = {}
     for strategy, label, child in zip(strategies, labels, children[1:]):
-        emitted = poisson_sample_array(mean_photons, child, n_pulses)
-        _, forwarded = pns_transform_counts(emitted, strategy, child)
+        if strategy.variant is PnsVariant.RANDOM_INTERCEPT:
+            # Skimming each photon of a Poisson(mu) pulse with probability q
+            # leaves exactly Poisson(mu * (1 - q)) photons.
+            survival = 1.0 - strategy.intercept_probability
+            forwarded = poisson_sample_array(mean_photons * survival, child, n_pulses)
+        else:
+            emitted = poisson_sample_array(mean_photons, child, n_pulses)
+            _, forwarded = pns_transform_counts(emitted, strategy)
         hist = Histogram.from_samples(forwarded, max_bin=max_bin)
         histograms[label] = hist
         zscores[label] = zscore_compare(hist, baseline)
@@ -360,60 +366,33 @@ def probe_hook() -> Callable[[PureState, np.random.Generator], PureState]:
 # Interlock protocol
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class InterlockTranscript:
-    """Record of a split-message exchange and its integrity outcome."""
-
-    message_bits: int
-    halves: tuple[tuple[str, np.ndarray], ...]
-    eve_present: bool
-    detected: bool
-
-    @property
-    def integrity_ok(self) -> bool:
-        return not self.detected
-
-
 def interlock_exchange(
     message_bits: int,
+    trials: int,
     eve_present: bool,
     rng: np.random.Generator,
-) -> InterlockTranscript:
-    """Run one interlock exchange of ``message_bits``-bit messages per side.
+) -> int:
+    """Run ``trials`` interlock exchanges of ``message_bits``-bit messages and
+    return how many exposed a relay attacker.
 
     Each message travels as two halves that are useless alone, and neither
     side releases its second half before receiving the peer's first.  A
     relay attacker must therefore commit to the sender's second half before
     seeing it; she guesses those message_bits/2 bits uniformly and is caught
     whenever the guess differs from the real half, i.e. with probability
-    1 - 2^(-message_bits/2).
+    1 - 2^(-message_bits/2).  Without her no exchange is flagged.
     """
     k = int(message_bits)
     if k < 2 or k % 2 != 0:
         raise ValueError(f"message length must be an even integer >= 2, got {k}")
+    if trials < 1:
+        raise ValueError(f"need at least one exchange, got {trials}")
+    if not eve_present:
+        return 0
     half = k // 2
-    alice = rng.integers(0, 2, size=k, dtype=np.int8)
-    bob = rng.integers(0, 2, size=k, dtype=np.int8)
-    a1, a2 = alice[:half], alice[half:]
-    b1, b2 = bob[:half], bob[half:]
-    detected = False
-    delivered_a2 = a2
-    if eve_present:
-        guess = rng.integers(0, 2, size=half, dtype=np.int8)
-        detected = guess.tobytes() != a2.tobytes()
-        delivered_a2 = guess
-    halves = (
-        ("alice-first", a1),
-        ("bob-first", b1),
-        ("alice-second", delivered_a2),
-        ("bob-second", b2),
-    )
-    return InterlockTranscript(
-        message_bits=k,
-        halves=halves,
-        eve_present=bool(eve_present),
-        detected=detected,
-    )
+    sent = rng.integers(0, 2, size=(trials, k), dtype=np.int8)
+    guesses = rng.integers(0, 2, size=(trials, half), dtype=np.int8)
+    return int(np.count_nonzero((sent[:, half:] != guesses).any(axis=1)))
 
 
 def interlock_detection_rate(message_bits: int) -> float:

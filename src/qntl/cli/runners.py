@@ -565,9 +565,7 @@ def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
     columns = ("message_bits", "trials", "detected", "detection_rate", "analytic_rate")
     rows: Rows = []
     for k in params["message_bits"]:
-        detected = sum(
-            attacks.interlock_exchange(k, True, rng).detected for _ in range(trials)
-        )
+        detected = attacks.interlock_exchange(k, trials, True, rng)
         rows.append(
             _row(k, trials, detected, detected / trials, attacks.interlock_detection_rate(k))
         )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attacks import PnsStrategy, pns_transform_counts
+from .attacks import PnsStrategy, PnsVariant, pns_transform_counts
 from .photonics import (
     SIGNAL,
     Detector,
@@ -613,11 +613,14 @@ def simulate_decoy_transmissions(
 ) -> list[DecoyTally]:
     """Send each intensity class and tally receiver clicks.
 
-    Without an attacker, photons thin through the loss channel, so the click
-    statistics follow the Poisson gain model.  With a splitting ``attacker``,
-    the attacker taps at the source, forwards her chosen photon numbers over
-    a lossless bypass (the strongest version of the attack: she replaces the
-    lossy fiber), and the channel transmittance never applies.
+    Without an attacker, each photon survives the loss channel independently,
+    so a Poisson(mu) pulse arrives as exactly Poisson(mu * transmittance)
+    photons and those counts are drawn directly.  With a splitting
+    ``attacker``, the attacker taps at the source, forwards her chosen photon
+    numbers over a lossless bypass (the strongest version of the attack: she
+    replaces the lossy fiber), and the channel transmittance never applies.
+    Random intercept thins the same way, to Poisson(mu * (1 - q)); the other
+    strategies act on the emitted counts.
     """
     if not intensities:
         raise ValueError("need at least one intensity class")
@@ -626,16 +629,18 @@ def simulate_decoy_transmissions(
         raise ValueError(f"duplicate intensity labels: {labels}")
     tallies: list[DecoyTally] = []
     for item, label in zip(intensities, labels):
-        counts = poisson_sample_array(item.mean_photons, rng, item.n_pulses)
+        mu, n = item.mean_photons, item.n_pulses
         if attacker is None:
-            arriving = rng.binomial(counts, channel.transmittance)
+            arriving = poisson_sample_array(mu * channel.transmittance, rng, n)
+        elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
+            arriving = poisson_sample_array(mu * (1.0 - attacker.intercept_probability), rng, n)
         else:
-            _, arriving = pns_transform_counts(counts, attacker, rng)
+            _, arriving = pns_transform_counts(poisson_sample_array(mu, rng, n), attacker)
         # Click probability per arriving photon number, looked up by count.
         by_count = 1.0 - (1.0 - detector.dark_count_prob) * (
             (1.0 - detector.efficiency) ** np.arange(arriving.max() + 1)
         )
-        clicks = int(np.count_nonzero(rng.random(item.n_pulses) < by_count[arriving]))
+        clicks = int(np.count_nonzero(rng.random(n) < by_count[arriving]))
         tallies.append(
             DecoyTally(
                 label=label,
@@ -667,7 +672,7 @@ def decoy_state_analysis(
     the standard two-intensity lower bound on the single-photon yield, using
     the vacuum class for the background estimate when one was sent.  That
     bound is an asymptotic estimate with no finite-size correction, so shot
-    noise can lift it above the true yield (8 of 20 seeds did at 10^6 pulses
+    noise can lift it above the true yield (4 of 20 seeds did at 10^6 pulses
     per class; see README).
     """
     if len(tallies) < 2:

@@ -5,10 +5,10 @@ from a root seed, a text label, and a trial index.  The derivation mixes the
 label through SHA-256, so streams for different experiments (or different
 trials of the same experiment) are independent, and under one numpy version
 the same triple always reproduces the same draws.  The promise stops at that
-version: ``binomial``, ``exponential``, ``choice``, ``permutation`` and
-``spawn``, which callers also use, fall outside NumPy's stream-compatibility
-policy (NEP 19), so another numpy release may change their draws and the rows
-built from them.
+version: ``exponential``, ``choice``, ``permutation`` and ``spawn``, which
+callers also use, fall outside NumPy's stream-compatibility policy (NEP 19),
+so another numpy release may change their draws and the rows built from
+them.
 """
 from __future__ import annotations
 

@@ -258,7 +258,7 @@ def test_criterion_07_interlock_detection(check):
     for k in (2, 8, 16):
         rate = attacks.interlock_detection_rate(k)
         rng = stream(11, f"acc-interlock-{k}")
-        hits = sum(attacks.interlock_exchange(k, True, rng).detected for _ in range(n))
+        hits = attacks.interlock_exchange(k, n, True, rng)
         sigma = math.sqrt(rate * (1.0 - rate) / n)
         ok = ok and abs(hits / n - rate) <= 3.0 * sigma
         results.append(f"k={k}: {hits / n:.4f} vs {rate:.4f}")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom as sp_binom
 from scipy.stats import poisson as sp_poisson
 
 from qntl.attacks import (
@@ -26,37 +27,34 @@ from qntl.attacks import (
 from qntl.quantum import Basis, apply_phase, basis_state, bell_pair, encoded_qubit, measure_qubit
 from qntl.stats import Histogram, chi_square_gof, poisson_sample_array, stream
 
+from distcheck import same_distribution_p
+
 
 # ---------------------------------------------------------------- splitting
 
 def test_pns_always_minus_one_takes_exactly_one():
-    rng = stream(0, "pns-amo")
-    taken, fwd = pns_transform_counts([5, 0], PnsStrategy.always_minus_one(), rng)
+    taken, fwd = pns_transform_counts([5, 0], PnsStrategy.always_minus_one())
     assert taken.tolist() == [1, 0]
     assert fwd.tolist() == [4, 0]
 
 
 def test_pns_no_eve_is_transparent():
-    rng = stream(0, "pns-noeve")
-    taken, fwd = pns_transform_counts([3, 0], PnsStrategy.no_eve(), rng)
+    taken, fwd = pns_transform_counts([3, 0], PnsStrategy.no_eve())
     assert taken.tolist() == [0, 0]
     assert fwd.tolist() == [3, 0]
 
 
 def test_pns_block_singles_semantics():
-    rng = stream(0, "pns-block")
     counts, want_fwd = [0, 1, 2, 5], [0, 0, 1, 1]
-    taken, fwd = pns_transform_counts(counts, PnsStrategy.block_singles(), rng)
+    taken, fwd = pns_transform_counts(counts, PnsStrategy.block_singles())
     assert fwd.tolist() == want_fwd
     assert taken.tolist() == [c - f for c, f in zip(counts, want_fwd)]
 
 
 def test_pns_random_intercept_thins_poisson():
-    rng = stream(42, "pns-thin")
-    counts = poisson_sample_array(5.0, rng, 10**5)
-    _, forwarded = pns_transform_counts(counts, PnsStrategy.random_intercept(0.5), rng)
-    h = Histogram.from_samples(forwarded, max_bin=12)
-    assert chi_square_gof(h, lambda k: sp_poisson.pmf(k, 2.5)) > 0.01
+    strategy = PnsStrategy.random_intercept(0.5)
+    result = pns_experiment(10**5, 5.0, [strategy], stream(42, "pns-thin"), max_bin=12)
+    assert chi_square_gof(result.histograms["random-0.5"], lambda k: sp_poisson.pmf(k, 2.5)) > 0.01
 
 
 def test_pns_strategy_validation():
@@ -64,25 +62,78 @@ def test_pns_strategy_validation():
         PnsStrategy.random_intercept(1.5)
     assert PnsStrategy.random_intercept(0.25).label() == "random-0.25"
     assert PnsStrategy.always_minus_one().label() == "always-minus-one"
+    with pytest.raises(ValueError):
+        pns_transform_counts([3], PnsStrategy.random_intercept(0.5))
 
 
 @given(
     counts=st.lists(st.integers(0, 30), min_size=1, max_size=200),
     q=st.floats(0.0, 1.0),
+    mu=st.floats(0.0, 30.0),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=100, deadline=None)
-def test_pns_photon_conservation(counts, q, seed):
+def test_pns_photon_conservation(counts, q, mu, seed):
     arr = np.array(counts)
     for strategy in (
         PnsStrategy.no_eve(),
         PnsStrategy.always_minus_one(),
-        PnsStrategy.random_intercept(q),
         PnsStrategy.block_singles(),
     ):
-        taken, fwd = pns_transform_counts(arr, strategy, stream(seed, "pns-conserve"))
+        taken, fwd = pns_transform_counts(arr, strategy)
         assert np.array_equal(taken + fwd, arr)
         assert taken.min() >= 0 and fwd.min() >= 0
+    # Random intercept draws the forwarded counts by Poisson splitting on the
+    # stream the honest source would emit from, by inverting the same
+    # uniforms: no pulse forwards more photons than it would have carried,
+    # and q = 0 forwards every one.
+    n = 10_000
+    emitted = pns_experiment(n, mu, [PnsStrategy.no_eve()], stream(seed, "pns-conserve"))
+    split = pns_experiment(n, mu, [PnsStrategy.random_intercept(q)], stream(seed, "pns-conserve"))
+    full = np.cumsum(emitted.histograms["no-eve"].counts)
+    kept = np.cumsum(split.histograms[f"random-{q:g}"].counts)
+    assert np.all(kept >= full)
+    if q == 0.0:
+        assert np.array_equal(kept, full)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.5, 2.5, 5.0, 12.0, 20.0])
+def test_poisson_splitting_identity(mu):
+    # Thinning a Poisson(mu) count with survival s is exactly Poisson(mu s):
+    # sum over n of Poisson(n; mu) Binom(m; n, s) = Poisson(m; mu s).  The
+    # sum stops where the Poisson(mu) tail is below 1e-17.
+    n = np.arange(int(mu + 20.0 * math.sqrt(mu) + 40.0))
+    m = n[:, None]
+    weights = sp_poisson.pmf(n, mu)
+    assert sp_poisson.sf(n[-1], mu) < 1e-17
+    for s in np.linspace(0.0, 1.0, 11):
+        mixed = (weights * sp_binom.pmf(m, n, s)).sum(axis=1)
+        assert np.allclose(mixed, sp_poisson.pmf(n, mu * s), rtol=0.0, atol=1e-12)
+
+
+def reference_thinned_counts(mu, q, rng, size):
+    """Random intercept as it was drawn before Poisson splitting: every
+    emitted photon, then a binomial of the ones skimmed."""
+    counts = poisson_sample_array(mu, rng, size)
+    return counts - rng.binomial(counts, q)
+
+
+def test_pns_splitting_matches_binomial_thinning():
+    # Family-wise alpha 0.01 over two (mu, q) points, so each p > 0.005;
+    # ten seeds of 5 * 10^4 pulses a side.
+    alpha, seeds, n = 0.01 / 2, range(10), 50_000
+    for mu, q in ((5.0, 0.5), (20.0, 0.3)):
+        strategy = PnsStrategy.random_intercept(q)
+
+        def reference(rng):
+            return Histogram.from_samples(reference_thinned_counts(mu, q, rng, n), 60).counts
+
+        def candidate(rng):
+            return pns_experiment(n, mu, [strategy], rng, max_bin=60).histograms[
+                strategy.label()].counts
+
+        p = same_distribution_p(reference, candidate, seeds, f"pns-split-{mu}-{q}")
+        assert p > alpha, f"mu={mu} q={q}: p={p:.3g}"
 
 
 def test_pns_experiment_distributions():
@@ -256,36 +307,59 @@ def test_probe_rejects_wrong_arity():
 # ---------------------------------------------------------------- interlock
 
 def test_interlock_honest_exchange_is_clean():
-    transcript = interlock_exchange(8, eve_present=False, rng=stream(1, "interlock-h"))
-    assert not transcript.detected
-    assert transcript.integrity_ok
-    names = [name for name, _ in transcript.halves]
-    assert names == ["alice-first", "bob-first", "alice-second", "bob-second"]
+    assert interlock_exchange(8, 1000, eve_present=False, rng=stream(1, "interlock-h")) == 0
 
 
 def test_interlock_detection_rates():
     assert interlock_detection_rate(2) == 0.5
     assert interlock_detection_rate(64) == 1.0 - 2.0**-32
     trials = 10**4
-    caught = sum(
-        interlock_exchange(2, True, stream(s, "interlock-k2")).detected for s in range(trials)
-    )
+    caught = interlock_exchange(2, trials, True, stream(0, "interlock-k2"))
     assert abs(caught / trials - 0.5) < 0.02
-    caught = sum(
-        interlock_exchange(64, True, stream(s, "interlock-k64")).detected
-        for s in range(trials)
-    )
-    assert caught == trials
+    assert interlock_exchange(64, trials, True, stream(0, "interlock-k64")) == trials
 
 
 def test_interlock_validation():
     rng = stream(0, "interlock-err")
     with pytest.raises(ValueError):
-        interlock_exchange(0, True, rng)
+        interlock_exchange(0, 10, True, rng)
     with pytest.raises(ValueError):
-        interlock_exchange(7, True, rng)
+        interlock_exchange(7, 10, True, rng)
+    with pytest.raises(ValueError):
+        interlock_exchange(8, 0, True, rng)
     with pytest.raises(ValueError):
         interlock_detection_rate(3)
+
+
+def reference_interlock_exchange(message_bits, eve_present, rng):
+    """One exchange as it ran before the batched kernel: both parties'
+    messages, then the relay's guess at the sender's second half.  Returns
+    whether the relay was caught."""
+    half = message_bits // 2
+    sent = rng.integers(0, 2, size=message_bits, dtype=np.int8)
+    rng.integers(0, 2, size=message_bits, dtype=np.int8)  # the peer's message
+    if not eve_present:
+        return False
+    guess = rng.integers(0, 2, size=half, dtype=np.int8)
+    return guess.tobytes() != sent[half:].tobytes()
+
+
+def test_interlock_matches_per_call_reference():
+    # Family-wise alpha 0.01 over three message lengths, so each p > 0.01/3;
+    # ten seeds of 1,000 exchanges a side.
+    alpha, seeds, trials = 0.01 / 3, range(10), 1000
+    for k in (2, 8, 16):
+
+        def reference(rng):
+            caught = sum(reference_interlock_exchange(k, True, rng) for _ in range(trials))
+            return np.array([trials - caught, caught])
+
+        def candidate(rng):
+            caught = interlock_exchange(k, trials, True, rng)
+            return np.array([trials - caught, caught])
+
+        p = same_distribution_p(reference, candidate, seeds, f"interlock-k{k}")
+        assert p > alpha, f"k={k}: p={p:.3g}"
 
 
 # ---------------------------------------------------------------- bit-flip code

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson as sp_poisson
 
-from qntl.attacks import PnsStrategy, intercept_resend, pns_transform_counts, probe_hook
+from qntl.attacks import (
+    PnsStrategy,
+    PnsVariant,
+    intercept_resend,
+    pns_transform_counts,
+    probe_hook,
+)
 from qntl.photonics import Detector, LossChannel, PhotonSource, SIGNAL, decoy_label
 from qntl.qkd import (
     DEFAULT_HASH_SEED,
     DecoyIntensity,
+    DecoyTally,
     decoy_state_analysis,
     estimate_qber,
     privacy_amplify,
@@ -23,6 +31,8 @@ from qntl.qkd import (
     simulate_decoy_transmissions,
 )
 from qntl.stats import poisson_sample_array, stream
+
+from distcheck import same_distribution_p
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=128).map(
     lambda xs: np.array(xs, dtype=np.int8)
@@ -444,20 +454,52 @@ def test_decoy_single_photon_yield_bound():
     assert blocked.single_photon_yield_lower_bound < 0.05
 
 
+def test_decoy_bound_on_exact_gains():
+    # eta = 0.1, eta_d = 0.5, Y0 = 1e-3, signal mu = 0.5.  Gains come from
+    # enumerating photon numbers, Q = sum_n Poisson(n; mu) Y_n with
+    # Y_n = 1 - (1 - Y0)(1 - eta eta_d)^n, and 10^15 pulses make them exact
+    # to 1e-15.  The two-intensity bound stays below the true Y1 = 0.05095,
+    # is 0.28% short at nu = 0.01 and 9.2% short at nu = 0.3, and tightens
+    # as nu falls.
+    channel, detector = LossChannel(0.1), Detector(efficiency=0.5, dark_count_prob=1e-3)
+    n = np.arange(60)
+    yields = 1.0 - (1.0 - 1e-3) * (1.0 - 0.05) ** n
+    assert yields[1] == pytest.approx(0.05095, rel=1e-12)
+    sent = 10**15
+
+    def tally(label, mu):
+        gain = float((sp_poisson.pmf(n, mu) * yields).sum())
+        return DecoyTally(label, mu, sent, round(gain * sent))
+
+    gaps = []
+    for nu in (0.3, 0.2, 0.1, 0.05, 0.01):
+        analysis = decoy_state_analysis(
+            [tally("signal", 0.5), tally("decoy-0", nu)], channel, detector
+        )
+        assert not analysis.eavesdrop_detected
+        gaps.append(1.0 - analysis.single_photon_yield_lower_bound / yields[1])
+    assert all(gap > 0.0 for gap in gaps)
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[0] == pytest.approx(0.092, abs=5e-4)
+    assert gaps[-1] == pytest.approx(0.0028, abs=5e-5)
+
+
 def reference_decoy_clicks(intensities, channel, detector, rng, attacker):
     """Click counts with the click probability raised per pulse: the
     reference for the kernel, which looks it up by photon number."""
     clicks = []
     for item in intensities:
-        counts = poisson_sample_array(item.mean_photons, rng, item.n_pulses)
+        mu, n = item.mean_photons, item.n_pulses
         if attacker is None:
-            arriving = rng.binomial(counts, channel.transmittance)
+            arriving = poisson_sample_array(mu * channel.transmittance, rng, n)
+        elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
+            arriving = poisson_sample_array(mu * (1.0 - attacker.intercept_probability), rng, n)
         else:
-            _, arriving = pns_transform_counts(counts, attacker, rng)
+            _, arriving = pns_transform_counts(poisson_sample_array(mu, rng, n), attacker)
         p_click = 1.0 - (1.0 - detector.dark_count_prob) * (
             (1.0 - detector.efficiency) ** arriving
         )
-        clicks.append(int(np.count_nonzero(rng.random(item.n_pulses) < p_click)))
+        clicks.append(int(np.count_nonzero(rng.random(n) < p_click)))
     return clicks
 
 
@@ -488,6 +530,34 @@ def test_decoy_clicks_match_per_pulse_reference(
     want = reference_decoy_clicks(intensities, channel, detector, want_rng, attacker)
     assert [t.detected for t in tallies] == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def reference_binomial_clicks(mu, n, channel, detector, rng):
+    """Honest-channel clicks as they were drawn before Poisson splitting:
+    every emitted photon, then a binomial of the ones that survive."""
+    arriving = rng.binomial(poisson_sample_array(mu, rng, n), channel.transmittance)
+    p_click = 1.0 - (1.0 - detector.dark_count_prob) * (1.0 - detector.efficiency) ** arriving
+    return int(np.count_nonzero(rng.random(n) < p_click))
+
+
+def test_decoy_splitting_matches_binomial_thinning():
+    # Family-wise alpha 0.01 over two intensity classes, so each p > 0.005;
+    # ten seeds of 10^5 pulses a side.
+    alpha, seeds, n = 0.01 / 2, range(10), 100_000
+    for mu in (0.5, 0.1):
+
+        def reference(rng):
+            clicks = reference_binomial_clicks(mu, n, CHANNEL, IDEAL_DET, rng)
+            return np.array([n - clicks, clicks])
+
+        def candidate(rng):
+            [tally] = simulate_decoy_transmissions(
+                [DecoyIntensity(SIGNAL, mu, n)], CHANNEL, IDEAL_DET, rng
+            )
+            return np.array([n - tally.detected, tally.detected])
+
+        p = same_distribution_p(reference, candidate, seeds, f"decoy-split-{mu}")
+        assert p > alpha, f"mu={mu}: p={p:.3g}"
 
 
 def test_decoy_validation():
