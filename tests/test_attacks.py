@@ -331,15 +331,13 @@ def test_interlock_validation():
         interlock_detection_rate(3)
 
 
-def reference_interlock_exchange(message_bits, eve_present, rng):
-    """One exchange as it ran before the batched kernel: both parties'
-    messages, then the relay's guess at the sender's second half.  Returns
-    whether the relay was caught."""
+def reference_interlock_exchange(message_bits, rng):
+    """One relayed exchange as it ran before the batched kernel: both
+    parties' messages, then the relay's guess at the sender's second half.
+    Returns whether the relay was caught."""
     half = message_bits // 2
     sent = rng.integers(0, 2, size=message_bits, dtype=np.int8)
     rng.integers(0, 2, size=message_bits, dtype=np.int8)  # the peer's message
-    if not eve_present:
-        return False
     guess = rng.integers(0, 2, size=half, dtype=np.int8)
     return guess.tobytes() != sent[half:].tobytes()
 
@@ -351,7 +349,7 @@ def test_interlock_matches_per_call_reference():
     for k in (2, 8, 16):
 
         def reference(rng):
-            caught = sum(reference_interlock_exchange(k, True, rng) for _ in range(trials))
+            caught = sum(reference_interlock_exchange(k, rng) for _ in range(trials))
             return np.array([trials - caught, caught])
 
         def candidate(rng):
