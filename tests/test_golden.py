@@ -48,9 +48,10 @@ DOS_MITIGATIONS = ("none", "rate-limit", "embryonic-cap", "suspicion-scheduler")
 DOS_SEEDS = range(5)
 
 # Protocol paths the default-config pins miss: the in-flight and pair-source
-# attack hooks, and the weak-coherent source with a lossy channel.  Under
-# attack half the sifted key is disclosed, so the pinned error rate and CHSH
-# estimate depend on most of the receiver's measured bits.
+# attack hooks, the weak-coherent source with a lossy channel, and a detector
+# below unit efficiency with dark counts.  Under attack half the sifted key is
+# disclosed, so the pinned error rate and CHSH estimate depend on most of the
+# receiver's measured bits.
 PROTOCOL_CASES = {
     "bb84/intercept-resend": (
         "bb84",
@@ -61,16 +62,26 @@ PROTOCOL_CASES = {
         "bb84",
         {"rounds": "4000", "source": "weak-coherent", "mu": "0.5", "transmittance": "0.1"},
     ),
+    "bb84/lossy-detector": (
+        "bb84",
+        {"rounds": "4000", "source": "weak-coherent", "mu": "0.5", "transmittance": "0.5",
+         "efficiency": "0.6", "dark": "0.01"},
+    ),
     "e91/probe": ("e91", {"rounds": "1000", "attack": "probe", "disclosed_fraction": "0.5"}),
 }
 
 # Photon-batch paths the default-config pins miss: the splitting attacks in
-# the decoy test, a second decoy class, a Poisson mean whose CDF spans many
+# the decoy test (random intercept also away from transmittance 0.5, where its
+# thinned mean equals the honest channel's and the two digests coincide), a
+# second decoy class, a Poisson mean whose CDF spans many
 # steps (max_bin 60 keeps its whole tail in the rows), fixed Trojan phases
 # including zero, and both noise modes at a low and a high flip rate.
 ARRAY_CASES = {
     "decoy/block-singles": ("decoy", {"pulses": "2000", "attack": "block-singles"}),
     "decoy/random-0.5": ("decoy", {"pulses": "2000", "attack": "random-0.5"}),
+    "decoy/random-0.5-eta-0.8": (
+        "decoy", {"pulses": "2000", "attack": "random-0.5", "transmittance": "0.8"},
+    ),
     "decoy/two-decoys": ("decoy", {"pulses": "2000", "decoy_mus": "0.1,0.05"}),
     "pns/mu-20": ("pns", {"pulses": "10000", "mu": "20", "max_bin": "60"}),
     "trojan/fixed-1-fixed-0": ("trojan", {"photons": "5000", "policies": "fixed-1,fixed-0"}),
