@@ -326,9 +326,7 @@ def _session_summary(session: qkd.QkdSession) -> Summary:
 
 def _run_bb84(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
     rng = stream(seed, "bb84")
-    source = None
-    if params["source"] == "weak-coherent":
-        source = photonics.PhotonSource.weak_coherent(params["mu"])
+    mean_photons = params["mu"] if params["source"] == "weak-coherent" else None
     channel = None
     if params["transmittance"] != 1.0:
         channel = photonics.LossChannel(params["transmittance"])
@@ -341,7 +339,7 @@ def _run_bb84(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summ
     session = qkd.run_bb84(
         params["rounds"],
         rng,
-        source=source,
+        mean_photons=mean_photons,
         channel=channel,
         detector=detector,
         eavesdropper=eavesdropper,

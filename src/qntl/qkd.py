@@ -18,16 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attacks import PnsStrategy, PnsVariant, pns_transform_counts
-from .photonics import (
-    SIGNAL,
-    Detector,
-    IntensityLabel,
-    LossChannel,
-    PhotonSource,
-    detect,
-    emit_pulse,
-    transmit,
-)
+from .photonics import Detector, LossChannel, detect, emit_pulse, transmit
 from .quantum import Basis, PureState, bell_pair, encoded_qubit, measure_qubit, measure_rotated
 from .stats import chsh_estimate, poisson_sample_array, stream
 
@@ -287,7 +278,7 @@ def run_bb84(
     n_rounds: int,
     rng: np.random.Generator,
     *,
-    source: PhotonSource | None = None,
+    mean_photons: float | None = None,
     channel: LossChannel | None = None,
     detector: Detector | None = None,
     eavesdropper: InFlightHook | None = None,
@@ -302,18 +293,19 @@ def run_bb84(
     With an ideal single-photon source, no channel, and no eavesdropper the
     sifted error rate is exactly zero.
 
-    Photon statistics from a weak-coherent ``source`` and losses from
-    ``channel``/``detector`` gate which rounds the receiver registers; the
-    qubit degree of freedom itself is tracked exactly once per registered
-    pulse.  Splitting attacks that exploit multi-photon pulses are treated
-    by the decoy-intensity machinery, not here.
+    Each round's pulse is a photon count: Poisson(``mean_photons``) from a
+    weak-coherent source, or exactly one photon from the ideal single-photon
+    source when ``mean_photons`` is None.  Losses in ``channel`` and the
+    ``detector`` then gate which rounds the receiver registers; the qubit
+    degree of freedom itself is tracked exactly once per registered pulse.
+    Splitting attacks that exploit multi-photon pulses are treated by the
+    decoy-intensity machinery, not here.  An invalid ``mean_photons`` raises
+    ``ValueError`` from the first Poisson draw.
     """
     if n_rounds <= 0:
         raise ValueError("need at least one round")
     if not 0.0 < disclosed_fraction < 1.0:
         raise ValueError("disclosed fraction must lie strictly between 0 and 1")
-    if source is None:
-        source = PhotonSource.ideal_single_photon()
     if detector is None:
         detector = Detector()
 
@@ -329,10 +321,10 @@ def run_bb84(
         b_idx = int(rng.integers(0, 2))
         a_basis = _BASES[a_idx]
         b_basis = _BASES[b_idx]
-        pulse = emit_pulse(source, bit, a_basis, 0.0, SIGNAL, rng)
+        photons = emit_pulse(mean_photons, rng)
         if channel is not None:
-            pulse = transmit(pulse, channel, rng)
-        click = detect(pulse, detector, rng)
+            photons = transmit(photons, channel, rng)
+        click = detect(photons, detector, rng)
         alice_bits[i] = bit
         alice_bases[i] = a_idx
         bob_bases[i] = b_idx
@@ -546,7 +538,7 @@ def run_relay_chain(
 class DecoyIntensity:
     """One publicly announced pulse class: its label, mean, and volume."""
 
-    label: IntensityLabel
+    label: str
     mean_photons: float
     n_pulses: int
 
@@ -624,11 +616,11 @@ def simulate_decoy_transmissions(
     """
     if not intensities:
         raise ValueError("need at least one intensity class")
-    labels = [str(item.label) for item in intensities]
+    labels = [item.label for item in intensities]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate intensity labels: {labels}")
     tallies: list[DecoyTally] = []
-    for item, label in zip(intensities, labels):
+    for item in intensities:
         mu, n = item.mean_photons, item.n_pulses
         if attacker is None:
             arriving = poisson_sample_array(mu * channel.transmittance, rng, n)
@@ -637,13 +629,11 @@ def simulate_decoy_transmissions(
         else:
             _, arriving = pns_transform_counts(poisson_sample_array(mu, rng, n), attacker)
         # Click probability per arriving photon number, looked up by count.
-        by_count = 1.0 - (1.0 - detector.dark_count_prob) * (
-            (1.0 - detector.efficiency) ** np.arange(arriving.max() + 1)
-        )
+        by_count = detector.click_probability(np.arange(arriving.max() + 1))
         clicks = int(np.count_nonzero(rng.random(n) < by_count[arriving]))
         tallies.append(
             DecoyTally(
-                label=label,
+                label=item.label,
                 mean_photons=float(item.mean_photons),
                 sent=int(item.n_pulses),
                 detected=clicks,

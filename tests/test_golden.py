@@ -73,9 +73,9 @@ PROTOCOL_CASES = {
 # Photon-batch paths the default-config pins miss: the splitting attacks in
 # the decoy test (random intercept also away from transmittance 0.5, where its
 # thinned mean equals the honest channel's and the two digests coincide), a
-# second decoy class, a Poisson mean whose CDF spans many
-# steps (max_bin 60 keeps its whole tail in the rows), fixed Trojan phases
-# including zero, and both noise modes at a low and a high flip rate.
+# second decoy class, a Poisson mean whose CDF spans many steps (max_bin 60
+# keeps its whole tail in the rows), fixed Trojan phases including zero, and
+# both noise modes at a low and a high flip rate.
 ARRAY_CASES = {
     "decoy/block-singles": ("decoy", {"pulses": "2000", "attack": "block-singles"}),
     "decoy/random-0.5": ("decoy", {"pulses": "2000", "attack": "random-0.5"}),

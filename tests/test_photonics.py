@@ -1,6 +1,5 @@
 """Tests for photon sources, loss channels, and threshold detection."""
-import math
-
+import numpy as np
 import pytest
 from scipy.stats import poisson as sp_poisson
 
@@ -8,72 +7,48 @@ from qntl.photonics import (
     SIGNAL,
     Detector,
     LossChannel,
-    PhotonPulse,
-    PhotonSource,
-    SourceKind,
     decoy_label,
     detect,
     emit_pulse,
     transmit,
 )
-from qntl.quantum import Basis
+from qntl.qkd import _model_gain, run_bb84
 from qntl.stats import Histogram, chi_square_gof, stream
 
 
-def emit_many(source, n, seed, label="photon-test"):
+def emit_many(mean_photons, n, seed, label="photon-test"):
     rng = stream(seed, label)
-    return [
-        emit_pulse(source, 0, Basis.RECTILINEAR, 0.0, SIGNAL, rng).photon_count
-        for _ in range(n)
-    ]
+    return [emit_pulse(mean_photons, rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------- sources
 
 def test_single_photon_source_always_emits_one():
-    counts = emit_many(PhotonSource.ideal_single_photon(), 500, 1)
+    counts = emit_many(None, 500, 1)
     assert all(c == 1 for c in counts)
 
 
 def test_zero_mean_source_emits_nothing():
-    counts = emit_many(PhotonSource.weak_coherent(0.0), 500, 2)
+    counts = emit_many(0.0, 500, 2)
     assert all(c == 0 for c in counts)
 
 
 def test_weak_coherent_mean_at_five():
-    counts = emit_many(PhotonSource.weak_coherent(5.0), 10**5, 42)
+    counts = emit_many(5.0, 10**5, 42)
     assert abs(sum(counts) / len(counts) - 5.0) < 0.05
 
 
 def test_source_validation():
-    with pytest.raises(ValueError):
-        PhotonSource.weak_coherent(-0.1)
-    with pytest.raises(ValueError):
-        PhotonSource.weak_coherent(float("inf"))
-
-
-def test_pulse_validation():
-    with pytest.raises(ValueError):
-        PhotonPulse(photon_count=-1, encoded_bit=0, basis=Basis.RECTILINEAR)
-    with pytest.raises(ValueError):
-        PhotonPulse(photon_count=1, encoded_bit=2, basis=Basis.RECTILINEAR)
-    with pytest.raises(ValueError):
-        PhotonPulse(photon_count=1, encoded_bit=0, basis=Basis.RECTILINEAR, phase=7.0)
-
-
-def test_emit_reduces_phase_modulo_two_pi():
-    rng = stream(0, "phase-mod")
-    pulse = emit_pulse(
-        PhotonSource.ideal_single_photon(), 1, Basis.DIAGONAL, 3 * math.pi, SIGNAL, rng
-    )
-    assert pulse.phase == pytest.approx(math.pi)
-    assert pulse.encoded_bit == 1
-    assert pulse.basis is Basis.DIAGONAL
+    for mu in (-0.1, float("inf")):
+        with pytest.raises(ValueError):
+            emit_pulse(mu, stream(0, "source-err"))
+        with pytest.raises(ValueError):
+            run_bb84(10, stream(0, "source-err"), mean_photons=mu)
 
 
 def test_intensity_labels():
-    assert str(SIGNAL) == "signal"
-    assert str(decoy_label(2)) == "decoy-2"
+    assert SIGNAL == "signal"
+    assert decoy_label(2) == "decoy-2"
     with pytest.raises(ValueError):
         decoy_label(-1)
 
@@ -82,17 +57,12 @@ def test_intensity_labels():
 
 def test_lossless_channel_preserves_pulse():
     rng = stream(3, "lossless")
-    pulse = PhotonPulse(photon_count=7, encoded_bit=1, basis=Basis.DIAGONAL, phase=1.0)
-    out = transmit(pulse, LossChannel(1.0), rng)
-    assert out == pulse
+    assert transmit(7, LossChannel(1.0), rng) == 7
 
 
 def test_opaque_channel_absorbs_everything():
     rng = stream(3, "opaque")
-    pulse = PhotonPulse(photon_count=7, encoded_bit=1, basis=Basis.DIAGONAL)
-    out = transmit(pulse, LossChannel(0.0), rng)
-    assert out.photon_count == 0
-    assert out.encoded_bit == 1  # sidecar data survives
+    assert transmit(7, LossChannel(0.0), rng) == 0
 
 
 def test_channel_validation():
@@ -104,13 +74,9 @@ def test_channel_validation():
 
 def test_poisson_thinning_closure():
     # Poisson(5) through a 50% channel must look exactly like Poisson(2.5)
-    src = PhotonSource.weak_coherent(5.0)
     chan = LossChannel(0.5)
     rng = stream(42, "thinning")
-    out = []
-    for _ in range(10**5):
-        pulse = emit_pulse(src, 0, Basis.RECTILINEAR, 0.0, SIGNAL, rng)
-        out.append(transmit(pulse, chan, rng).photon_count)
+    out = [transmit(emit_pulse(5.0, rng), chan, rng) for _ in range(10**5)]
     h = Histogram.from_samples(out, max_bin=12)
     p = chi_square_gof(h, lambda k: sp_poisson.pmf(k, 2.5))
     assert p > 0.01
@@ -118,14 +84,12 @@ def test_poisson_thinning_closure():
 
 
 def test_loss_monotonicity():
-    src = PhotonSource.weak_coherent(4.0)
     means = []
     for i, eta in enumerate([1.0, 0.75, 0.5, 0.25, 0.0]):
         rng = stream(11, "loss-mono", trial=i)
         total = 0
         for _ in range(20000):
-            pulse = emit_pulse(src, 0, Basis.RECTILINEAR, 0.0, SIGNAL, rng)
-            total += transmit(pulse, LossChannel(eta), rng).photon_count
+            total += transmit(emit_pulse(4.0, rng), LossChannel(eta), rng)
         means.append(total / 20000)
     assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -133,8 +97,7 @@ def test_loss_monotonicity():
 def test_transmit_is_deterministic():
     def run():
         rng = stream(5, "det-loss")
-        pulse = PhotonPulse(photon_count=50, encoded_bit=0, basis=Basis.RECTILINEAR)
-        return [transmit(pulse, LossChannel(0.3), rng).photon_count for _ in range(100)]
+        return [transmit(50, LossChannel(0.3), rng) for _ in range(100)]
 
     assert run() == run()
 
@@ -143,26 +106,43 @@ def test_transmit_is_deterministic():
 
 def test_detect_corner_cases():
     rng = stream(0, "detect")
-    empty = PhotonPulse(photon_count=0, encoded_bit=0, basis=Basis.RECTILINEAR)
-    loaded = PhotonPulse(photon_count=3, encoded_bit=0, basis=Basis.RECTILINEAR)
     ideal = Detector()
     # no photons, no dark counts: never clicks
-    assert not any(detect(empty, ideal, rng) for _ in range(100))
+    assert not any(detect(0, ideal, rng) for _ in range(100))
     # unit efficiency: always clicks on any photon
-    assert all(detect(loaded, ideal, rng) for _ in range(100))
+    assert all(detect(3, ideal, rng) for _ in range(100))
     # dark counts only
     always_dark = Detector(efficiency=0.0, dark_count_prob=1.0)
-    assert detect(empty, always_dark, rng)
+    assert detect(0, always_dark, rng)
 
 
 def test_detect_click_probability():
     # click prob for count 2, eff 0.4, dark 0.1: 1 - 0.9 * 0.6^2 = 0.676
-    pulse = PhotonPulse(photon_count=2, encoded_bit=0, basis=Basis.RECTILINEAR)
     det = Detector(efficiency=0.4, dark_count_prob=0.1)
     rng = stream(21, "click-prob")
-    clicks = sum(detect(pulse, det, rng) for _ in range(10**5))
+    clicks = sum(detect(2, det, rng) for _ in range(10**5))
     expected = 1.0 - 0.9 * 0.6**2
+    assert det.click_probability(2) == pytest.approx(expected, abs=1e-15)
     assert abs(clicks / 10**5 - expected) < 0.005
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.5, 2.5, 5.0, 12.0, 20.0])
+def test_click_model_matches_decoy_gain_model(mu):
+    # Poisson(mu) thinned by eta arrives as Poisson(mu * eta) photons, so the
+    # per-count click model averaged over that law must give the closed-form
+    # honest gain the decoy analysis compares against.
+    for eta in (0.0, 0.1, 0.5, 0.9, 1.0):
+        lam = mu * eta
+        n_max = 0
+        while sp_poisson.sf(n_max, lam) >= 1e-16:
+            n_max += 1
+        pmf = sp_poisson.pmf(np.arange(n_max + 1), lam)
+        for efficiency in (0.0, 0.3, 0.6, 1.0):
+            for dark in (0.0, 1e-5, 0.01, 0.5, 1.0):
+                det = Detector(efficiency=efficiency, dark_count_prob=dark)
+                enumerated = float(pmf @ det.click_probability(np.arange(n_max + 1)))
+                model = _model_gain(mu, LossChannel(eta), det)
+                assert abs(enumerated - model) < 1e-12, (mu, eta, efficiency, dark)
 
 
 def test_detector_validation():

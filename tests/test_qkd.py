@@ -14,7 +14,7 @@ from qntl.attacks import (
     pns_transform_counts,
     probe_hook,
 )
-from qntl.photonics import Detector, LossChannel, PhotonSource, SIGNAL, decoy_label
+from qntl.photonics import Detector, LossChannel, SIGNAL, decoy_label
 from qntl.qkd import (
     DEFAULT_HASH_SEED,
     DecoyIntensity,
@@ -258,7 +258,7 @@ def test_bb84_weak_coherent_sifts_only_detected_rounds():
     session = run_bb84(
         20_000,
         stream(5, "bb84-wc"),
-        source=PhotonSource.weak_coherent(0.5),
+        mean_photons=0.5,
         channel=LossChannel(0.5),
     )
     # detection prob 1 - e^{-0.25} ~ 0.221; sifting halves that

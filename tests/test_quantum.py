@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qntl.attacks import intercept_resend, probe_hook
-from qntl.photonics import LossChannel, PhotonSource
+from qntl.photonics import LossChannel
 from qntl.qkd import run_bb84, run_e91
 from qntl.quantum import (
     CHSH_OPTIMAL_ANGLES,
@@ -219,7 +219,7 @@ SESSIONS = {
     "bb84": lambda rng: run_bb84(300, rng),
     "bb84-intercept": lambda rng: run_bb84(300, rng, eavesdropper=intercept_resend("random")),
     "bb84-weak-coherent": lambda rng: run_bb84(
-        1000, rng, source=PhotonSource.weak_coherent(0.5), channel=LossChannel(0.5)
+        1000, rng, mean_photons=0.5, channel=LossChannel(0.5)
     ),
     "e91": lambda rng: run_e91(300, rng),
     "e91-probe": lambda rng: run_e91(300, rng, pair_hook=probe_hook()),
