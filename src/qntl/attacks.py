@@ -1,9 +1,10 @@
 """Attack models: photon-number splitting, Trojan-horse probing, entangling
 probes, interlock spoofing, intercept-resend, and code-aware noise.
 
-Intercept-resend and the entangling probe are hooks that a protocol calls on
-one flying qubit or pair at a time.  The splitting, Trojan-horse, interlock
-and repetition-code models draw a whole experiment's variates as arrays.
+Intercept-resend is a hook that a protocol calls on one flying qubit at a
+time; the entangling probe is a map that a protocol applies once to its pair
+state.  The splitting, Trojan-horse, interlock and repetition-code models
+draw a whole experiment's variates as arrays.
 """
 from __future__ import annotations
 
@@ -353,13 +354,10 @@ def probe_infiltrate(pair: PureState) -> PureState:
     return apply_cnot(extended, control=1, target=2)
 
 
-def probe_hook() -> Callable[[PureState, np.random.Generator], PureState]:
-    """Pair-source hook that infiltrates every generated pair."""
-
-    def hook(state: PureState, rng: np.random.Generator) -> PureState:
-        return probe_infiltrate(state)
-
-    return hook
+def probe_hook() -> Callable[[PureState], PureState]:
+    """Pair-source hook: :func:`probe_infiltrate`, which a protocol applies
+    once to the state all its pairs share."""
+    return probe_infiltrate
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,8 @@ def resolve_config(
 
     ``flag_values`` holds raw flag strings for explicitly passed flags only;
     ``file_values`` holds the config file's params block.  Every key must
-    match a ParamSpec name; every value goes through that ParamSpec's parser.
+    match a ParamSpec name; every value goes through that ParamSpec's parser,
+    and any error it raises comes back as one diagnostic naming the key.
     """
     by_name = {s.name: s for s in specs}
     resolved: dict[str, Any] = {s.name: s.default for s in specs}
@@ -204,9 +205,7 @@ def resolve_config(
                 raise ConfigError(f"unknown parameter {key!r} for experiment {experiment!r}")
             try:
                 resolved[key] = spec.parse(raw)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
+            except (ConfigError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
     seed = _resolve_seed(flag_seed, file_seed)
     if seed < 0 or seed >= 2**64:

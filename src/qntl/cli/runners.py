@@ -130,8 +130,6 @@ def _splitter_strategy(token: str) -> attacks.PnsStrategy:
             q = float(token[len("random-"):])
         except ValueError:
             raise ConfigError(f"bad intercept probability in {token!r}") from None
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"intercept probability must lie in [0, 1], got {q}")
         return attacks.PnsStrategy.random_intercept(q)
     raise ConfigError(
         f"unknown splitting strategy {token!r}; expected no-eve, random-<p>, "
@@ -159,8 +157,6 @@ def _trojan_policy(token: str) -> attacks.TrojanPolicy:
             theta = float(token[len("fixed-"):])
         except ValueError:
             raise ConfigError(f"bad phase in {token!r}") from None
-        if not 0.0 <= theta < 2.0 * math.pi:
-            raise ConfigError(f"phase must lie in [0, 2*pi), got {theta}")
         return attacks.TrojanPolicy.fixed_shift(theta)
     raise ConfigError(
         f"unknown probing policy {token!r}; expected no-shift, fixed-<phase>, "

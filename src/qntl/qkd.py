@@ -6,8 +6,8 @@ decoy-intensity consistency test against photon-number-splitting taps.
 
 Protocols accept attack hooks so the same code path produces both honest and
 adversarial runs: an in-flight hook rewrites each flying qubit, a pair hook
-rewrites each distributed pair.  All randomness flows through an explicit
-generator; see :mod:`qntl.stats` for stream construction.
+rewrites the one state every distributed pair shares.  All randomness flows
+through an explicit generator; see :mod:`qntl.stats` for stream construction.
 """
 from __future__ import annotations
 
@@ -19,7 +19,10 @@ import numpy as np
 
 from .attacks import PnsStrategy, PnsVariant, pns_transform_counts
 from .photonics import Detector, LossChannel, detect, emit_pulse, transmit
-from .quantum import Basis, PureState, bell_pair, encoded_qubit, measure_qubit, measure_rotated
+from .quantum import CHSH_OPTIMAL_ANGLES, Basis, PureState, bell_pair, encoded_qubit
+from .quantum import joint_probabilities, measure_qubit
+# No caller here: imported only because bench/tracing.py patches qntl.qkd:measure_rotated.
+from .quantum import measure_rotated  # noqa: F401
 from .stats import chsh_estimate, poisson_sample_array, stream
 
 __all__ = [
@@ -66,13 +69,22 @@ DEFAULT_HASH_SEED = 0x9E3779B9
 # classical bound of 2.
 CHSH_TEST_FRACTION = 0.25
 CHSH_DETECTION_MARGIN = 0.1
-ALICE_TEST_ANGLES = (0.0, math.pi / 4)
-BOB_TEST_ANGLES = (math.pi / 8, 3 * math.pi / 8)
+ALICE_TEST_ANGLES = CHSH_OPTIMAL_ANGLES[:2]
+BOB_TEST_ANGLES = CHSH_OPTIMAL_ANGLES[2:]
 
 InFlightHook = Callable[[PureState, Basis, np.random.Generator], PureState]
-PairHook = Callable[[PureState, np.random.Generator], PureState]
+PairHook = Callable[[PureState], PureState]
 
 _BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
+_KEY_ANGLES = tuple(basis.analyzer_angle for basis in _BASES)
+
+# Analyzer angles (Alice, Bob) of the eight E91 settings, indexed by
+# 4 * is_test + 2 * alice_index + bob_index.
+_E91_SETTINGS = [
+    (alice[a], bob[b])
+    for alice, bob in ((_KEY_ANGLES, _KEY_ANGLES), (ALICE_TEST_ANGLES, BOB_TEST_ANGLES))
+    for a in (0, 1) for b in (0, 1)
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,6 +354,26 @@ def run_bb84(
     )
 
 
+def _e91_rounds(
+    state: PureState, n_rounds: int, chsh_fraction: float, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Test flags, Alice's and Bob's setting indices, and their bits, for
+    ``n_rounds`` rounds on ``state`` with qubits beyond the first two traced
+    out.  Each round's uniform is looked up in its setting's Born table."""
+    ancillas = range(2, state.num_qubits)
+    tables = np.array([joint_probabilities(state, a, b, ancillas) for a, b in _E91_SETTINGS])
+    # Normalised so that a run of zero cells at the end shares the last
+    # bound, 1.0, and no uniform can land in a zero-probability cell.
+    cdf = np.cumsum(tables.reshape(8, 4), axis=1)
+    cdf /= cdf[:, -1:]
+    is_test = rng.random(n_rounds) < chsh_fraction
+    a_idx = rng.integers(0, 2, size=n_rounds, dtype=np.int8)
+    b_idx = rng.integers(0, 2, size=n_rounds, dtype=np.int8)
+    setting = 4 * is_test + 2 * a_idx + b_idx
+    cell = np.count_nonzero(rng.random(n_rounds)[:, None] >= cdf[setting], axis=1)
+    return is_test, a_idx, b_idx, (cell >> 1).astype(np.int8), (cell & 1).astype(np.int8)
+
+
 def run_e91(
     n_rounds: int,
     rng: np.random.Generator,
@@ -354,13 +386,18 @@ def run_e91(
 ) -> QkdSession:
     """Entanglement-based key exchange with an interleaved CHSH self-test.
 
-    Each round distributes a fresh phi+ pair (qubit 0 to the sender, qubit 1
-    to the receiver), optionally rewritten by ``pair_hook``.  A random
-    ``chsh_fraction`` of rounds is measured at the test settings instead of
-    the key bases; the session aborts when the resulting CHSH estimate fails
-    to clear 2 + ``detection_margin``.  An honest pair gives about 2.83; any
+    Every round shares one pair state: phi+ (qubit 0 to the sender, qubit 1
+    to the receiver), rewritten once by ``pair_hook`` when given; qubits the
+    hook appends are traced out.  A random ``chsh_fraction`` of rounds is
+    measured at the test settings instead of the key bases; the session
+    aborts when the resulting CHSH estimate fails to clear
+    2 + ``detection_margin``.  An honest pair gives about 2.83; any
     interception that breaks the entanglement drags the estimate to 2 or
     below, so the margin flags it.
+
+    The rounds are drawn as arrays (test flags, both sides' setting indices,
+    one uniform each), and each uniform is looked up in the joint Born table
+    (:func:`~qntl.quantum.joint_probabilities`) of its round's setting.
     """
     if n_rounds <= 0:
         raise ValueError("need at least one round")
@@ -369,61 +406,20 @@ def run_e91(
     if not 0.0 < disclosed_fraction < 1.0:
         raise ValueError("disclosed fraction must lie strictly between 0 and 1")
 
-    honest_pair = bell_pair()
-    a_bits: list[int] = []
-    b_bits: list[int] = []
-    a_bases: list[int] = []
-    b_bases: list[int] = []
-    test_a: list[int] = []
-    test_b: list[int] = []
-    products: list[int] = []
-
-    for _ in range(n_rounds):
-        is_test = rng.random() < chsh_fraction
-        state = honest_pair
-        if pair_hook is not None:
-            state = pair_hook(state, rng)
-        if is_test:
-            a_idx = int(rng.integers(0, 2))
-            b_idx = int(rng.integers(0, 2))
-            first = measure_rotated(state, 0, ALICE_TEST_ANGLES[a_idx], rng)
-            second = measure_rotated(first.post_state, 1, BOB_TEST_ANGLES[b_idx], rng)
-            test_a.append(a_idx)
-            test_b.append(b_idx)
-            products.append((1 - 2 * first.bit) * (1 - 2 * second.bit))
-        else:
-            a_idx = int(rng.integers(0, 2))
-            b_idx = int(rng.integers(0, 2))
-            first = measure_qubit(state, 0, _BASES[a_idx], rng)
-            second = measure_qubit(first.post_state, 1, _BASES[b_idx], rng)
-            a_bits.append(first.bit)
-            b_bits.append(second.bit)
-            a_bases.append(a_idx)
-            b_bases.append(b_idx)
-
+    state = bell_pair() if pair_hook is None else pair_hook(bell_pair())
+    is_test, a_idx, b_idx, a_bits, b_bits = _e91_rounds(state, n_rounds, chsh_fraction, rng)
+    products = (1 - 2 * a_bits[is_test]) * (1 - 2 * b_bits[is_test])
     try:
-        s_value = chsh_estimate(np.array(test_a), np.array(test_b), np.array(products))
+        s_value = chsh_estimate(a_idx[is_test], b_idx[is_test], products)
     except ValueError:
         s_value = float("nan")
     chsh_failed = not (s_value > 2.0 + detection_margin)  # NaN counts as failed
 
-    sifted_a, sifted_b = sift_keys(
-        np.array(a_bits, dtype=np.int8),
-        np.array(a_bases, dtype=np.int8),
-        np.array(b_bits, dtype=np.int8),
-        np.array(b_bases, dtype=np.int8),
-    )
+    key = ~is_test
+    sifted_a, sifted_b = sift_keys(a_bits[key], a_idx[key], b_bits[key], b_idx[key])
     return _finalize_keys(
-        "e91",
-        n_rounds,
-        sifted_a,
-        sifted_b,
-        disclosed_fraction,
-        abort_threshold,
-        rng,
-        chsh=s_value,
-        chsh_rounds=len(products),
-        chsh_failed=chsh_failed,
+        "e91", n_rounds, sifted_a, sifted_b, disclosed_fraction, abort_threshold, rng,
+        chsh=s_value, chsh_rounds=int(products.size), chsh_failed=chsh_failed,
     )
 
 

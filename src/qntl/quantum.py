@@ -39,6 +39,7 @@ __all__ = [
     "measure_rotated",
     "apply_cnot",
     "apply_phase",
+    "joint_probabilities",
     "correlation",
     "chsh_value",
     "equal_up_to_global_phase",
@@ -315,31 +316,34 @@ def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:
     return PureState(amps, n)
 
 
-def _density_matrix(state: PureState, trace_out: Iterable[int] | None) -> np.ndarray:
-    """Density matrix of the kept qubits, tracing out the listed indices."""
+def joint_probabilities(
+    state: PureState,
+    angle_a: float,
+    angle_b: float,
+    trace_out: Iterable[int] | None = None,
+) -> np.ndarray:
+    """(2, 2) Born table: entry [i, j] is the probability that the first kept
+    qubit reads i at ``angle_a`` and the second j at ``angle_b``, on the
+    eigenvectors of :func:`measure_rotated`.  ``trace_out`` discards
+    ancillary qubits (e.g. an eavesdropper's probe) by summing over them.
+    Entries are sums of squared magnitudes, so never negative, and a cell
+    whose terms cancel (a Bell pair's mismatches at equal angles) is 0.
+    """
     n = state.num_qubits
-    if trace_out is None:
-        traced: list[int] = []
-    else:
-        traced = sorted({_check_qubit(state, q) for q in trace_out})
+    traced = set() if trace_out is None else {_check_qubit(state, q) for q in trace_out}
     kept = [q for q in range(n) if q not in traced]
     if len(kept) != 2:
-        raise ValueError(
-            f"correlation needs exactly 2 remaining qubits, got {len(kept)}"
-        )
-    t = state.amplitudes.reshape([2] * n)
-    # rho[kept, kept'] = sum over traced axes of psi * conj(psi)
-    ket = list(range(n))
-    bra = [q if q in traced else q + n for q in range(n)]
-    out = [q for q in kept] + [q + n for q in kept]
-    rho = np.einsum(t, ket, t.conj(), bra, out)
-    return rho.reshape(4, 4)
-
-
-def _analyzer(angle: float) -> np.ndarray:
-    """Observable with +1 eigenvector cos(angle)|0> + sin(angle)|1>."""
-    c2, s2 = math.cos(2 * angle), math.sin(2 * angle)
-    return np.array([[c2, s2], [s2, -c2]], dtype=np.complex128)
+        raise ValueError(f"correlation needs exactly 2 remaining qubits, got {len(kept)}")
+    # Rows are the kept pair's four basis labels, columns the traced labels.
+    amps = np.moveaxis(state.amplitudes.reshape([2] * n), kept, (0, 1)).reshape(4, -1)
+    # Rows of each are the outcome-0 and outcome-1 eigenvectors.  Products are
+    # summed elementwise, not by a BLAS product, whose fused multiply-adds
+    # would leave rounding residue in cells that cancel.
+    ea, eb = (np.array([[math.cos(x), math.sin(x)], [-math.sin(x), math.cos(x)]])
+              for x in (angle_a, angle_b))
+    weights = (ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4)
+    projected = (weights[:, :, None] * amps).sum(axis=1)
+    return (np.abs(projected) ** 2).sum(axis=1).reshape(2, 2)
 
 
 def correlation(
@@ -354,9 +358,8 @@ def correlation(
     ``angle_b``.  ``trace_out`` discards ancillary qubits (e.g. an
     eavesdropper's probe) before the correlator is formed.
     """
-    rho = _density_matrix(state, trace_out)
-    op = np.kron(_analyzer(angle_a), _analyzer(angle_b))
-    return float(np.trace(rho @ op).real)
+    (p00, p01), (p10, p11) = joint_probabilities(state, angle_a, angle_b, trace_out)
+    return float(p00 - p01 - p10 + p11)
 
 
 def chsh_value(

@@ -158,6 +158,22 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["pns", "--pulses", "abc"], "pulses"),
+        (["pns", "--strategies", "random-1.5"], "strategies"),
+        (["trojan", "--policies", "fixed-7"], "policies"),
+        (["decoy", "--attack", "random-2"], "attack"),
+    ],
+)
+def test_bad_value_diagnostic_names_the_key(argv, key, capsys):
+    assert main(["run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qntl: bad value for '{key}': ")
+    assert len(err.splitlines()) == 1
+
+
 def test_run_runtime_failure_is_exit_3(tmp_path, capsys):
     # pulses parses fine but the experiment itself refuses tiny samples
     assert main(["run", "pns", "--pulses", "100"]) == 3

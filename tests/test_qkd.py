@@ -13,9 +13,12 @@ from qntl.attacks import (
     intercept_resend,
     pns_transform_counts,
     probe_hook,
+    probe_infiltrate,
 )
 from qntl.photonics import Detector, LossChannel, SIGNAL, decoy_label
 from qntl.qkd import (
+    ALICE_TEST_ANGLES,
+    BOB_TEST_ANGLES,
     DEFAULT_HASH_SEED,
     DecoyIntensity,
     DecoyTally,
@@ -29,7 +32,9 @@ from qntl.qkd import (
     run_relay_chain,
     sift_keys,
     simulate_decoy_transmissions,
+    _e91_rounds,
 )
+from qntl.quantum import Basis, bell_pair, measure_qubit, measure_rotated
 from qntl.stats import poisson_sample_array, stream
 
 from distcheck import same_distribution_p
@@ -324,6 +329,48 @@ def test_e91_validation():
         run_e91(10, rng, chsh_fraction=0.0)
     with pytest.raises(ValueError):
         run_e91(10, rng, disclosed_fraction=1.0)
+
+
+def reference_e91_counts(n_rounds, chsh_fraction, probed, rng):
+    """E91 rounds as they ran before the joint Born table: a fresh pair per
+    round, probed one at a time, then two sequential collapses.  Returns
+    counts over the 32 cells 4 * setting + 2 * alice bit + bob bit, with
+    setting = 4 * is_test + 2 * alice index + bob index."""
+    bases = (Basis.RECTILINEAR, Basis.DIAGONAL)
+    counts = np.zeros(32, dtype=np.int64)
+    for _ in range(n_rounds):
+        is_test = rng.random() < chsh_fraction
+        state = probe_infiltrate(bell_pair()) if probed else bell_pair()
+        a_idx = int(rng.integers(0, 2))
+        b_idx = int(rng.integers(0, 2))
+        if is_test:
+            first = measure_rotated(state, 0, ALICE_TEST_ANGLES[a_idx], rng)
+            second = measure_rotated(first.post_state, 1, BOB_TEST_ANGLES[b_idx], rng)
+        else:
+            first = measure_qubit(state, 0, bases[a_idx], rng)
+            second = measure_qubit(first.post_state, 1, bases[b_idx], rng)
+        setting = 4 * is_test + 2 * a_idx + b_idx
+        counts[4 * setting + 2 * first.bit + second.bit] += 1
+    return counts
+
+
+def test_e91_rounds_match_per_round_reference():
+    # Family-wise alpha 0.01 over honest and probed pairs, so each p > 0.005;
+    # twenty seeds of 1,000 rounds a side.
+    alpha, seeds, n = 0.01 / 2, range(20), 1000
+    for probed in (False, True):
+        state = probe_infiltrate(bell_pair()) if probed else bell_pair()
+
+        def reference(rng):
+            return reference_e91_counts(n, 0.25, probed, rng)
+
+        def candidate(rng):
+            is_test, a_idx, b_idx, a_bits, b_bits = _e91_rounds(state, n, 0.25, rng)
+            setting = 4 * is_test + 2 * a_idx + b_idx
+            return np.bincount(4 * setting + 2 * a_bits + b_bits, minlength=32)
+
+        p = same_distribution_p(reference, candidate, seeds, f"e91-probed-{probed}")
+        assert p > alpha, f"probed={probed}: p={p:.3g}"
 
 
 # ---------------------------------------------------------------- relays

@@ -1,4 +1,5 @@
 """Tests for the small-register state-vector engine."""
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from qntl.quantum import (
     correlation,
     encoded_qubit,
     equal_up_to_global_phase,
+    joint_probabilities,
     measure_qubit,
     measure_rotated,
     pure_state,
@@ -130,40 +132,45 @@ def test_measurement_is_seed_deterministic():
     assert bits_a == bits_b
 
 
-def reference_measure_rotated(state, qubit_index, angle, rng):
-    """The earlier array kernel: reshape the register to one axis per qubit,
-    rotate the measured axis, and renormalise the kept branch."""
+def reference_split(state, qubit_index, angle):
+    """The earlier array kernel's Born split: reshape the register to one
+    axis per qubit, rotate the measured axis, and renormalise each branch.
+    Returns (p, post-state amplitudes or None where p is 0) per outcome."""
     q = qubit_index
     n = state.num_qubits
     t = state.amplitudes.reshape([2] * n)
     a0 = np.take(t, 0, axis=q)
     a1 = np.take(t, 1, axis=q)
     c, s = math.cos(angle), math.sin(angle)
-    comp0 = c * a0 + s * a1
-    comp1 = -s * a0 + c * a1
-    p0 = float(np.sum(np.abs(comp0) ** 2))
-    p1 = float(np.sum(np.abs(comp1) ** 2))
+    branches = []
+    for comp, u0, u1 in ((c * a0 + s * a1, c, s), (-s * a0 + c * a1, -s, c)):
+        p = float(np.sum(np.abs(comp) ** 2))
+        if p == 0.0:
+            branches.append((p, None))
+            continue
+        scale = 1.0 / math.sqrt(p)
+        post = np.stack([u0 * comp * scale, u1 * comp * scale], axis=q).reshape(2**n)
+        branches.append((p, post / math.sqrt(float(np.sum(np.abs(post) ** 2)))))
+    return branches
+
+
+def reference_measure_rotated(state, qubit_index, angle, rng):
+    """The earlier array kernel: one uniform against the reference split."""
+    (p0, post0), (p1, post1) = reference_split(state, qubit_index, angle)
     bit = 0 if rng.random() < p0 else 1
     if p1 == 0.0:
         bit = 0
     elif p0 == 0.0:
         bit = 1
-    if bit == 0:
-        scale = 1.0 / math.sqrt(p0)
-        new0, new1 = c * comp0 * scale, s * comp0 * scale
-    else:
-        scale = 1.0 / math.sqrt(p1)
-        new0, new1 = -s * comp1 * scale, c * comp1 * scale
-    post = np.stack([new0, new1], axis=q).reshape(2**n)
-    post = post / math.sqrt(float(np.sum(np.abs(post) ** 2)))
-    return MeasurementOutcome(bit=bit, post_state=PureState(post, n))
+    post = post1 if bit else post0
+    return MeasurementOutcome(bit=bit, post_state=PureState(post, state.num_qubits))
 
 
 @st.composite
-def registers(draw):
-    """A 1-4 qubit state (random, or a computational basis state) and a
-    qubit index into it."""
-    n = draw(st.integers(1, 4))
+def registers(draw, min_qubits=1):
+    """A ``min_qubits``-4 qubit state (random, or a computational basis
+    state) and a qubit index into it."""
+    n = draw(st.integers(min_qubits, 4))
     if draw(st.booleans()):
         state = basis_state(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     else:
@@ -215,14 +222,51 @@ def test_memoised_split_is_keyed_by_qubit_and_angle(n, state_seed, angle, seed):
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@given(register=registers(min_qubits=2), angle=st.floats(-2 * math.pi, 2 * math.pi))
+@settings(max_examples=50, deadline=None)
+def test_joint_probabilities_match_sequential_reference_splits(register, angle):
+    # P[i, j] = P(first kept qubit reads i) * P(second reads j | first read
+    # i), from two sequential reference splits on the whole register; the
+    # qubits left out are summed over by the second split.
+    state, _ = register
+    n = state.num_qubits
+    angles = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, angle)
+    for first, second in itertools.combinations(range(n), 2):
+        traced = [q for q in range(n) if q not in (first, second)]
+        for angle_a in angles:
+            branches = [
+                (p_i, None if post is None else PureState(post, n))
+                for p_i, post in reference_split(state, first, angle_a)
+            ]
+            for angle_b in angles:
+                expected = np.zeros((2, 2))
+                for i, (p_i, post) in enumerate(branches):
+                    if post is not None:
+                        for j, (p_j, _) in enumerate(reference_split(post, second, angle_b)):
+                            expected[i, j] = p_i * p_j
+                table = joint_probabilities(state, angle_a, angle_b, trace_out=traced)
+                assert table.shape == (2, 2)
+                assert np.max(np.abs(table - expected)) <= 1e-12
+                assert np.all(table >= 0.0)
+                assert abs(table.sum() - 1.0) <= 1e-12
+                if not traced:
+                    assert np.array_equal(joint_probabilities(state, angle_a, angle_b), table)
+
+
+def test_joint_probabilities_of_phi_plus_mismatches_are_exactly_zero():
+    # The honest key rounds' error cells are exact zeros, not rounding
+    # residue, so an honest E91 key has no errors at any setting.
+    for angle in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, 0.3, 1.234):
+        table = joint_probabilities(bell_pair(), angle, angle)
+        assert table[0, 1] == 0.0 and table[1, 0] == 0.0
+
+
 SESSIONS = {
     "bb84": lambda rng: run_bb84(300, rng),
     "bb84-intercept": lambda rng: run_bb84(300, rng, eavesdropper=intercept_resend("random")),
     "bb84-weak-coherent": lambda rng: run_bb84(
         1000, rng, mean_photons=0.5, channel=LossChannel(0.5)
     ),
-    "e91": lambda rng: run_e91(300, rng),
-    "e91-probe": lambda rng: run_e91(300, rng, pair_hook=probe_hook()),
 }
 
 
@@ -240,6 +284,21 @@ def test_sessions_repeat_from_cold_and_warm_cache(name):
         assert np.array_equal(getattr(cold, field), getattr(warm, field))
     assert (cold.qber_estimate, cold.chsh_estimate) == (warm.qber_estimate, warm.chsh_estimate)
     assert cold_rng == warm_rng
+
+
+@pytest.mark.parametrize("hook", [None, probe_hook()], ids=["e91", "e91-probe"])
+def test_e91_sessions_repeat_from_the_same_seed(hook):
+    runs = []
+    for _ in ("first", "second"):
+        rng = stream(5, "e91-repeat")
+        session = run_e91(300, rng, pair_hook=hook)
+        runs.append((session, rng.bit_generator.state))
+    (first, first_rng), (second, second_rng) = runs
+    for field in ("sifted_alice", "sifted_bob", "final_key"):
+        assert np.array_equal(getattr(first, field), getattr(second, field))
+    assert (first.qber_estimate, first.chsh_estimate) == (
+        second.qber_estimate, second.chsh_estimate)
+    assert first_rng == second_rng
 
 
 def test_measurement_outcomes_are_shared_and_read_only():
