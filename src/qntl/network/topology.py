@@ -11,8 +11,10 @@ fields behave identically everywhere downstream.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -175,18 +177,16 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
     if n < k + 2:
         raise ValueError(f"need at least k + 2 = {k + 2} nodes, got {n}")
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
-    degrees = np.zeros(n, dtype=np.int64)
-    degrees[: k + 1] = k
+    degrees = [k] * (k + 1)
     for new in range(k + 1, n):
         targets: set[int] = set()
-        cumulative = np.cumsum(degrees[:new])
+        cumulative = list(accumulate(degrees))
         while len(targets) < k:
-            pick = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
-            targets.add(pick)
+            targets.add(bisect_right(cumulative, rng.random() * cumulative[-1]))
         for t in sorted(targets):
             edges.append((t, new))
             degrees[t] += 1
-        degrees[new] = k
+        degrees.append(k)
     return edges
 
 

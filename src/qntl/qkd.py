@@ -20,9 +20,8 @@ import numpy as np
 from .attacks import PnsStrategy, PnsVariant, pns_transform_counts
 from .photonics import Detector, LossChannel, detect, emit_pulse, transmit
 from .quantum import CHSH_OPTIMAL_ANGLES, Basis, PureState, bell_pair, encoded_qubit
-from .quantum import joint_probabilities, measure_qubit
-# No caller here: imported only because bench/tracing.py patches qntl.qkd:measure_rotated.
-from .quantum import measure_rotated  # noqa: F401
+# measure_rotated has no caller here: bench/tracing.py patches qntl.qkd:measure_rotated.
+from .quantum import joint_probabilities, measure_qubit, measure_rotated  # noqa: F401
 from .stats import chsh_estimate, poisson_sample_array, stream
 
 __all__ = [
@@ -113,8 +112,7 @@ class QkdSession:
 
     def __post_init__(self) -> None:
         for name in ("sifted_alice", "sifted_bob", "final_key"):
-            arr = np.asarray(getattr(self, name), dtype=np.int8)
-            arr = np.array(arr, copy=True)
+            arr = np.array(getattr(self, name), dtype=np.int8)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.sifted_alice.size != self.sifted_bob.size:
@@ -286,6 +284,31 @@ def _finalize_keys(
     )
 
 
+def _bb84_rounds(
+    n_rounds: int, rng: np.random.Generator, mean_photons: float | None,
+    channel: LossChannel | None, detector: Detector, eavesdropper: InFlightHook | None,
+) -> tuple[np.ndarray, ...]:
+    """Per-round arrays in :func:`sift_keys` order: Alice's bits and basis
+    indices, Bob's bits (0 where no click) and basis indices, the clicks."""
+    bits, a_bases, b_bases = rng.integers(0, 2, size=(3, n_rounds), dtype=np.int8)
+    clicks: list[bool] = []
+    bob_bits: list[int] = []
+    for bit, a_idx, b_idx in zip(bits.tolist(), a_bases.tolist(), b_bases.tolist()):
+        photons = emit_pulse(mean_photons, rng)
+        if channel is not None:
+            photons = transmit(photons, channel, rng)
+        click = detect(photons, detector, rng)
+        clicks.append(click)
+        if not click:
+            bob_bits.append(0)
+            continue
+        state = encoded_qubit(bit, _BASES[a_idx])
+        if eavesdropper is not None:
+            state = eavesdropper(state, _BASES[a_idx], rng)
+        bob_bits.append(measure_qubit(state, 0, _BASES[b_idx], rng).bit)
+    return bits, a_bases, np.array(bob_bits, np.int8), b_bases, np.array(clicks, bool)
+
+
 def run_bb84(
     n_rounds: int,
     rng: np.random.Generator,
@@ -313,44 +336,21 @@ def run_bb84(
     Splitting attacks that exploit multi-photon pulses are treated by the
     decoy-intensity machinery, not here.  An invalid ``mean_photons`` raises
     ``ValueError`` from the first Poisson draw.
+
+    Draw order: every round's bit, sender basis and receiver basis first, as
+    one (3, ``n_rounds``) array; then per round the photon-number uniform
+    (weak-coherent source with a positive mean only), one channel uniform
+    per photon, the click uniform and, for a click, the eavesdropper's draws
+    and the measurement uniform; then the disclosure sample.
     """
     if n_rounds <= 0:
         raise ValueError("need at least one round")
     if not 0.0 < disclosed_fraction < 1.0:
         raise ValueError("disclosed fraction must lie strictly between 0 and 1")
-    if detector is None:
-        detector = Detector()
-
-    alice_bits = np.zeros(n_rounds, dtype=np.int8)
-    alice_bases = np.zeros(n_rounds, dtype=np.int8)
-    bob_bits = np.zeros(n_rounds, dtype=np.int8)
-    bob_bases = np.zeros(n_rounds, dtype=np.int8)
-    detected = np.zeros(n_rounds, dtype=bool)
-
-    for i in range(n_rounds):
-        bit = int(rng.integers(0, 2))
-        a_idx = int(rng.integers(0, 2))
-        b_idx = int(rng.integers(0, 2))
-        a_basis = _BASES[a_idx]
-        b_basis = _BASES[b_idx]
-        photons = emit_pulse(mean_photons, rng)
-        if channel is not None:
-            photons = transmit(photons, channel, rng)
-        click = detect(photons, detector, rng)
-        alice_bits[i] = bit
-        alice_bases[i] = a_idx
-        bob_bases[i] = b_idx
-        detected[i] = click
-        if not click:
-            continue
-        state = encoded_qubit(bit, a_basis)
-        if eavesdropper is not None:
-            state = eavesdropper(state, a_basis, rng)
-        bob_bits[i] = measure_qubit(state, 0, b_basis, rng).bit
-
-    sifted_a, sifted_b = sift_keys(alice_bits, alice_bases, bob_bits, bob_bases, detected)
+    detector = Detector() if detector is None else detector
+    rounds = _bb84_rounds(n_rounds, rng, mean_photons, channel, detector, eavesdropper)
     return _finalize_keys(
-        "bb84", n_rounds, sifted_a, sifted_b, disclosed_fraction, abort_threshold, rng
+        "bb84", n_rounds, *sift_keys(*rounds), disclosed_fraction, abort_threshold, rng
     )
 
 

@@ -25,6 +25,7 @@ from qntl.network import (
     route,
     untrusted_node_experiment,
 )
+from qntl.network.topology import _preferential_edges
 from qntl.stats import stream
 
 
@@ -88,6 +89,38 @@ def test_barabasi_albert_exports_are_pinned():
     assert digest.hexdigest() == (
         "f0dd94dc979ddb6255663edf304c9da96f58b2fa04d092fc24852f8c7805aefd"
     )
+
+
+def reference_preferential_edges(n, k, rng):
+    """Preferential attachment as it ran on a numpy degree cumsum and a
+    scalar searchsorted per draw."""
+    edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    degrees = np.zeros(n, dtype=np.int64)
+    degrees[: k + 1] = k
+    for new in range(k + 1, n):
+        targets = set()
+        cumulative = np.cumsum(degrees[:new])
+        while len(targets) < k:
+            pick = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+            targets.add(pick)
+        for t in sorted(targets):
+            edges.append((t, new))
+            degrees[t] += 1
+        degrees[new] = k
+    return edges
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda k: st.tuples(st.integers(k + 2, 120), st.just(k), st.integers(0, 2**32))
+))
+@settings(max_examples=200, deadline=None)
+def test_preferential_edges_match_numpy_reference(case):
+    # Same edges from the same draws: equal edge lists and equal generator
+    # state afterwards.
+    n, k, seed = case
+    rng_ref, rng_new = stream(seed, "preferential"), stream(seed, "preferential")
+    assert _preferential_edges(n, k, rng_new) == reference_preferential_edges(n, k, rng_ref)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_generation_param_overrides_and_errors():

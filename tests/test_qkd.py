@@ -15,7 +15,7 @@ from qntl.attacks import (
     probe_hook,
     probe_infiltrate,
 )
-from qntl.photonics import Detector, LossChannel, SIGNAL, decoy_label
+from qntl.photonics import Detector, LossChannel, SIGNAL, decoy_label, detect, emit_pulse, transmit
 from qntl.qkd import (
     ALICE_TEST_ANGLES,
     BOB_TEST_ANGLES,
@@ -32,9 +32,10 @@ from qntl.qkd import (
     run_relay_chain,
     sift_keys,
     simulate_decoy_transmissions,
+    _bb84_rounds,
     _e91_rounds,
 )
-from qntl.quantum import Basis, bell_pair, measure_qubit, measure_rotated
+from qntl.quantum import Basis, bell_pair, encoded_qubit, measure_qubit, measure_rotated
 from qntl.stats import poisson_sample_array, stream
 
 from distcheck import same_distribution_p
@@ -291,6 +292,70 @@ def test_bb84_attack_never_lowers_qber():
         )
         assert honest.qber_estimate == 0.0
         assert attacked.qber_estimate >= honest.qber_estimate
+
+
+def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, eavesdropper):
+    """BB84 rounds as they ran before the settings were drawn as one array:
+    per round its bit, both basis indices, the photon, channel and click
+    draws, then the measurement.  Returns the arrays of ``_bb84_rounds``."""
+    bases = (Basis.RECTILINEAR, Basis.DIAGONAL)
+    alice_bits = np.zeros(n_rounds, dtype=np.int8)
+    alice_bases = np.zeros(n_rounds, dtype=np.int8)
+    bob_bits = np.zeros(n_rounds, dtype=np.int8)
+    bob_bases = np.zeros(n_rounds, dtype=np.int8)
+    detected = np.zeros(n_rounds, dtype=bool)
+    for i in range(n_rounds):
+        bit = int(rng.integers(0, 2))
+        a_idx = int(rng.integers(0, 2))
+        b_idx = int(rng.integers(0, 2))
+        photons = emit_pulse(mean_photons, rng)
+        if channel is not None:
+            photons = transmit(photons, channel, rng)
+        click = detect(photons, detector, rng)
+        alice_bits[i], alice_bases[i], bob_bases[i], detected[i] = bit, a_idx, b_idx, click
+        if not click:
+            continue
+        state = encoded_qubit(bit, bases[a_idx])
+        if eavesdropper is not None:
+            state = eavesdropper(state, bases[a_idx], rng)
+        bob_bits[i] = measure_qubit(state, 0, bases[b_idx], rng).bit
+    return alice_bits, alice_bases, bob_bits, bob_bases, detected
+
+
+def bb84_cell_counts(rounds):
+    """Counts over the 8 cells 4 * clicked + 2 * bases match + bits equal."""
+    alice_bits, alice_bases, bob_bits, bob_bases, detected = rounds
+    cell = 4 * detected + 2 * (alice_bases == bob_bases) + (alice_bits == bob_bits)
+    return np.bincount(cell, minlength=8)
+
+
+BB84_DIST_CASES = {
+    "honest": dict(mean_photons=None, channel=None, detector=Detector(), eavesdropper=None),
+    "intercept-resend": dict(
+        mean_photons=None, channel=None, detector=Detector(),
+        eavesdropper=intercept_resend("random"),
+    ),
+    "weak-coherent": dict(
+        mean_photons=0.5, channel=LossChannel(0.5), detector=Detector(0.6, 0.01),
+        eavesdropper=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BB84_DIST_CASES))
+def test_bb84_rounds_match_per_round_reference(case):
+    # Family-wise alpha 0.01 over the three cases, so each p > 0.01 / 3;
+    # twenty seeds of 2,000 rounds a side.
+    alpha, seeds, n, kwargs = 0.01 / 3, range(20), 2000, BB84_DIST_CASES[case]
+
+    def reference(rng):
+        return bb84_cell_counts(reference_bb84_rounds(n, rng, **kwargs))
+
+    def candidate(rng):
+        return bb84_cell_counts(_bb84_rounds(n, rng, **kwargs))
+
+    p = same_distribution_p(reference, candidate, seeds, f"bb84-{case}")
+    assert p > alpha, f"{case}: p={p:.3g}"
 
 
 # ---------------------------------------------------------------- e91
