@@ -456,8 +456,8 @@ class QecResult:
 def qec_bitflip_experiment(
     n_blocks: int,
     flip_probability: float,
-    mode: str = "iid",
-    rng: np.random.Generator | None = None,
+    mode: str,
+    rng: np.random.Generator,
 ) -> QecResult:
     """Count the logical errors of the three-bit repetition code.
 
@@ -469,8 +469,6 @@ def qec_bitflip_experiment(
     The logical bits and burst offsets are still drawn, and discarded, so
     that later draws from ``rng`` do not move.
     """
-    if rng is None:
-        raise ValueError("an explicit rng is required")
     if n_blocks <= 0:
         raise ValueError("need at least one block")
     p = float(flip_probability)

@@ -35,6 +35,9 @@ __all__ = [
     "dos_simulate",
 ]
 
+# Trailing window over which the suspicion scheduler counts a source's arrivals.
+SUSPICION_WINDOW_MS = 1_000.0
+
 
 class MitigationKind(str, Enum):
     NONE = "none"
@@ -52,7 +55,7 @@ class Mitigation:
     ``max_embryonic_per_source`` half-open connections per source, checked at
     arrival.  suspicion-scheduler: no admission filtering; when a server
     frees, the oldest queued request of the source with the fewest arrivals
-    in the trailing ``suspicion_window_ms`` is served first.  That is the
+    in the trailing ``SUSPICION_WINDOW_MS`` is served first.  That is the
     same order as ranking sources by their arrival-rate z-score.  The rank
     is per source, so an attack spread over many sources, each no busier
     than a legitimate one, is not pushed back.
@@ -184,7 +187,6 @@ def dos_simulate(
     mean_service_ms: float = 500.0,
     embryonic_timeout_ms: float = 10_000.0,
     patience_ms: float = 3_000.0,
-    suspicion_window_ms: float = 1_000.0,
 ) -> DosResult:
     """Run one connection-flood scenario and tally per-class outcomes.
 
@@ -218,7 +220,7 @@ def dos_simulate(
     def window_count(source: str, now: float) -> int:
         """Arrivals from ``source`` within the trailing suspicion window."""
         times = arrival_times[source]
-        return bisect_right(times, now) - bisect_left(times, now - suspicion_window_ms)
+        return bisect_right(times, now) - bisect_left(times, now - SUSPICION_WINDOW_MS)
 
     buckets = (
         _TokenBuckets(mitigation.rate_per_s, mitigation.burst)

@@ -115,14 +115,7 @@ class Topology:
         return self.adjacency[node_id]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+        return v in self.adjacency.get(u, ())
 
 
 def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, list[tuple[int, int]]]:

@@ -186,15 +186,14 @@ def privacy_amplify(
     bits: np.ndarray,
     leaked_bits: int,
     safety_margin: int = 0,
-    hash_seed: int = DEFAULT_HASH_SEED,
 ) -> np.ndarray:
     """Compress a partially leaked key with a random Toeplitz hash.
 
     The output length is len(bits) - leaked_bits - safety_margin; when that
     is not positive the key is spent and an empty array comes back.  The
-    Toeplitz diagonals are drawn from a stream seeded by ``hash_seed``, which
-    is public shared state (both ends must build the same matrix), so the
-    same input always hashes to the same output.
+    Toeplitz diagonals are drawn from a stream seeded by
+    ``DEFAULT_HASH_SEED``, which is public shared state (both ends must build
+    the same matrix), so the same input always hashes to the same output.
     """
     x = np.asarray(bits, dtype=np.int64)
     if x.ndim != 1:
@@ -209,7 +208,7 @@ def privacy_amplify(
     m = n - leaked - margin
     if m <= 0:
         return np.zeros(0, dtype=np.int8)
-    diagonals = stream(hash_seed, "toeplitz-hash").integers(0, 2, size=n + m - 1)
+    diagonals = stream(DEFAULT_HASH_SEED, "toeplitz-hash").integers(0, 2, size=n + m - 1)
     # Row j of the Toeplitz matrix is diagonals[n-1+j : j-1 : -1], so the
     # product against x is entry n-1+j of the full convolution.  A circular
     # convolution at any length >= n + m - 1 does not wrap onto those entries;

@@ -1,8 +1,10 @@
 """Exact state-vector engine for small qubit registers.
 
-States are dense complex amplitude vectors over one to four qubits.  Qubit 0
-is the leftmost position in a basis label, i.e. the most significant bit of
-the amplitude index: for a two-qubit register, index 2 = 0b10 is |10> with
+States are dense complex amplitude vectors over one to four qubits.  Every
+gate, preparation and measurement works on one view of them,
+``reshape([2] * n)``: one axis per qubit, qubit 0 first.  So qubit 0 is the
+leftmost position in a basis label and the most significant bit of the flat
+amplitude index: for a two-qubit register, index 2 = 0b10 is |10> with
 qubit 0 equal to 1.  States are immutable: operations never mutate their
 input, and the prepared states (:func:`encoded_qubit`, :func:`bell_pair`)
 are module constants shared by every caller, so states can be shared freely
@@ -143,12 +145,9 @@ def basis_state(bits: Sequence[int] | str) -> PureState:
     n = len(bit_list)
     if n > MAX_QUBITS:
         raise ValueError(f"register size must be 1..{MAX_QUBITS}, got {n}")
-    index = 0
-    for b in bit_list:
-        index = (index << 1) | b
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureState(amps, n)
+    amps = np.zeros([2] * n, dtype=np.complex128)
+    amps[tuple(bit_list)] = 1.0
+    return PureState(amps.reshape(-1), n)
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -203,15 +202,6 @@ def _check_qubit(state: PureState, qubit_index: int) -> int:
     return qubit_index
 
 
-# Amplitude index pairs (i, i | stride) that differ only in one qubit, keyed
-# by (register size, qubit index); stride is that qubit's place value.
-_PAIRS = {
-    (n, q): tuple((i, i | 1 << (n - 1 - q)) for i in range(2**n) if not i >> (n - 1 - q) & 1)
-    for n in range(1, MAX_QUBITS + 1)
-    for q in range(n)
-}
-
-
 def measure_rotated(
     state: PureState,
     qubit_index: int,
@@ -242,30 +232,43 @@ def _split(
     """Born split of qubit ``q`` of the complex128 ``amplitudes``: the bound a
     uniform must fall below for outcome 0 (+-inf guard the float gap between
     p0 and 1), and both outcomes, ``None`` where the probability is 0."""
-    pairs = _PAIRS[n, q]
-    amps = np.frombuffer(amplitudes, dtype=np.complex128).tolist()
-    c, s = math.cos(angle), math.sin(angle)
-    comp0 = [c * amps[i] + s * amps[j] for i, j in pairs]
-    comp1 = [-s * amps[i] + c * amps[j] for i, j in pairs]
-    p0 = sum(abs(z) ** 2 for z in comp0)
-    p1 = sum(abs(z) ** 2 for z in comp1)
+    comps = _project(np.frombuffer(amplitudes, dtype=np.complex128), n, (q,), (angle,))
+    p0, p1 = (np.abs(comps) ** 2).sum(axis=1).tolist()
     threshold = math.inf if p1 == 0.0 else -math.inf if p0 == 0.0 else p0
-    out0 = _collapse(pairs, n, 0, comp0, c, s, p0)
-    return threshold, out0, _collapse(pairs, n, 1, comp1, -s, c, p1)
+    outcomes = [None, None]
+    for bit, (eigenvector, comp, p) in enumerate(zip(_eigenvectors(angle), comps, (p0, p1))):
+        if p != 0.0:
+            # The eigenvector on axis q, the component on the other axes.
+            post = np.multiply.outer(eigenvector, comp) * (1.0 / math.sqrt(p))
+            post = np.moveaxis(post.reshape([2] * n), 0, q).reshape(-1)
+            post /= math.sqrt(float(np.sum(np.abs(post) ** 2)))
+            outcomes[bit] = MeasurementOutcome(bit=bit, post_state=PureState(post, n))
+    return threshold, *outcomes
 
 
-def _collapse(pairs, n, bit, comp, u0, u1, p) -> MeasurementOutcome | None:
-    """Outcome ``bit`` with the renormalised projection ``comp`` along the
-    eigenvector (u0, u1), or ``None`` when its probability ``p`` is 0."""
-    if p == 0.0:
-        return None
-    scale = 1.0 / math.sqrt(p)
-    post = [0j] * 2**n
-    for (i, j), z in zip(pairs, comp):
-        post[i] = u0 * z * scale
-        post[j] = u1 * z * scale
-    norm = math.sqrt(sum(abs(z) ** 2 for z in post))
-    return MeasurementOutcome(bit=bit, post_state=PureState([z / norm for z in post], n))
+def _eigenvectors(angle: float) -> np.ndarray:
+    """Rows are the outcome-0 and outcome-1 eigenvectors of
+    :func:`measure_rotated` at ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s], [-s, c]])
+
+
+def _project(
+    amps: np.ndarray, n: int, qubits: Sequence[int], angles: Sequence[float]
+) -> np.ndarray:
+    """Components of the ``n``-qubit ``amps`` along the eigenvectors of
+    ``qubits`` at ``angles``.  Row r holds the measured qubits' outcomes r,
+    the first qubit's the most significant bit; columns run over the other
+    qubits' labels.  Each weight is a product of eigenvector entries, and the
+    weighted amplitudes are summed elementwise, not by a BLAS product, whose
+    fused multiply-adds would leave rounding residue in cells that cancel."""
+    weights = np.ones((1, 1))
+    for angle in angles:
+        e = _eigenvectors(angle)
+        weights = (weights[:, None, :, None] * e[None, :, None, :]).reshape(2 * len(weights), -1)
+    k = len(qubits)
+    view = np.moveaxis(amps.reshape([2] * n), qubits, range(k)).reshape(2**k, -1)
+    return (weights[:, :, None] * view).sum(axis=1)
 
 
 def measure_qubit(
@@ -281,16 +284,6 @@ def measure_qubit(
     return measure_rotated(state, qubit_index, basis.analyzer_angle, rng)
 
 
-@functools.cache
-def _cnot_sources(n: int, control: int, target: int) -> np.ndarray:
-    """CNOT amplitude permutation, cached and shared, hence read-only."""
-    idx = np.arange(2**n)
-    c_bit = (idx >> (n - 1 - control)) & 1
-    source = np.where(c_bit == 1, idx ^ (1 << (n - 1 - target)), idx)
-    source.setflags(write=False)
-    return source
-
-
 def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     """Controlled-NOT: flips ``target`` wherever ``control`` is 1."""
     c = _check_qubit(state, control)
@@ -298,7 +291,11 @@ def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     if c == t:
         raise ValueError("control and target must be distinct qubits")
     n = state.num_qubits
-    return PureState(state.amplitudes[_cnot_sources(n, c, t)], n)
+    amps = state.amplitudes.reshape([2] * n)
+    out = amps.copy()
+    on = (slice(None),) * c + (1,)  # control at 1; the target axis shifts down past it
+    out[on] = np.flip(amps[on], axis=t - (t > c))
+    return PureState(out.reshape(-1), n)
 
 
 def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:
@@ -309,11 +306,9 @@ def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:
     """
     q = _check_qubit(state, qubit_index)
     n = state.num_qubits
-    idx = np.arange(2**n)
-    mask = ((idx >> (n - 1 - q)) & 1) == 1
-    amps = state.amplitudes.copy()
-    amps[mask] *= cmath.exp(1j * float(theta))
-    return PureState(amps, n)
+    amps = state.amplitudes.reshape([2] * n).copy()
+    amps[(slice(None),) * q + (1,)] *= cmath.exp(1j * float(theta))
+    return PureState(amps.reshape(-1), n)
 
 
 def joint_probabilities(
@@ -334,15 +329,7 @@ def joint_probabilities(
     kept = [q for q in range(n) if q not in traced]
     if len(kept) != 2:
         raise ValueError(f"correlation needs exactly 2 remaining qubits, got {len(kept)}")
-    # Rows are the kept pair's four basis labels, columns the traced labels.
-    amps = np.moveaxis(state.amplitudes.reshape([2] * n), kept, (0, 1)).reshape(4, -1)
-    # Rows of each are the outcome-0 and outcome-1 eigenvectors.  Products are
-    # summed elementwise, not by a BLAS product, whose fused multiply-adds
-    # would leave rounding residue in cells that cancel.
-    ea, eb = (np.array([[math.cos(x), math.sin(x)], [-math.sin(x), math.cos(x)]])
-              for x in (angle_a, angle_b))
-    weights = (ea[:, None, :, None] * eb[None, :, None, :]).reshape(4, 4)
-    projected = (weights[:, :, None] * amps).sum(axis=1)
+    projected = _project(state.amplitudes, n, kept, (angle_a, angle_b))
     return (np.abs(projected) ** 2).sum(axis=1).reshape(2, 2)
 
 

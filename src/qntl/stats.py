@@ -41,6 +41,10 @@ _MAX_POISSON_MEAN = 700.0
 # so u * _GUIDE_BUCKETS is exact and truncates to the bucket holding u.
 _GUIDE_BUCKETS = 1 << 12
 
+# Goodness-of-fit tail bins are merged until each expects at least this many
+# counts, the usual rule of thumb for the chi-square approximation.
+CHI_SQUARE_MIN_EXPECTED = 5.0
+
 
 def _label_entropy(label: str) -> int:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -266,11 +270,10 @@ def zscore_compare(a: Histogram, b: Histogram) -> ZScoreSeries:
 def chi_square_gof(
     hist: Histogram,
     pmf: Callable[[int], float],
-    min_expected: float = 5.0,
 ) -> float:
     """Chi-square goodness-of-fit p-value of ``hist`` against an analytic pmf.
 
-    Expected counts below ``min_expected`` are merged rightward into the tail
+    Expected counts below ``CHI_SQUARE_MIN_EXPECTED`` are merged rightward into the tail
     before the statistic is formed, so sparse tail bins cannot dominate.
     The last bin is treated as the distribution's full upper tail when the
     histogram aggregates overflow.  The p-value is ``scipy.special.chdtrc``
@@ -298,7 +301,7 @@ def chi_square_gof(
     # Merge the right tail until every retained bin has enough mass.
     exp_list = list(expected)
     obs_list = list(observed)
-    while len(exp_list) > 1 and exp_list[-1] < min_expected:
+    while len(exp_list) > 1 and exp_list[-1] < CHI_SQUARE_MIN_EXPECTED:
         exp_list[-2] += exp_list[-1]
         obs_list[-2] += obs_list[-1]
         del exp_list[-1], obs_list[-1]

@@ -445,5 +445,3 @@ def test_qec_validation():
         qec_bitflip_experiment(10, 1.5, "iid", rng)
     with pytest.raises(ValueError):
         qec_bitflip_experiment(10, 0.1, "triple", rng)
-    with pytest.raises(ValueError):
-        qec_bitflip_experiment(10, 0.1, "iid", None)

@@ -320,6 +320,35 @@ def test_plot_decay_figures(tmp_path):
     assert names and all(name.startswith("fig6b-grid-d") for name in names)
 
 
+def test_plot_decay_figures_with_svg(tmp_path):
+    report = tmp_path / "report.json"
+    main(["run", "topology-decay", "--kinds", "grid,tree", "--fractions", "0,0.2",
+          "--trials", "2", "--pairs", "4", "--seed", "7", "--format", "json",
+          "--out", str(report)])
+    agg_dir, dist_dir = tmp_path / "a", tmp_path / "b"
+    assert main(["plot", "fig6a", "--report", str(report), "--out-dir", str(agg_dir),
+                 "--svg"]) == 0
+    assert sorted(p.name for p in agg_dir.iterdir()) == [
+        "fig6a-grid.csv", "fig6a-tree.csv", "fig6a.svg"]
+    for name in ("fig6a-grid.csv", "fig6a-tree.csv"):
+        header = (agg_dir / name).read_text().splitlines()[0]
+        assert header == "fraction,mean_count"
+    assert (agg_dir / "fig6a.svg").read_text().lstrip().startswith("<svg")
+
+    assert main(["plot", "fig6b", "--report", str(report), "--out-dir", str(dist_dir),
+                 "--svg"]) == 0
+    csvs = sorted(p.name for p in dist_dir.glob("*.csv"))
+    assert any(n.startswith("fig6b-grid-d") for n in csvs)
+    assert any(n.startswith("fig6b-tree-d") for n in csvs)
+    assert all(n.startswith(("fig6b-grid-d", "fig6b-tree-d")) for n in csvs)
+    for name in csvs:
+        header = (dist_dir / name).read_text().splitlines()[0]
+        assert header == "fraction,mean_count"
+    svgs = sorted(p.name for p in dist_dir.glob("*.svg"))
+    assert svgs == ["fig6b-grid.svg", "fig6b-tree.svg"]
+    assert len(list(dist_dir.iterdir())) == len(csvs) + len(svgs)
+
+
 def test_plot_mismatch_and_unknown_figure(tmp_path, capsys):
     report = tmp_path / "report.json"
     main(["run", "pns", "--pulses", "10000", "--strategies", "no-eve",

@@ -1,4 +1,5 @@
 """Tests for the small-register state-vector engine."""
+import cmath
 import itertools
 import math
 
@@ -400,6 +401,54 @@ def test_operations_preserve_norm(seed, theta):
         measure_rotated(state, 1, theta, stream(seed, "norm-meas")).post_state,
     ):
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-9
+
+
+def reference_basis_state(bits):
+    """Basis state amplitudes from the flat index, qubit 0 its most
+    significant bit."""
+    index = 0
+    for b in bits:
+        index = (index << 1) | b
+    amps = np.zeros(2 ** len(bits), dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
+
+
+def reference_apply_cnot(state, control, target):
+    """CNOT as a flat-index permutation: qubit q is bit n - 1 - q."""
+    n = state.num_qubits
+    idx = np.arange(2**n)
+    c_bit = (idx >> (n - 1 - control)) & 1
+    return state.amplitudes[np.where(c_bit == 1, idx ^ (1 << (n - 1 - target)), idx)]
+
+
+def reference_apply_phase(state, qubit, theta):
+    """Phase gate through a flat-index mask: qubit q is bit n - 1 - q."""
+    n = state.num_qubits
+    idx = np.arange(2**n)
+    amps = state.amplitudes.copy()
+    amps[((idx >> (n - 1 - qubit)) & 1) == 1] *= cmath.exp(1j * float(theta))
+    return amps
+
+
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=4))
+def test_basis_state_matches_index_reference(bits):
+    assert np.array_equal(basis_state(bits).amplitudes, reference_basis_state(bits))
+
+
+@given(register=registers(), theta=st.floats(-10.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_gates_match_index_reference(register, theta):
+    # Every qubit for the phase gate and every control != target pair for
+    # CNOT, on random and computational basis states of 1-4 qubits.
+    state, _ = register
+    n = state.num_qubits
+    for qubit in range(n):
+        out = apply_phase(state, qubit, theta)
+        assert np.array_equal(out.amplitudes, reference_apply_phase(state, qubit, theta))
+    for control, target in itertools.permutations(range(n), 2):
+        out = apply_cnot(state, control, target)
+        assert np.array_equal(out.amplitudes, reference_apply_cnot(state, control, target))
 
 
 # ---------------------------------------------------------------- correlators
