@@ -3,11 +3,14 @@ probes, interlock spoofing, intercept-resend, and code-aware noise.
 
 Intercept-resend is a hook that a protocol calls on one flying qubit at a
 time; the entangling probe is a map that a protocol applies once to its pair
-state.  The splitting, Trojan-horse, interlock and repetition-code models
-draw a whole experiment's variates as arrays.
+state.  The splitting and interlock models draw a whole experiment's
+per-pulse or per-exchange variates as arrays; the Trojan-horse and
+repetition-code models draw the counts they report, one draw per block of
+photons or per cell.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,8 +30,6 @@ from .quantum import (
 from .stats import Histogram, ZScoreSeries, poisson_sample_array, zscore_compare
 
 __all__ = [
-    "BASIS_RECT",
-    "BASIS_DIAG",
     "PnsVariant",
     "PnsStrategy",
     "PnsExperimentResult",
@@ -36,8 +37,6 @@ __all__ = [
     "pns_experiment",
     "TrojanVariant",
     "TrojanPolicy",
-    "GainLedger",
-    "photon_gain_increment",
     "trojan_gain_experiment",
     "probe_infiltrate",
     "probe_hook",
@@ -48,11 +47,6 @@ __all__ = [
     "qec_bitflip_experiment",
     "iid_logical_error_rate",
 ]
-
-# Basis tags used in gain bookkeeping: +1 rectilinear, -1 diagonal.
-BASIS_RECT = 1
-BASIS_DIAG = -1
-
 
 # ---------------------------------------------------------------------------
 # Photon-number splitting
@@ -232,105 +226,42 @@ class TrojanPolicy:
         return self.variant.value
 
 
-def photon_gain_increment(eve_basis: int, alice_basis: int, phase_shift: float) -> float:
-    """Expected information gain from one probed photon: the probability
-    that the prober reads the sender's bit.
-
-    A wrong basis guess is worth 1/2.  A correct rectilinear guess reads the
-    photon perfectly (gain 1), phase shifts being invisible in that basis.  A
-    correct diagonal guess reads the phase-shifted state with the Born
-    probability cos^2(theta/2): perfect without a shift, a coin flip at a
-    quarter turn, always wrong at a half turn.
-    """
-    if eve_basis not in (BASIS_RECT, BASIS_DIAG) or alice_basis not in (BASIS_RECT, BASIS_DIAG):
-        raise ValueError("basis tags must be +1 (rectilinear) or -1 (diagonal)")
-    if eve_basis != alice_basis:
-        return 0.5
-    if alice_basis == BASIS_RECT:
-        return 1.0
-    return math.cos(0.5 * phase_shift) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class GainLedger:
-    """Per-photon gain bookkeeping for a Trojan-horse run.
-
-    Every row carries the basis pair and the phase shift that produced its
-    gain, so the ledger can be re-derived entry by entry.
-    """
-
-    per_photon_gain: np.ndarray
-    eve_bases: np.ndarray
-    alice_bases: np.ndarray
-    phase_shifts: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.per_photon_gain, dtype=float)
-        eb = np.asarray(self.eve_bases, dtype=np.int8)
-        ab = np.asarray(self.alice_bases, dtype=np.int8)
-        ph = np.asarray(self.phase_shifts, dtype=float)
-        if not (g.shape == eb.shape == ab.shape == ph.shape) or g.ndim != 1:
-            raise ValueError("ledger columns must be 1-d arrays of equal length")
-        for arr in (g, eb, ab, ph):
-            arr.setflags(write=False)
-        object.__setattr__(self, "per_photon_gain", g)
-        object.__setattr__(self, "eve_bases", eb)
-        object.__setattr__(self, "alice_bases", ab)
-        object.__setattr__(self, "phase_shifts", ph)
-
-    @property
-    def n_photons(self) -> int:
-        return self.per_photon_gain.size
-
-    @property
-    def cumulative_gain(self) -> float:
-        return float(self.per_photon_gain.sum())
-
-    def cumulative_series(self) -> np.ndarray:
-        return np.cumsum(self.per_photon_gain)
-
-    def recompute_gain(self, index: int) -> float:
-        return photon_gain_increment(
-            int(self.eve_bases[index]),
-            int(self.alice_bases[index]),
-            float(self.phase_shifts[index]),
-        )
-
-
 def trojan_gain_experiment(
-    n_photons: int,
+    checkpoints: Sequence[int] | np.ndarray,
     policy: TrojanPolicy,
     rng: np.random.Generator,
-) -> GainLedger:
-    """Accumulate an eavesdropper's expected gain over probed photons.
+) -> np.ndarray:
+    """Cumulative expected gain of an eavesdropper probing photons, read at
+    each of the strictly increasing photon counts ``checkpoints``.
 
     The sender draws each photon's state uniformly from {|0>, |1>, |+>, |->}
     and applies the policy's phase to diagonal states only; the prober
-    guesses a basis uniformly.  Gains follow :func:`photon_gain_increment`.
-    """
-    if n_photons <= 0:
-        raise ValueError("need at least one photon")
-    diag = rng.integers(0, 4, size=n_photons) >= 2
-    if policy.variant is TrojanVariant.RANDOM_SHIFT:
-        shifts = np.zeros(n_photons)
-        diagonal = np.flatnonzero(diag)
-        shifts[diagonal] = rng.random(diagonal.size) * (2.0 * math.pi)
-    else:
-        shifts = diag * policy.shift  # the no-shift policy's shift is 0.0
-    eve_diag = rng.integers(0, 2, size=n_photons) == 1
+    guesses a basis uniformly.  A photon's gain is the probability that the
+    prober reads the sender's bit: 1/2 for a wrong guess (probability 1/2),
+    1 for a correct rectilinear guess (1/4), phase shifts being invisible in
+    that basis, and the Born probability cos^2(theta/2) for a correct
+    diagonal guess (1/4): perfect without a shift, a coin flip at a quarter
+    turn, always wrong at a half turn.
 
-    # A wrong guess gains 1/2 and a correct one 1, except a correct diagonal
-    # guess, which feels the phase.
-    correct = eve_diag == diag
-    gains = 0.5 + 0.5 * correct
-    probed = np.flatnonzero(correct & diag)
-    gains[probed] = np.cos(0.5 * shifts[probed]) ** 2
-    return GainLedger(
-        per_photon_gain=gains,
-        eve_bases=1 - 2 * eve_diag.view(np.int8),  # BASIS_RECT or BASIS_DIAG
-        alice_bases=1 - 2 * diag.view(np.int8),
-        phase_shifts=shifts,
-    )
+    Draws, in order: one multinomial over those three cases per block of
+    photons between checkpoints, then, for the random-shift policy only, one
+    uniform phase in [0, 2*pi) per correct diagonal guess.
+    """
+    checkpoints = np.asarray(checkpoints, dtype=np.int64)
+    if checkpoints.ndim != 1 or checkpoints.size == 0:
+        raise ValueError("need at least one checkpoint")
+    blocks = np.diff(checkpoints, prepend=0)
+    if np.any(blocks <= 0):
+        raise ValueError("checkpoints must be strictly increasing photon counts >= 1")
+    wrong, rect, diag = rng.multinomial(blocks, [0.5, 0.25, 0.25]).T
+    diag_seen = np.cumsum(diag)
+    if policy.variant is TrojanVariant.RANDOM_SHIFT:
+        phases = rng.random(int(diag_seen[-1])) * (2.0 * math.pi)
+        read = np.concatenate(([0.0], np.cumsum(np.cos(0.5 * phases) ** 2)))
+        diag_gain = read[diag_seen]
+    else:
+        diag_gain = diag_seen * math.cos(0.5 * policy.shift) ** 2  # no-shift's shift is 0.0
+    return np.cumsum(0.5 * wrong + rect) + diag_gain
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +384,22 @@ class QecResult:
     correctable_qubit_fraction: float = 1.0 / 3.0
 
 
+def _block_failure_probability(p: float, mode: str) -> float:
+    """Probability that majority decoding of one block fails.
+
+    iid: the weight of the 8 flip patterns whose majority vote flips the
+    block.  burst-2: a fired burst flips two adjacent bits, which the vote
+    always gets wrong, and no other pattern occurs, so p.
+    """
+    if mode == "burst-2":
+        return p
+    total = 0.0
+    for pattern in itertools.product((0, 1), repeat=3):
+        if sum(pattern) >= 2:
+            total += math.prod(p if flipped else 1.0 - p for flipped in pattern)
+    return total
+
+
 def qec_bitflip_experiment(
     n_blocks: int,
     flip_probability: float,
@@ -463,11 +410,10 @@ def qec_bitflip_experiment(
 
     Modes: "iid" flips each physical bit independently with probability p;
     "burst-2" flips one randomly chosen adjacent pair with probability p,
-    which defeats the code exactly when it fires (logical rate p).  Majority
-    decoding fails exactly when two or more of a block's three bits flip,
-    whatever its logical bit, so failures are counted from the flips alone.
-    The logical bits and burst offsets are still drawn, and discarded, so
-    that later draws from ``rng`` do not move.
+    which defeats the code exactly when it fires (logical rate p).  Blocks
+    are independent and whether one decodes wrongly does not depend on its
+    logical bit, so the error count is one Binomial(n_blocks, P) draw, with
+    P the per-block failure probability.
     """
     if n_blocks <= 0:
         raise ValueError("need at least one block")
@@ -476,15 +422,7 @@ def qec_bitflip_experiment(
         raise ValueError(f"flip probability must lie in [0, 1], got {p}")
     if mode not in ("iid", "burst-2"):
         raise ValueError(f"unknown noise mode {mode!r}")
-
-    rng.integers(0, 2, size=n_blocks, dtype=np.int8)  # logical bits
-    if mode == "iid":
-        flips = (rng.random((n_blocks, 3)) < p).view(np.uint8)
-        failed = flips[:, 0] + flips[:, 1] + flips[:, 2] >= 2
-    else:
-        failed = rng.random(n_blocks) < p  # a burst flips two adjacent bits
-        rng.integers(0, 2, size=n_blocks)  # its offset: pair (0,1) or (1,2)
-    errors = int(np.count_nonzero(failed))
+    errors = int(rng.binomial(n_blocks, _block_failure_probability(p, mode)))
     return QecResult(
         mode=mode,
         flip_probability=p,

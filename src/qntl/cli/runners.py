@@ -251,19 +251,18 @@ _TROJAN_SPECS = (
 def _run_trojan(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
     n = params["photons"]
     stride = max(n // 200, 1)
+    checkpoints = list(range(stride, n + 1, stride))
+    if n % stride != 0:
+        checkpoints.append(n)
     columns = ("policy", "photon_index", "cumulative_gain")
     rows: Rows = []
     gain_per_photon: dict[str, float] = {}
     rng = stream(seed, "trojan")
     for token in params["policies"]:
         policy = _trojan_policy(token)
-        ledger = attacks.trojan_gain_experiment(n, policy, rng)
-        series = ledger.cumulative_series()
+        series = attacks.trojan_gain_experiment(checkpoints, policy, rng)
         label = policy.label()
-        for i in range(stride - 1, n, stride):
-            rows.append(_row(label, i + 1, series[i]))
-        if n % stride != 0:
-            rows.append(_row(label, n, series[-1]))
+        rows.extend(_row(label, k, gain) for k, gain in zip(checkpoints, series))
         gain_per_photon[label] = float(series[-1]) / n
     summary: Summary = {"n_photons": n, "gain_per_photon": gain_per_photon}
     return columns, rows, summary

@@ -22,7 +22,10 @@ from .photonics import Detector, LossChannel, detect, emit_pulse, transmit
 from .quantum import CHSH_OPTIMAL_ANGLES, Basis, PureState, bell_pair, encoded_qubit
 # measure_rotated has no caller here: bench/tracing.py patches qntl.qkd:measure_rotated.
 from .quantum import joint_probabilities, measure_qubit, measure_rotated  # noqa: F401
-from .stats import chsh_estimate, poisson_sample_array, stream
+from .stats import chsh_estimate, poisson_pmf, stream
+# poisson_sample_array has no caller here: bench/tracing.py patches
+# qntl.qkd:poisson_sample_array.
+from .stats import poisson_sample_array  # noqa: F401
 
 __all__ = [
     "DEFAULT_ABORT_THRESHOLD",
@@ -600,14 +603,20 @@ def simulate_decoy_transmissions(
 ) -> list[DecoyTally]:
     """Send each intensity class and tally receiver clicks.
 
-    Without an attacker, each photon survives the loss channel independently,
-    so a Poisson(mu) pulse arrives as exactly Poisson(mu * transmittance)
-    photons and those counts are drawn directly.  With a splitting
-    ``attacker``, the attacker taps at the source, forwards her chosen photon
-    numbers over a lossless bypass (the strongest version of the attack: she
-    replaces the lossy fiber), and the channel transmittance never applies.
-    Random intercept thins the same way, to Poisson(mu * (1 - q)); the other
-    strategies act on the emitted counts.
+    Pulses are independent, so a class of n pulses clicks Binomial(n, Q)
+    times, with Q = sum over k of P(k photons arrive) times the detector's
+    click probability at k; each class takes one binomial draw, in order.
+    Without an attacker, each photon survives the loss channel
+    independently, so a Poisson(mu) pulse arrives as exactly
+    Poisson(mu * transmittance) photons.  With a splitting ``attacker``, the
+    attacker taps at the source, forwards her chosen photon numbers over a
+    lossless bypass (the strongest version of the attack: she replaces the
+    lossy fiber), and the channel transmittance never applies.  Random
+    intercept thins the same way, to Poisson(mu * (1 - q)); the other
+    strategies map the emitted Poisson(mu) counts through
+    :func:`pns_transform_counts`.  Each Poisson law is cut where its tail
+    falls below 1e-16 (:func:`qntl.stats.poisson_pmf`), which lowers Q by
+    less than that.
     """
     if not intensities:
         raise ValueError("need at least one intensity class")
@@ -616,25 +625,33 @@ def simulate_decoy_transmissions(
         raise ValueError(f"duplicate intensity labels: {labels}")
     tallies: list[DecoyTally] = []
     for item in intensities:
-        mu, n = item.mean_photons, item.n_pulses
-        if attacker is None:
-            arriving = poisson_sample_array(mu * channel.transmittance, rng, n)
-        elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
-            arriving = poisson_sample_array(mu * (1.0 - attacker.intercept_probability), rng, n)
-        else:
-            _, arriving = pns_transform_counts(poisson_sample_array(mu, rng, n), attacker)
-        # Click probability per arriving photon number, looked up by count.
-        by_count = detector.click_probability(np.arange(arriving.max() + 1))
-        clicks = int(np.count_nonzero(rng.random(n) < by_count[arriving]))
+        q = _click_probability(item.mean_photons, channel, detector, attacker)
         tallies.append(
             DecoyTally(
                 label=item.label,
                 mean_photons=float(item.mean_photons),
                 sent=int(item.n_pulses),
-                detected=clicks,
+                detected=int(rng.binomial(item.n_pulses, q)),
             )
         )
     return tallies
+
+
+def _click_probability(
+    mu: float, channel: LossChannel, detector: Detector, attacker: PnsStrategy | None
+) -> float:
+    """Q, the click probability of one Poisson(mu) pulse: the arriving
+    photon-number pmf weighted by the detector's click probability."""
+    if attacker is None:
+        arriving = poisson_pmf(mu * channel.transmittance)
+    elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
+        arriving = poisson_pmf(mu * (1.0 - attacker.intercept_probability))
+    else:
+        emitted = poisson_pmf(mu)
+        _, forwarded = pns_transform_counts(np.arange(emitted.size), attacker)
+        arriving = np.bincount(forwarded, weights=emitted)
+    q = float(arriving @ detector.click_probability(np.arange(arriving.size)))
+    return min(q, 1.0)  # the masses may sum past 1 by a few ulps
 
 
 def _model_gain(mu: float, channel: LossChannel, detector: Detector) -> float:

@@ -5,10 +5,10 @@ from a root seed, a text label, and a trial index.  The derivation mixes the
 label through SHA-256, so streams for different experiments (or different
 trials of the same experiment) are independent, and under one numpy version
 the same triple always reproduces the same draws.  The promise stops at that
-version: ``exponential``, ``choice``, ``permutation`` and ``spawn``, which
-callers also use, fall outside NumPy's stream-compatibility policy (NEP 19),
-so another numpy release may change their draws and the rows built from
-them.
+version: ``exponential``, ``binomial``, ``multinomial``, ``choice``,
+``permutation`` and ``spawn``, which callers also use, fall outside NumPy's
+stream-compatibility policy (NEP 19), so another numpy release may change
+their draws and the rows built from them.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ __all__ = [
     "stream",
     "poisson_sample",
     "poisson_sample_array",
+    "poisson_pmf",
     "Histogram",
     "ZScoreSeries",
     "zscore_compare",
@@ -36,6 +37,9 @@ MAX_SEED = 2**64 - 1
 # Largest mean for which the term-by-term CDF inversion below stays within
 # float range (exp(-mu) underflows near 745).
 _MAX_POISSON_MEAN = 700.0
+
+# Poisson mass that poisson_pmf may leave off its support.
+_PMF_TAIL = 1e-16
 
 # Buckets of the array sampler's guide table over [0, 1); a power of two,
 # so u * _GUIDE_BUCKETS is exact and truncates to the bucket holding u.
@@ -120,11 +124,6 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
     mu = _check_mean(mu)
     if size < 0:
         raise ValueError("size must be >= 0")
-    if mu == 0.0:
-        # Discarded, but the decoy experiment keeps drawing from this stream
-        # after a vacuum class, so its rows depend on this position.
-        rng.random(size)
-        return np.zeros(size, dtype=np.int64)
     u = rng.random(size)
     if size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -143,6 +142,24 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
     ambiguous = np.flatnonzero(counts < 0)
     counts[ambiguous] = np.searchsorted(cdf, u[ambiguous], side="left")
     return counts
+
+
+def poisson_pmf(mu: float) -> np.ndarray:
+    """Poisson(mu) probabilities of 0, 1, ..., K, cut where the tail is small.
+
+    K is the smallest count with K + 2 > mu whose tail bound
+    P(K+1) / (1 - mu/(K+2)) is below 1e-16 (past K+1 each term is at most
+    mu/(K+2) times the one before it), so the mass left off, P(X > K), is
+    below 1e-16.
+    """
+    mu = _check_mean(mu)
+    pmf = [math.exp(-mu)]
+    while True:
+        k = len(pmf)  # the count the next term belongs to
+        nxt = pmf[-1] * mu / k
+        if k + 1 > mu and nxt < _PMF_TAIL * (1.0 - mu / (k + 1)):
+            return np.asarray(pmf)
+        pmf.append(nxt)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Tests for the attack models and their experiment drivers."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,15 +10,13 @@ from scipy.stats import binom as sp_binom
 from scipy.stats import poisson as sp_poisson
 
 from qntl.attacks import (
-    BASIS_DIAG,
-    BASIS_RECT,
-    GainLedger,
     PnsStrategy,
     TrojanPolicy,
+    TrojanVariant,
+    _block_failure_probability,
     iid_logical_error_rate,
     interlock_detection_rate,
     interlock_exchange,
-    photon_gain_increment,
     pns_experiment,
     pns_transform_counts,
     probe_infiltrate,
@@ -166,6 +165,79 @@ def test_pns_experiment_validation():
 
 # ---------------------------------------------------------------- trojan horse
 
+# The per-photon reference: every photon's bases, phase and gain, as the
+# kernel drew them before it drew category counts per block.  Basis tags: +1
+# rectilinear, -1 diagonal.
+BASIS_RECT = 1
+BASIS_DIAG = -1
+
+
+def photon_gain_increment(eve_basis, alice_basis, phase_shift):
+    """Expected information gain from one probed photon: the probability
+    that the prober reads the sender's bit."""
+    if eve_basis not in (BASIS_RECT, BASIS_DIAG) or alice_basis not in (BASIS_RECT, BASIS_DIAG):
+        raise ValueError("basis tags must be +1 (rectilinear) or -1 (diagonal)")
+    if eve_basis != alice_basis:
+        return 0.5
+    if alice_basis == BASIS_RECT:
+        return 1.0
+    return math.cos(0.5 * phase_shift) ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class GainLedger:
+    """Per-photon gain bookkeeping: every row carries the basis pair and the
+    phase shift that produced its gain."""
+
+    per_photon_gain: np.ndarray
+    eve_bases: np.ndarray
+    alice_bases: np.ndarray
+    phase_shifts: np.ndarray
+
+    def __post_init__(self):
+        columns = (self.per_photon_gain, self.eve_bases, self.alice_bases, self.phase_shifts)
+        shapes = {np.shape(column) for column in columns}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("ledger columns must be 1-d arrays of equal length")
+
+    def cumulative_series(self):
+        return np.cumsum(self.per_photon_gain)
+
+    def recompute_gain(self, index):
+        return photon_gain_increment(
+            int(self.eve_bases[index]),
+            int(self.alice_bases[index]),
+            float(self.phase_shifts[index]),
+        )
+
+
+def reference_trojan_ledger(n_photons, policy, rng):
+    """Draw every photon's sender basis, phase and prober guess, then its gain."""
+    diag = rng.integers(0, 4, size=n_photons) >= 2
+    if policy.variant is TrojanVariant.RANDOM_SHIFT:
+        shifts = np.zeros(n_photons)
+        diagonal = np.flatnonzero(diag)
+        shifts[diagonal] = rng.random(diagonal.size) * (2.0 * math.pi)
+    else:
+        shifts = diag * policy.shift
+    eve_diag = rng.integers(0, 2, size=n_photons) == 1
+    correct = eve_diag == diag
+    gains = 0.5 + 0.5 * correct
+    probed = np.flatnonzero(correct & diag)
+    gains[probed] = np.cos(0.5 * shifts[probed]) ** 2
+    return GainLedger(
+        per_photon_gain=gains,
+        eve_bases=1 - 2 * eve_diag.astype(np.int8),
+        alice_bases=1 - 2 * diag.astype(np.int8),
+        phase_shifts=shifts,
+    )
+
+
+def per_photon_gains(policy, rng, n):
+    """The kernel read after every photon, as per-photon increments."""
+    return np.diff(trojan_gain_experiment(np.arange(1, n + 1), policy, rng), prepend=0.0)
+
+
 def test_gain_increment_case_table():
     # wrong basis guess is worth half a bit regardless of phase
     assert photon_gain_increment(BASIS_RECT, BASIS_DIAG, 0.0) == 0.5
@@ -202,14 +274,16 @@ def test_gain_increment_is_the_born_probability(bit):
 
 
 def test_trojan_kernel_gains_are_the_born_probability():
+    # A twin stream replays the kernel's first draw, the per-photon case:
+    # 0 wrong guess, 1 correct rectilinear, 2 correct diagonal.
+    n = 400
     for k, theta in enumerate(THETA_GRID):
-        ledger = trojan_gain_experiment(
-            400, TrojanPolicy.fixed_shift(theta), stream(k, "trojan-born")
-        )
-        probed = (ledger.eve_bases == BASIS_DIAG) & (ledger.alice_bases == BASIS_DIAG)
-        assert probed.any()
-        born = born_read_probability(0, theta)
-        assert np.all(np.abs(ledger.per_photon_gain[probed] - born) <= 1e-12)
+        gains = per_photon_gains(TrojanPolicy.fixed_shift(theta), stream(k, "trojan-born"), n)
+        cases = stream(k, "trojan-born").multinomial(np.ones(n, dtype=np.int64), [0.5, 0.25, 0.25])
+        case = cases.argmax(axis=1)
+        assert np.count_nonzero(case == 2) > 0
+        expected = np.choose(case, [0.5, 1.0, born_read_probability(0, theta)])
+        assert np.all(np.abs(gains - expected) <= 1e-12)
 
 
 def expected_slope(shift):
@@ -225,38 +299,66 @@ def test_trojan_gain_slopes():
     assert expected_slope(0.0) == pytest.approx(0.75)
     assert expected_slope(math.pi / 2) == pytest.approx(0.625)
     n = 10**5
-    plain = trojan_gain_experiment(n, TrojanPolicy.no_shift(), stream(42, "trojan-plain"))
-    fixed = trojan_gain_experiment(
-        n, TrojanPolicy.fixed_shift(math.pi / 2), stream(42, "trojan-fixed")
+    [plain] = trojan_gain_experiment([n], TrojanPolicy.no_shift(), stream(42, "trojan-plain"))
+    [fixed] = trojan_gain_experiment(
+        [n], TrojanPolicy.fixed_shift(math.pi / 2), stream(42, "trojan-fixed")
     )
-    randomized = trojan_gain_experiment(
-        n, TrojanPolicy.random_shift(), stream(42, "trojan-random")
+    [randomized] = trojan_gain_experiment(
+        [n], TrojanPolicy.random_shift(), stream(42, "trojan-random")
     )
-    assert abs(plain.cumulative_gain / n - 0.75) < 0.0075
-    assert abs(fixed.cumulative_gain / n - 0.625) < 0.00625
-    assert abs(randomized.cumulative_gain / n - 0.625) < 0.00625
+    assert abs(plain / n - 0.75) < 0.0075
+    assert abs(fixed / n - 0.625) < 0.00625
+    assert abs(randomized / n - 0.625) < 0.00625
     # the defenses are indistinguishable from each other ...
-    assert abs(fixed.cumulative_gain - randomized.cumulative_gain) / n < 0.01
+    assert abs(fixed - randomized) / n < 0.01
     # ... and both cut the slope by an eighth
-    separation = (plain.cumulative_gain - fixed.cumulative_gain) / n
+    separation = (plain - fixed) / n
     assert abs(separation - 0.125) < 0.005
 
 
 def test_trojan_increments_come_from_the_case_table():
-    ledger = trojan_gain_experiment(
-        2000, TrojanPolicy.fixed_shift(math.pi / 2), stream(7, "trojan-inc")
-    )
-    values = set(np.round(ledger.per_photon_gain, 12))
-    assert values == {0.5, 1.0}
-    series = ledger.cumulative_series()
-    assert series.size == 2000
-    assert series[-1] == pytest.approx(ledger.cumulative_gain)
+    gains = per_photon_gains(TrojanPolicy.fixed_shift(math.pi / 2), stream(7, "trojan-inc"), 2000)
+    assert gains.size == 2000
+    assert set(np.round(gains, 12)) == {0.5, 1.0}
 
 
 def test_trojan_ledger_recomputes_entry_by_entry():
-    ledger = trojan_gain_experiment(500, TrojanPolicy.random_shift(), stream(8, "trojan-led"))
+    ledger = reference_trojan_ledger(500, TrojanPolicy.random_shift(), stream(8, "trojan-led"))
     for i in range(0, 500, 17):
         assert ledger.recompute_gain(i) == pytest.approx(float(ledger.per_photon_gain[i]))
+
+
+# Block increments of five photons span [0, 5]; bins of width 1/4 centred
+# on the multiples of 1/4 keep the no-shift and quarter-turn atoms (sums of
+# halves) away from the bin edges.
+TROJAN_BLOCK = 5
+TROJAN_BINS = np.arange(-0.125, TROJAN_BLOCK + 0.25, 0.25)
+
+
+def test_trojan_matches_per_photon_reference():
+    # Family-wise alpha 0.01 over four policies, so each p > 0.0025; ten
+    # seeds of 20,000 photons a side, read every five photons, so the
+    # kernel's multi-photon blocks and its phase bookkeeping are both used.
+    alpha, seeds, n = 0.01 / 4, range(10), 20_000
+    checkpoints = np.arange(TROJAN_BLOCK, n + 1, TROJAN_BLOCK)
+    policies = (
+        TrojanPolicy.no_shift(),
+        TrojanPolicy.fixed_shift(math.pi / 2),
+        TrojanPolicy.fixed_shift(1.0),
+        TrojanPolicy.random_shift(),
+    )
+    for policy in policies:
+
+        def reference(rng):
+            series = reference_trojan_ledger(n, policy, rng).cumulative_series()
+            return np.histogram(np.diff(series[checkpoints - 1], prepend=0.0), TROJAN_BINS)[0]
+
+        def candidate(rng):
+            series = trojan_gain_experiment(checkpoints, policy, rng)
+            return np.histogram(np.diff(series, prepend=0.0), TROJAN_BINS)[0]
+
+        p = same_distribution_p(reference, candidate, seeds, f"trojan-{policy.label()}")
+        assert p > alpha, f"{policy.label()}: p={p:.3g}"
 
 
 def test_trojan_policy_validation():
@@ -264,8 +366,9 @@ def test_trojan_policy_validation():
         TrojanPolicy.fixed_shift(-0.5)
     with pytest.raises(ValueError):
         TrojanPolicy.fixed_shift(2 * math.pi)
-    with pytest.raises(ValueError):
-        trojan_gain_experiment(0, TrojanPolicy.no_shift(), stream(0, "x"))
+    for checkpoints in ([], [0], [5, 5], [5, 3], [[1, 2]]):
+        with pytest.raises(ValueError):
+            trojan_gain_experiment(checkpoints, TrojanPolicy.no_shift(), stream(0, "x"))
     with pytest.raises(ValueError):
         GainLedger(
             per_photon_gain=np.ones(3),
@@ -378,11 +481,13 @@ def test_iid_rate_matches_pattern_enumeration():
 
     for p in (0.0, 0.05, 0.1, 0.3, 0.5, 1.0):
         assert iid_logical_error_rate(p) == pytest.approx(enumerated(p), abs=1e-12)
+        assert _block_failure_probability(p, "iid") == pytest.approx(3 * p**2 - 2 * p**3, abs=1e-12)
+        assert _block_failure_probability(p, "burst-2") == p
 
 
 def reference_qec_errors(n_blocks, p, mode, rng):
-    """Encode, corrupt and majority-decode every block: the reference for the
-    kernel, which counts blocks with two or more flips instead."""
+    """Encode, corrupt and majority-decode every block: the per-block
+    reference for the kernel, which draws the error count directly."""
     logical = rng.integers(0, 2, size=n_blocks, dtype=np.int8)
     words = np.repeat(logical[:, None], 3, axis=1)
     if mode == "iid":
@@ -398,18 +503,25 @@ def reference_qec_errors(n_blocks, p, mode, rng):
     return int(np.count_nonzero(decoded != logical))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n_blocks=st.integers(1, 3000),
-    p=st.floats(0.0, 1.0),
-    mode=st.sampled_from(["iid", "burst-2"]),
-    seed=st.integers(0, 2**32),
-)
-def test_qec_counts_match_decoding_reference(n_blocks, p, mode, seed):
-    got_rng, want_rng = stream(seed, "qec-ref"), stream(seed, "qec-ref")
-    result = qec_bitflip_experiment(n_blocks, p, mode, got_rng)
-    assert result.logical_errors == reference_qec_errors(n_blocks, p, mode, want_rng)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+QEC_CELLS = [("iid", 0.05), ("iid", 0.3), ("burst-2", 0.05), ("burst-2", 0.3)]
+
+
+def test_qec_counts_match_decoding_reference():
+    # Family-wise alpha 0.01 over four (mode, p) cells, so each p > 0.0025;
+    # ten seeds of 20,000 blocks a side.
+    alpha, seeds, n = 0.01 / 4, range(10), 20_000
+    for mode, flip in QEC_CELLS:
+
+        def reference(rng):
+            errors = reference_qec_errors(n, flip, mode, rng)
+            return np.array([n - errors, errors])
+
+        def candidate(rng):
+            errors = qec_bitflip_experiment(n, flip, mode, rng).logical_errors
+            return np.array([n - errors, errors])
+
+        p = same_distribution_p(reference, candidate, seeds, f"qec-{mode}-{flip}")
+        assert p > alpha, f"{mode} p={flip}: p={p:.3g}"
 
 
 def test_qec_zero_noise_is_error_free():

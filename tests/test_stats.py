@@ -13,6 +13,7 @@ from qntl.stats import (
     chi_square_gof,
     chsh_estimate,
     poisson_sample,
+    poisson_pmf,
     poisson_sample_array,
     stream,
     zscore_compare,
@@ -188,6 +189,17 @@ def test_poisson_pmf_at_five():
     draws = poisson_sample_array(5.0, rng, 10**6)
     empirical = np.mean(draws == 5)
     assert abs(empirical - exact) < 0.002
+
+
+def test_poisson_pmf_support_leaves_a_tail_below_1e_16():
+    for mu in (0.0, 1e-6, 0.1, 0.5, 2.5, 5.0, 20.0, 30.0, 100.0, 700.0):
+        pmf = poisson_pmf(mu)
+        k = np.arange(pmf.size)
+        # The recurrence compounds one rounding per term, up to ~930 terms.
+        assert np.allclose(pmf, sp_poisson.pmf(k, mu), rtol=1e-11, atol=0.0)
+        assert sp_poisson.sf(pmf.size - 1, mu) < 1e-16
+    with pytest.raises(ValueError):
+        poisson_pmf(-1.0)
 
 
 def test_poisson_rejects_bad_means():
