@@ -674,7 +674,7 @@ def decoy_state_analysis(
     the standard two-intensity lower bound on the single-photon yield, using
     the vacuum class for the background estimate when one was sent.  That
     bound is an asymptotic estimate with no finite-size correction, so shot
-    noise can lift it above the true yield (4 of 20 seeds did at 10^6 pulses
+    noise can lift it above the true yield (6 of 20 seeds did at 10^6 pulses
     per class; see README).
     """
     if len(tallies) < 2:

@@ -22,11 +22,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def load_bench(name):
     """Load ``bench/<name>.py`` under its bare name, the name by which
     ``bench/run.py`` imports its siblings, so they resolve to this copy."""
-    path = BENCH / f"{name}.py"
-    loaded = sys.modules.get(name)
-    if loaded is not None and Path(getattr(loaded, "__file__", "")) == path:
-        return loaded
-    spec = importlib.util.spec_from_file_location(name, path)
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses looks the defining module up in sys.modules.
     sys.modules[name] = module
