@@ -1,6 +1,6 @@
 """Network layer: topologies, routing, and the node-compromise,
 route-diversion, and connection-flood experiments."""
-from .dos import ConnectionRequest, DosResult, Mitigation, MitigationKind, dos_simulate
+from .dos import DosResult, Mitigation, MitigationKind, dos_simulate
 from .experiments import (
     DecayRow,
     DecayTable,
@@ -28,7 +28,6 @@ from .topology import (
 )
 
 __all__ = [
-    "ConnectionRequest",
     "DosResult",
     "Mitigation",
     "MitigationKind",

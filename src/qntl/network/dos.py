@@ -20,6 +20,7 @@ satisfy served + dropped + blocked + still queued = arrivals, per class.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ import numpy as np
 __all__ = [
     "MitigationKind",
     "Mitigation",
-    "ConnectionRequest",
     "DosResult",
     "dos_simulate",
 ]
@@ -88,17 +88,6 @@ class Mitigation:
 
 
 @dataclass(frozen=True)
-class ConnectionRequest:
-    """One arrival: when, from whom, and whether it will ever complete a
-    handshake."""
-
-    seq: int
-    arrival_ms: float
-    source: str
-    is_attack: bool
-
-
-@dataclass(frozen=True)
 class DosResult:
     """Outcome counters for one run; per class, served + dropped + blocked +
     still_queued equals arrivals."""
@@ -134,35 +123,38 @@ class DosResult:
         return legit == self.legit_arrivals and attack == self.attack_arrivals
 
 
-def _poisson_arrivals(
-    rate_per_s: float,
-    duration_ms: float,
-    n_sources: int,
-    prefix: str,
-    rng: np.random.Generator,
-) -> list[tuple[float, str]]:
-    """Arrival times within the window plus a uniform source attribution."""
+def _exponential(mean: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Exponential draws by inverting uniforms, ``-mean * log1p(-u)``."""
+    return -mean * np.log1p(-rng.random(size))
+
+
+def _arrival_times(rate_per_s: float, duration_ms: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson arrival times within the window, ascending.
+
+    Gaps come in chunks of the expected count plus six standard deviations
+    plus 16, so one chunk almost always covers the window; one that falls
+    short is followed by another.
+    """
     if rate_per_s <= 0.0:
-        return []
-    out: list[tuple[float, str]] = []
-    t = 0.0
+        return np.empty(0)
     mean_gap = 1000.0 / rate_per_s
-    while True:
-        t += float(rng.exponential(mean_gap))
-        if t >= duration_ms:
-            break
-        out.append((t, f"{prefix}-{int(rng.integers(0, n_sources))}"))
-    return out
+    expected = duration_ms / mean_gap
+    chunk = int(expected + 6.0 * math.sqrt(expected)) + 16
+    times = np.zeros(1)
+    while times[-1] < duration_ms:
+        gaps = _exponential(mean_gap, chunk, rng)
+        times = np.concatenate((times, times[-1] + np.cumsum(gaps)))
+    return times[1 : np.searchsorted(times, duration_ms)]
 
 
 class _TokenBuckets:
     def __init__(self, rate_per_s: float, burst: int) -> None:
         self.rate_per_ms = rate_per_s / 1000.0
         self.burst = float(burst)
-        self.tokens: dict[str, float] = {}
-        self.stamp: dict[str, float] = {}
+        self.tokens: dict[int, float] = {}
+        self.stamp: dict[int, float] = {}
 
-    def admit(self, source: str, now: float) -> bool:
+    def admit(self, source: int, now: float) -> bool:
         tokens = self.tokens.get(source, self.burst)
         last = self.stamp.get(source, now)
         tokens = min(self.burst, tokens + (now - last) * self.rate_per_ms)
@@ -202,126 +194,132 @@ def dos_simulate(
     if n_legit_sources < 1 or n_attack_sources < 1:
         raise ValueError("need at least one source per class")
 
-    legit = _poisson_arrivals(legit_rate_per_s, duration_ms, n_legit_sources, "legit", rng)
-    attack = _poisson_arrivals(attack_rate_per_s, duration_ms, n_attack_sources, "attack", rng)
-    merged = sorted(
-        [(t, False, src) for t, src in legit] + [(t, True, src) for t, src in attack]
-    )
-    requests = [
-        ConnectionRequest(seq=i, arrival_ms=t, source=src, is_attack=is_attack)
-        for i, (t, is_attack, src) in enumerate(merged)
-    ]
-
-    # Per-source arrival times for the suspicion window counts.
-    arrival_times: dict[str, list[float]] = {}
-    for req in requests:
-        arrival_times.setdefault(req.source, []).append(req.arrival_ms)
-
-    def window_count(source: str, now: float) -> int:
-        """Arrivals from ``source`` within the trailing suspicion window."""
-        times = arrival_times[source]
-        return bisect_right(times, now) - bisect_left(times, now - SUSPICION_WINDOW_MS)
+    # Draw order: legitimate gaps, attack gaps, legitimate sources, attack
+    # sources, legitimate service times.  Attack sources are numbered after
+    # the legitimate ones, and a request's index in arrival order is its
+    # sequence number.
+    legit_times = _arrival_times(legit_rate_per_s, duration_ms, rng)
+    attack_times = _arrival_times(attack_rate_per_s, duration_ms, rng)
+    n_legit, n_attack = legit_times.size, attack_times.size
+    sources = np.concatenate((
+        rng.integers(0, n_legit_sources, size=n_legit),
+        n_legit_sources + rng.integers(0, n_attack_sources, size=n_attack),
+    ))
+    # How long a request holds its server once it starts: a service time, or
+    # the embryonic timeout of a handshake that never completes.
+    holding = np.concatenate((
+        _exponential(mean_service_ms, n_legit, rng), np.full(n_attack, embryonic_timeout_ms)
+    ))
+    times = np.concatenate((legit_times, attack_times))
+    order = np.argsort(times, kind="stable")
+    arrival = times[order].tolist()
+    source = sources[order].tolist()
+    hold = holding[order].tolist()
+    is_attack = (order >= n_legit).tolist()
 
     buckets = (
         _TokenBuckets(mitigation.rate_per_s, mitigation.burst)
         if mitigation.kind is MitigationKind.RATE_LIMIT
         else None
     )
+    cap = (
+        mitigation.max_embryonic_per_source
+        if mitigation.kind is MitigationKind.EMBRYONIC_CAP
+        else 0
+    )
     # Release times of half-open holds, per source, for the embryonic cap.
-    holds: dict[str, list[float]] = {}
+    holds: dict[int, list[float]] = {}
 
-    def open_holds(source: str, now: float) -> int:
-        lst = holds.get(source, [])
+    def open_holds(src: int, now: float) -> int:
+        lst = holds.get(src, [])
         return len(lst) - bisect_right(lst, now)
 
-    served = {False: 0, True: 0}
-    dropped = {False: 0, True: 0}
-    blocked = {False: 0, True: 0}
+    # Counters indexed by is_attack: [legitimate, attack].
+    served, dropped, blocked = [0, 0], [0, 0], [0, 0]
     waits: list[float] = []
-
     free_at = [0.0] * n_servers
-    heapq.heapify(free_at)
-    # Waiting requests per source, oldest first; a source leaves when its
-    # line empties.
-    queue: dict[str, deque[ConnectionRequest]] = {}
-    scheduled = mitigation.kind is MitigationKind.SUSPICION_SCHEDULER
-    next_arrival = 0
 
-    def assign(req: ConnectionRequest, start: float) -> None:
-        if req.is_attack:
-            release = start + embryonic_timeout_ms
-            holds.setdefault(req.source, []).append(release)
-            heapq.heappush(free_at, release)
-        else:
-            waits.append(start - req.arrival_ms)
-            heapq.heappush(free_at, start + float(rng.exponential(mean_service_ms)))
-        served[req.is_attack] += 1
+    if mitigation.kind is MitigationKind.SUSPICION_SCHEDULER:
+        # Waiting requests per source, oldest first; a source leaves when
+        # its line empties.
+        lines: dict[int, deque[int]] = {}
+        arrivals_of: dict[int, list[float]] = {}
+        for t, src in zip(arrival, source):
+            arrivals_of.setdefault(src, []).append(t)
 
-    def pick(now: float) -> ConnectionRequest | None:
-        """Dequeue the request the freed server takes, dropping abandoned
-        ones as they surface; None when the queue empties.  Requests are
-        numbered in arrival order, so ``seq`` alone ranks the heads by age."""
-        while queue:
-            if scheduled:
-                line = min(
-                    queue.values(),
-                    key=lambda line: (window_count(line[0].source, now), line[0].seq),
-                )
-            else:
-                line = min(queue.values(), key=lambda line: line[0].seq)
-            req = line.popleft()
+        def window_count(src: int, now: float) -> int:
+            """Arrivals from ``src`` within the trailing suspicion window."""
+            times = arrivals_of[src]
+            return bisect_right(times, now) - bisect_left(times, now - SUSPICION_WINDOW_MS)
+
+        def take(now: float) -> int:
+            line = min(
+                lines.values(), key=lambda line: (window_count(source[line[0]], now), line[0])
+            )
+            j = line.popleft()
             if not line:
-                del queue[req.source]
-            start = max(now, req.arrival_ms)
-            if not req.is_attack and start - req.arrival_ms > patience_ms:
-                dropped[False] += 1
-                continue
-            return req
-        return None
+                del lines[source[j]]
+            return j
 
-    while next_arrival < len(requests) or queue:
-        next_t = requests[next_arrival].arrival_ms if next_arrival < len(requests) else None
-        if queue and (next_t is None or free_at[0] <= next_t):
+        def put(j: int) -> None:
+            lines.setdefault(source[j], deque()).append(j)
+
+        waiting = lines
+    else:
+        # The oldest head across per-source lines is the oldest request, so
+        # one first-in first-out line serves every other mitigation.
+        fifo: deque[int] = deque()
+        waiting, put = fifo, fifo.append
+
+        def take(now: float) -> int:
+            return fifo.popleft()
+
+    n, i = len(arrival), 0
+    while i < n or waiting:
+        if waiting and (i == n or free_at[0] <= arrival[i]):
             now = heapq.heappop(free_at)
-            req = pick(now)
-            if req is None:
+            # Dequeue the request the freed server takes, dropping abandoned
+            # ones as they surface.
+            while waiting:
+                j = take(now)
+                start = max(now, arrival[j])
+                if is_attack[j]:
+                    holds.setdefault(source[j], []).append(start + hold[j])
+                elif start - arrival[j] > patience_ms:
+                    dropped[False] += 1
+                    continue
+                else:
+                    waits.append(start - arrival[j])
+                served[is_attack[j]] += 1
+                heapq.heappush(free_at, start + hold[j])
+                break
+            else:
                 # Queue emptied by abandonment; the server stays free.
                 heapq.heappush(free_at, now)
-                continue
-            assign(req, max(now, req.arrival_ms))
             continue
-        req = requests[next_arrival]
-        next_arrival += 1
-        now = req.arrival_ms
-        if buckets is not None and not buckets.admit(req.source, now):
-            blocked[req.is_attack] += 1
-            continue
-        if (
-            mitigation.kind is MitigationKind.EMBRYONIC_CAP
-            and open_holds(req.source, now) >= mitigation.max_embryonic_per_source
+        j, now = i, arrival[i]
+        i += 1
+        if (buckets is not None and not buckets.admit(source[j], now)) or (
+            cap and open_holds(source[j], now) >= cap
         ):
-            blocked[req.is_attack] += 1
+            blocked[is_attack[j]] += 1
             continue
-        queue.setdefault(req.source, deque()).append(req)
+        put(j)
 
-    still = {False: 0, True: 0}
-    for line in queue.values():
-        for req in line:
-            still[req.is_attack] += 1
-
+    # The loop runs until the queue drains, so nothing is left waiting.
     return DosResult(
         duration_ms=float(duration_ms),
         n_servers=int(n_servers),
         mitigation=mitigation.kind.value,
-        legit_arrivals=len(legit),
-        attack_arrivals=len(attack),
+        legit_arrivals=n_legit,
+        attack_arrivals=n_attack,
         legit_served=served[False],
         attack_served=served[True],
         legit_dropped=dropped[False],
         attack_dropped=dropped[True],
         legit_blocked=blocked[False],
         attack_blocked=blocked[True],
-        legit_still_queued=still[False],
-        attack_still_queued=still[True],
+        legit_still_queued=0,
+        attack_still_queued=0,
         mean_legit_wait_ms=float(np.mean(waits)) if waits else float("nan"),
     )

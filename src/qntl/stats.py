@@ -5,8 +5,8 @@ from a root seed, a text label, and a trial index.  The derivation mixes the
 label through SHA-256, so streams for different experiments (or different
 trials of the same experiment) are independent, and under one numpy version
 the same triple always reproduces the same draws.  The promise stops at that
-version: ``exponential``, ``binomial``, ``multinomial``, ``choice``,
-``permutation`` and ``spawn``, which callers also use, fall outside NumPy's
+version: ``binomial``, ``multinomial``, ``choice``, ``permutation`` and
+``spawn``, which callers also use, fall outside NumPy's
 stream-compatibility policy (NEP 19), so another numpy release may change
 their draws and the rows built from them.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "Histogram",
     "ZScoreSeries",
     "zscore_compare",
-    "chi_square_gof",
     "chsh_estimate",
 ]
 
@@ -44,10 +43,6 @@ _PMF_TAIL = 1e-16
 # Buckets of the array sampler's guide table over [0, 1); a power of two,
 # so u * _GUIDE_BUCKETS is exact and truncates to the bucket holding u.
 _GUIDE_BUCKETS = 1 << 12
-
-# Goodness-of-fit tail bins are merged until each expects at least this many
-# counts, the usual rule of thumb for the chi-square approximation.
-CHI_SQUARE_MIN_EXPECTED = 5.0
 
 
 def _label_entropy(label: str) -> int:
@@ -282,56 +277,6 @@ def zscore_compare(a: Histogram, b: Histogram) -> ZScoreSeries:
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(var > 0.0, diff / np.sqrt(var), 0.0)
     return ZScoreSeries(z=z, n_a=a.total, n_b=b.total)
-
-
-def chi_square_gof(
-    hist: Histogram,
-    pmf: Callable[[int], float],
-) -> float:
-    """Chi-square goodness-of-fit p-value of ``hist`` against an analytic pmf.
-
-    Expected counts below ``CHI_SQUARE_MIN_EXPECTED`` are merged rightward into the tail
-    before the statistic is formed, so sparse tail bins cannot dominate.
-    The last bin is treated as the distribution's full upper tail when the
-    histogram aggregates overflow.  The p-value is ``scipy.special.chdtrc``
-    (what ``scipy.stats.chi2.sf`` calls), imported on the first call so that
-    importing this module loads no scipy.
-    """
-    from scipy.special import chdtrc
-
-    if hist.total == 0:
-        raise ValueError("cannot test an empty histogram")
-    if hist.counts.size < 2:
-        raise ValueError("need at least two bins for a goodness-of-fit test")
-    m = hist.max_bin
-    probs = np.array([float(pmf(k)) for k in range(m)], dtype=float)
-    if np.any(probs < -1e-12):
-        raise ValueError("pmf returned a negative probability")
-    probs = np.clip(probs, 0.0, 1.0)
-    if hist.overflow:
-        tail = max(0.0, 1.0 - float(probs.sum()))
-    else:
-        tail = float(pmf(m))
-    expected = np.append(probs, tail) * hist.total
-    observed = hist.counts.astype(float)
-
-    # Merge the right tail until every retained bin has enough mass.
-    exp_list = list(expected)
-    obs_list = list(observed)
-    while len(exp_list) > 1 and exp_list[-1] < CHI_SQUARE_MIN_EXPECTED:
-        exp_list[-2] += exp_list[-1]
-        obs_list[-2] += obs_list[-1]
-        del exp_list[-1], obs_list[-1]
-    exp_arr = np.asarray(exp_list)
-    obs_arr = np.asarray(obs_list)
-    keep = exp_arr > 0.0
-    exp_arr = exp_arr[keep]
-    obs_arr = obs_arr[keep]
-    if exp_arr.size < 2:
-        raise ValueError("fewer than two usable bins after tail merging")
-    stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    dof = exp_arr.size - 1
-    return float(chdtrc(dof, stat))
 
 
 def chsh_estimate(

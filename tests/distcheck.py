@@ -1,5 +1,6 @@
-"""Distribution check for rewrites that draw differently from the code they
-replace.
+"""Chi-square tests for the suite: goodness of fit against an analytic pmf,
+and the distribution check for rewrites that draw differently from the code
+they replace.
 
 A rewrite that consumes the random stream differently moves every row, so a
 bit-for-bit comparison with the old code says nothing.  This check runs the
@@ -17,13 +18,57 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import chdtrc
 
-from qntl.stats import stream
+from qntl.stats import Histogram, stream
 
 # An rng in, outcome counts over categories 0, 1, 2, ... out.
 Sampler = Callable[[np.random.Generator], np.ndarray]
 
-# Smallest expected count a pooled cell may have.
+# Smallest expected count a cell may have, the usual rule of thumb for the
+# chi-square approximation.
 MIN_EXPECTED = 5.0
+
+
+def chi_square_gof(hist: Histogram, pmf: Callable[[int], float]) -> float:
+    """Chi-square goodness-of-fit p-value of ``hist`` against an analytic pmf.
+
+    Expected counts below ``MIN_EXPECTED`` are merged rightward into the tail
+    before the statistic is formed, so sparse tail bins cannot dominate.
+    The last bin is treated as the distribution's full upper tail when the
+    histogram aggregates overflow.
+    """
+    if hist.total == 0:
+        raise ValueError("cannot test an empty histogram")
+    if hist.counts.size < 2:
+        raise ValueError("need at least two bins for a goodness-of-fit test")
+    m = hist.max_bin
+    probs = np.array([float(pmf(k)) for k in range(m)], dtype=float)
+    if np.any(probs < -1e-12):
+        raise ValueError("pmf returned a negative probability")
+    probs = np.clip(probs, 0.0, 1.0)
+    if hist.overflow:
+        tail = max(0.0, 1.0 - float(probs.sum()))
+    else:
+        tail = float(pmf(m))
+    expected = np.append(probs, tail) * hist.total
+    observed = hist.counts.astype(float)
+
+    # Merge the right tail until every retained bin has enough mass.
+    exp_list = list(expected)
+    obs_list = list(observed)
+    while len(exp_list) > 1 and exp_list[-1] < MIN_EXPECTED:
+        exp_list[-2] += exp_list[-1]
+        obs_list[-2] += obs_list[-1]
+        del exp_list[-1], obs_list[-1]
+    exp_arr = np.asarray(exp_list)
+    obs_arr = np.asarray(obs_list)
+    keep = exp_arr > 0.0
+    exp_arr = exp_arr[keep]
+    obs_arr = obs_arr[keep]
+    if exp_arr.size < 2:
+        raise ValueError("fewer than two usable bins after tail merging")
+    stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
+    dof = exp_arr.size - 1
+    return float(chdtrc(dof, stat))
 
 
 def pooled_counts(sample: Sampler, seeds: Sequence[int], label: str) -> np.ndarray:

@@ -20,7 +20,9 @@ from qntl.cli.report import rows_to_csv
 from qntl.cli.runners import EXPERIMENTS, get_experiment
 from qntl.network import Mitigation, dos_simulate, untrusted_node_experiment
 from qntl.quantum import Basis, bell_pair, chsh_value, encoded_qubit
-from qntl.stats import chi_square_gof, stream
+from qntl.stats import stream
+
+from distcheck import chi_square_gof
 
 from pathlib import Path
 

@@ -24,9 +24,9 @@ from qntl.attacks import (
     trojan_gain_experiment,
 )
 from qntl.quantum import Basis, apply_phase, basis_state, bell_pair, encoded_qubit, measure_qubit
-from qntl.stats import Histogram, chi_square_gof, poisson_sample_array, stream
+from qntl.stats import Histogram, poisson_sample_array, stream
 
-from distcheck import same_distribution_p
+from distcheck import chi_square_gof, same_distribution_p
 
 
 # ---------------------------------------------------------------- splitting

@@ -13,7 +13,9 @@ from qntl.photonics import (
     transmit,
 )
 from qntl.qkd import _model_gain, run_bb84
-from qntl.stats import Histogram, chi_square_gof, stream
+from qntl.stats import Histogram, stream
+
+from distcheck import chi_square_gof
 
 
 def emit_many(mean_photons, n, seed, label="photon-test"):

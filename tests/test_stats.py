@@ -10,7 +10,6 @@ from scipy.stats import poisson as sp_poisson
 
 from qntl.stats import (
     Histogram,
-    chi_square_gof,
     chsh_estimate,
     poisson_sample,
     poisson_pmf,
@@ -18,6 +17,8 @@ from qntl.stats import (
     stream,
     zscore_compare,
 )
+
+from distcheck import chi_square_gof
 
 
 # ---------------------------------------------------------------- stream
