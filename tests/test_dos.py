@@ -463,14 +463,13 @@ DIST_OUTCOMES = ("legit_served", "legit_dropped", "attack_blocked")
 
 @pytest.mark.parametrize("case", list(DIST_CASES))
 def test_outcomes_match_per_arrival_reference(case):
-    # This change's share of the family-wise alpha 0.01 is all of it, split
-    # over four cases times three outcomes, so each p > 0.01 / 12.  Each run
-    # is one observation: a one-hot at its count, so the pooled histogram
-    # is the count's distribution over 100 runs a side; distcheck merges
-    # adjacent counts into bins.  The three counts of one run are
-    # correlated, so each is compared on its own.  (attack_blocked is
-    # always 0 without admission control, and those comparisons pass
-    # trivially.)
+    # Family-wise alpha 0.01 over four cases times three outcomes, so each
+    # p > 0.01 / 12.  Each run is one observation: a one-hot at its count,
+    # so the pooled histogram is the count's distribution over 100 runs a
+    # side, and distcheck merges adjacent counts into bins.  The three
+    # counts of one run are correlated, so each is compared on its own.
+    # (attack_blocked is always 0 without admission control, and those
+    # comparisons pass trivially.)
     alpha, seeds = 0.01 / 12, range(100)
     mitigation, sources = DIST_CASES[case]
 
