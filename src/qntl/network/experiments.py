@@ -117,17 +117,14 @@ def untrusted_node_experiment(
             topology = generate_topology(kind, topo_seed, params.get(kind.value))
             n = topology.n_nodes
             node_ids = sorted(topology.nodes)
-            order = rng.permutation(n)
-            pair_index = rng.integers(0, n, size=(pairs_per_trial, 2))
-            compromised_sets = [
-                frozenset(node_ids[int(i)] for i in order[: math.floor(f * n)])
-                for f in fracs
-            ]
+            shuffled = [node_ids[i] for i in rng.permutation(n).tolist()]
+            pair_index = rng.integers(0, n, size=(pairs_per_trial, 2)).tolist()
+            compromised_sets = [frozenset(shuffled[: math.floor(f * n)]) for f in fracs]
             for raw_u, raw_v in pair_index:
-                u = node_ids[int(raw_u)]
-                v = node_ids[int(raw_v)]
+                u = node_ids[raw_u]
+                v = node_ids[raw_v]
                 if u == v:
-                    v = node_ids[(int(raw_v) + 1) % n]
+                    v = node_ids[(raw_v + 1) % n]
                 intact_distance = hop_distance(topology, u, v)
                 count = 0 if intact_distance < 0 else 1
                 for f, compromised in zip(fracs, compromised_sets):

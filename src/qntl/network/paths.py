@@ -8,6 +8,7 @@ and inputs.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import deque
 from dataclasses import dataclass
@@ -90,17 +91,19 @@ def _layered_walk(
     """(hop distance, number of shortest paths) from source to target, or
     (-1, 0) when unreachable within ``hop_bound``.  Each BFS layer carries
     every node's path count (Brandes' sigma), summed from the layer before;
-    the target's own layer is never built, its count is summed over its
-    neighbours.  The walk never enters ``seen`` and adds what it reaches."""
+    the target's own layer is never built, its count is summed over the
+    layer's meet with the target's neighbours (a set made once per walk).
+    The walk never enters ``seen`` and adds what it reaches."""
     if source == target:
         return 0, 1
+    near = frozenset(adjacency.get(target, ()))
     layer = {source: 1}
     depth = 0
     while layer and (hop_bound is None or depth < hop_bound):
         depth += 1
-        ways = sum(layer.get(nbr, 0) for nbr in adjacency.get(target, ()))
-        if ways:
-            return depth, ways
+        meet = layer.keys() & near
+        if meet:
+            return depth, sum(map(layer.__getitem__, meet))
         ahead: dict[int, int] = {}
         for node, node_ways in layer.items():
             for nbr in adjacency[node]:
@@ -113,9 +116,16 @@ def _layered_walk(
     return -1, 0
 
 
+@functools.lru_cache(maxsize=1)
+def _intact_walk(graph: Topology, source: int, target: int) -> tuple[int, int]:
+    """The unblocked walk of the last pair asked; ``Topology`` hashes by identity."""
+    return _layered_walk(graph.adjacency, source, target, {source}, None)
+
+
 def hop_distance(graph: Topology, source: int, target: int) -> int:
-    """Minimum hop count between two nodes, or -1 when disconnected."""
-    return _layered_walk(graph.adjacency, int(source), int(target), {int(source)}, None)[0]
+    """Minimum hop count between two nodes, or -1 when disconnected.  Its walk
+    also answers an intact :func:`count_viable_paths` call on the same pair."""
+    return _intact_walk(graph, int(source), int(target))[0]
 
 
 def count_viable_paths(
@@ -142,8 +152,11 @@ def count_viable_paths(
     adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
-    blocked.add(source)
     bound = None if hop_bound is None else int(hop_bound)
+    if not blocked:  # a pair is found at depth 0 whatever the bound
+        distance, ways = _intact_walk(graph, source, target)
+        return ways if bound is None or distance <= max(bound, 0) else 0
+    blocked.add(source)
     return _layered_walk(adjacency, source, target, blocked, bound)[1]
 
 

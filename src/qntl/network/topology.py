@@ -11,6 +11,7 @@ fields behave identically everywhere downstream.
 """
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -80,28 +81,26 @@ class Topology:
 
     def __post_init__(self) -> None:
         nodes = dict(self.nodes)
-        normalized: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if u not in nodes or v not in nodes:
-                raise ValueError(f"edge ({u}, {v}) references an unknown node")
-            edge = (u, v) if u < v else (v, u)
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
-            normalized.append(edge)
-        normalized.sort()
+        edges = [(u, v) if u < v else (v, u) for u, v in self.edges]
+        edges.sort()
+        loops = [u for u, v in edges if u == v]
+        if loops:
+            raise ValueError(f"self-loop on node {loops[0]}")
+        if len(set(edges)) != len(edges):
+            edge = next(a for a, b in zip(edges, edges[1:]) if a == b)
+            raise ValueError(f"duplicate edge {edge}")
+        # Sorted (u < v) edges reach each node's neighbours in ascending
+        # order: the smaller ones as u ascends, then the larger as v does.
         adjacency: dict[int, list[int]] = {node_id: [] for node_id in nodes}
-        for u, v in normalized:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+        try:
+            for u, v in edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        except KeyError:
+            raise ValueError(f"edge ({u}, {v}) references an unknown node") from None
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(
-            self, "adjacency", {k: tuple(sorted(v)) for k, v in adjacency.items()}
-        )
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "adjacency", {k: tuple(v) for k, v in adjacency.items()})
 
     @property
     def n_nodes(self) -> int:
@@ -183,6 +182,12 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
     return edges
 
 
+@functools.lru_cache(maxsize=8)
+def _default_nodes(n: int) -> tuple[NodeInfo, ...]:
+    """Default nodes 0..n-1, shared: ``NodeInfo`` is frozen, ``Topology`` copies its map."""
+    return tuple(NodeInfo(node_id=i) for i in range(n))
+
+
 def generate_topology(
     kind: TopologyKind | str,
     seed: int,
@@ -219,29 +224,23 @@ def generate_topology(
         n = int(merged["n"])
         edges = _preferential_edges(n, int(merged["k"]), rng)
 
-    error_rates = np.zeros(n)
-    response_times = np.zeros(n)
+    error_rates = response_times = [0.0] * n
     if error_rate_range is not None:
         lo, hi = (float(error_rate_range[0]), float(error_rate_range[1]))
         if not 0.0 <= lo <= hi:
             raise ValueError("error rate range must satisfy 0 <= lo <= hi")
-        error_rates = rng.uniform(lo, hi, size=n)
+        error_rates = rng.uniform(lo, hi, size=n).tolist()
     if response_time_range is not None:
         lo, hi = (float(response_time_range[0]), float(response_time_range[1]))
         if not 0.0 <= lo <= hi:
             raise ValueError("response time range must satisfy 0 <= lo <= hi")
-        response_times = rng.uniform(lo, hi, size=n)
+        response_times = rng.uniform(lo, hi, size=n).tolist()
 
-    nodes = {
-        i: NodeInfo(
-            node_id=i,
-            trusted=True,
-            error_rate=float(error_rates[i]),
-            response_time_ms=float(response_times[i]),
-        )
-        for i in range(n)
-    }
-    return Topology(kind=kind, seed=int(seed), nodes=nodes, edges=tuple(edges))
+    records = _default_nodes(n)
+    if error_rate_range is not None or response_time_range is not None:
+        records = [NodeInfo(i, True, error_rate, response_time)
+                   for i, error_rate, response_time in zip(range(n), error_rates, response_times)]
+    return Topology(kind=kind, seed=int(seed), nodes=dict(enumerate(records)), edges=tuple(edges))
 
 
 def mark_untrusted(topology: Topology, node_ids: Iterable[int]) -> Topology:

@@ -170,18 +170,46 @@ def test_generation_quality_ranges():
     assert all(0.01 <= r <= 0.05 for r in rates)
     assert all(10.0 <= t <= 50.0 for t in times)
     assert len(set(rates)) > 1
+    rates_only = generate_topology("grid", 7, error_rate_range=(0.01, 0.05))
+    assert [info.error_rate for info in rates_only.nodes.values()] == rates
+    assert all(info.response_time_ms == 0.0 for info in rates_only.nodes.values())
     with pytest.raises(ValueError):
         generate_topology("grid", 7, error_rate_range=(0.5, 0.1))
 
 
 def test_topology_validation():
     nodes = {i: NodeInfo(node_id=i) for i in range(2)}
-    with pytest.raises(ValueError):
-        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 0),))
-    with pytest.raises(ValueError):
-        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop on node 0"):
+        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 0)))
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) references an unknown node"):
+        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (3, 0)))
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
         Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (1, 0)))
+
+
+def test_topology_normalises_unsorted_reversed_edges():
+    # The adjacency tuples come out sorted with no per-node sort: they are
+    # filled from the normalised, sorted edge list.
+    nodes = {i: NodeInfo(node_id=i) for i in range(6)}
+    edges = ((5, 0), (3, 1), (0, 2), (4, 3), (2, 1), (5, 3), (1, 0), (4, 0))
+    topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
+    assert topo.edges == tuple(sorted((min(e), max(e)) for e in edges))
+    for node_id, nbrs in topo.adjacency.items():
+        assert nbrs == tuple(sorted(nbrs))
+        assert set(nbrs) == {u + v - node_id for u, v in edges if node_id in (u, v)}
+    assert topo.adjacency[0] == (1, 2, 4, 5)
+
+
+def test_generated_topologies_share_no_node_map():
+    first = generate_topology("grid", 0)
+    second = generate_topology("grid", 1)
+    assert first.nodes is not second.nodes
+    flagged = mark_untrusted(first, [0, 3, 17])
+    assert not flagged.nodes[3].trusted
+    later = generate_topology("grid", 2)
+    for topo in (first, second, later):
+        assert all(info.trusted for info in topo.nodes.values())
+        assert all(node_id == info.node_id for node_id, info in topo.nodes.items())
 
 
 def test_mark_untrusted():
@@ -322,6 +350,16 @@ def compromised_graphs(draw):
     return n, edges, source, target, compromised, hop_bound
 
 
+def _networkx_count(topo, source, target, compromised=frozenset()):
+    """(hop distance, shortest-path count) with ``compromised`` removed, or (-1, 0)."""
+    graph = nx.Graph(e for e in topo.edges if compromised.isdisjoint(e))
+    graph.add_nodes_from(x for x in topo.nodes if x not in compromised)
+    if not nx.has_path(graph, source, target):
+        return -1, 0
+    distance = nx.shortest_path_length(graph, source, target)
+    return distance, sum(1 for _ in nx.all_shortest_paths(graph, source, target))
+
+
 @given(compromised_graphs())
 @settings(max_examples=300, deadline=None)
 def test_counts_and_distances_match_networkx(case):
@@ -331,14 +369,7 @@ def test_counts_and_distances_match_networkx(case):
     topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
     safe_edges = tuple(e for e in edges if compromised.isdisjoint(e))
     survivors = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=safe_edges)
-    graph = nx.Graph(safe_edges)
-    graph.add_nodes_from(x for x in range(n) if x not in compromised)
-
-    if nx.has_path(graph, source, target):
-        distance = nx.shortest_path_length(graph, source, target)
-        paths = sum(1 for _ in nx.all_shortest_paths(graph, source, target))
-    else:
-        distance, paths = -1, 0
+    distance, paths = _networkx_count(topo, source, target, compromised)
     assert hop_distance(survivors, source, target) == distance
     if hop_bound is not None and distance > hop_bound and source != target:
         paths = 0
@@ -358,6 +389,40 @@ def test_hop_distance():
         edges=((0, 1),),
     )
     assert hop_distance(lonely, 0, 2) == -1
+
+
+def test_intact_memo_keys_on_the_topology():
+    # Same node ids, different edges: a walk remembered for one topology
+    # must not answer for the other.
+    grid = generate_topology("grid", 0)
+    other = generate_topology("erdos-renyi", 4, {"n": 100, "p": 0.05})
+    for a, b in ((grid, other), (other, grid)):
+        for source, target in ((0, 99), (12, 87), (5, 6)):
+            hop_distance(a, source, target)
+            assert count_viable_paths(b, source, target) == _networkx_count(b, source, target)[1]
+
+
+def test_intact_memo_applies_the_hop_bound():
+    topo = generate_topology("erdos-renyi", 9, {"n": 60, "p": 0.06})
+    for source, target in ((0, 59), (3, 40), (17, 18)):
+        distance, paths = _networkx_count(topo, source, target)
+        assert distance > 0
+        for bound, expected in ((distance - 1, 0), (distance, paths), (None, paths)):
+            assert hop_distance(topo, source, target) == distance
+            assert count_viable_paths(topo, source, target, hop_bound=bound) == expected
+
+
+def test_intact_memo_leaves_blocked_walks_alone():
+    topo = generate_topology("grid", 0)
+    rng = stream(8, "memo-blocked")
+    others = [x for x in topo.nodes if x not in (0, 99)]
+    for _ in range(10):
+        assert hop_distance(topo, 0, 99) == 18
+        removed = frozenset(rng.choice(others, size=20, replace=False).tolist())
+        distance, paths = _networkx_count(topo, 0, 99, removed)
+        assert count_viable_paths(topo, 0, 99, removed) == paths
+        expected = paths if distance == 18 else 0
+        assert count_viable_paths(topo, 0, 99, removed, hop_bound=18) == expected
 
 
 # ---------------------------------------------------------------- routing
