@@ -89,10 +89,17 @@ ARRAY_CASES = {
 }
 
 
+# Network paths the default-config pins miss: trust-weighted routing on a
+# random family, whose hubs make many equal-hop detours compete on weight.
+NETWORK_CASES = {
+    "diversion/barabasi-albert": ("diversion", {"pairs": "50", "kind": "barabasi-albert"}),
+}
+
+
 def _cases():
     for name, params in EXPERIMENT_PARAMS.items():
         yield name, name, params, EXPERIMENT_SEED
-    for label, (name, params) in {**PROTOCOL_CASES, **ARRAY_CASES}.items():
+    for label, (name, params) in {**PROTOCOL_CASES, **ARRAY_CASES, **NETWORK_CASES}.items():
         yield label, name, params, EXPERIMENT_SEED
     yield (
         "topology-decay/default-fractions", "topology-decay",

@@ -80,14 +80,32 @@ def test_generation_is_deterministic():
     assert a.edges != b.edges
 
 
-def test_barabasi_albert_exports_are_pinned():
-    # sha256 over the concatenated exports of seeds 0-49 at default params;
-    # a change to the attachment draws or their order moves it.
+def exports_digest(kind):
+    """sha256 over the concatenated exports of seeds 0-49 at default params."""
     digest = hashlib.sha256()
     for seed in range(50):
-        digest.update(export_topology(generate_topology("barabasi-albert", seed)).encode())
-    assert digest.hexdigest() == (
+        digest.update(export_topology(generate_topology(kind, seed)).encode())
+    return digest.hexdigest()
+
+
+def test_barabasi_albert_exports_are_pinned():
+    # A change to the attachment draws or their order moves it.
+    assert exports_digest("barabasi-albert") == (
         "f0dd94dc979ddb6255663edf304c9da96f58b2fa04d092fc24852f8c7805aefd"
+    )
+
+
+def test_erdos_renyi_exports_are_pinned():
+    # A change to the pair order or the edge draw moves it.
+    assert exports_digest("erdos-renyi") == (
+        "44591d57bfd91aa67ae98c49fe853449a8413beed5e02acfc302165a03d33d31"
+    )
+
+
+def test_waxman_exports_are_pinned():
+    # A change to the positions, the distance kernel or the edge draw moves it.
+    assert exports_digest("waxman") == (
+        "12cc7e70ff4337738ac7c1cbbb25b44cdb82e6f447324e5d40bb0679c53d7097"
     )
 
 
