@@ -12,6 +12,7 @@ fractions record zero without counting again.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -109,59 +110,66 @@ def untrusted_node_experiment(
     params = params or {}
     rows: list[DecayRow] = []
     for kind in (TopologyKind(k) for k in kinds):
-        # counts[fraction] -> list over samples; split by intact distance too
-        aggregate: dict[float, list[int]] = {f: [] for f in fracs}
-        by_distance: dict[tuple[float, int], list[int]] = {}
+        # One row of per-fraction counts per sampled pair, and the rows of the
+        # connected pairs again by intact distance.
+        counts: list[list[int]] = []
+        by_distance: dict[int, list[list[int]]] = {}
         for _ in range(trials):
             topo_seed = int(rng.integers(0, 2**63))
             topology = generate_topology(kind, topo_seed, params.get(kind.value))
             n = topology.n_nodes
             node_ids = sorted(topology.nodes)
             shuffled = [node_ids[i] for i in rng.permutation(n).tolist()]
+            rank = dict(zip(shuffled, range(n)))
+            cuts = [math.floor(f * n) for f in fracs]
+            compromised_sets = [frozenset(shuffled[:cut]) for cut in cuts]
             pair_index = rng.integers(0, n, size=(pairs_per_trial, 2)).tolist()
-            compromised_sets = [frozenset(shuffled[: math.floor(f * n)]) for f in fracs]
             for raw_u, raw_v in pair_index:
                 u = node_ids[raw_u]
                 v = node_ids[raw_v]
                 if u == v:
                     v = node_ids[(raw_v + 1) % n]
                 intact_distance = hop_distance(topology, u, v)
-                count = 0 if intact_distance < 0 else 1
-                for f, compromised in zip(fracs, compromised_sets):
-                    if u in compromised or v in compromised:
-                        count = 0
-                    if count:  # zero stays zero (see the module docstring)
-                        count = count_viable_paths(
-                            topology, u, v, compromised, hop_bound=intact_distance
+                pair_counts = [0] * len(fracs)
+                if intact_distance >= 0:
+                    # Fractions from the first that compromises an endpoint
+                    # on, and after the first zero count, stay zero (see the
+                    # module docstring).
+                    for k in range(bisect_right(cuts, min(rank[u], rank[v]))):
+                        pair_counts[k] = count_viable_paths(
+                            topology, u, v, compromised_sets[k], hop_bound=intact_distance
                         )
-                    aggregate[f].append(count)
-                    if intact_distance >= 0:
-                        by_distance.setdefault((f, intact_distance), []).append(count)
-        for f in fracs:
-            samples = aggregate[f]
-            rows.append(
-                DecayRow(
-                    kind=kind.value,
-                    fraction=f,
-                    distance=AGGREGATE_DISTANCE,
-                    mean_count=float(np.mean(samples)),
-                    std_count=float(np.std(samples)),
-                    samples=len(samples),
-                )
-            )
-        for (f, distance) in sorted(by_distance):
-            samples = by_distance[(f, distance)]
-            rows.append(
-                DecayRow(
-                    kind=kind.value,
-                    fraction=f,
-                    distance=distance,
-                    mean_count=float(np.mean(samples)),
-                    std_count=float(np.std(samples)),
-                    samples=len(samples),
-                )
-            )
+                        if not pair_counts[k]:
+                            break
+                    by_distance.setdefault(intact_distance, []).append(pair_counts)
+                counts.append(pair_counts)
+        for f, (mean, std) in zip(fracs, _moments(counts)):
+            rows.append(DecayRow(kind.value, f, AGGREGATE_DISTANCE, mean, std, len(counts)))
+        distances = sorted(by_distance)
+        moments = [_moments(by_distance[distance]) for distance in distances]
+        for k, f in enumerate(fracs):
+            for distance, stats in zip(distances, moments):
+                mean, std = stats[k]
+                rows.append(DecayRow(kind.value, f, distance, mean, std, len(by_distance[distance])))
     return DecayTable(rows=tuple(rows))
+
+
+def _moments(counts: list[list[int]]) -> list[tuple[float, float]]:
+    """Mean and standard deviation of each fraction's counts, given one row
+    of per-fraction counts per pair.
+
+    Each fraction's counts form one contiguous int64 row, reduced along its
+    axis in the order, buffer chunks and precision of ``np.mean``/``np.std``
+    on that row's list, so the figures equal those calls' to the bit.  Counts
+    beyond int64 take the per-row calls, since NumPy gives their lists
+    another dtype.
+    """
+    try:
+        table = np.array(counts, dtype=np.int64).T.copy()
+    except OverflowError:
+        columns = [list(column) for column in zip(*counts)]
+        return [(float(np.mean(c)), float(np.std(c))) for c in columns]
+    return list(zip(table.mean(axis=1).tolist(), table.std(axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------

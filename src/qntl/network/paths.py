@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Mapping
 
-from .topology import NodeInfo, Topology
+from .topology import Topology
 
 __all__ = [
     "RoutePolicyKind",
@@ -140,22 +140,25 @@ def count_viable_paths(
     Compromised intermediates are excluded; a compromised endpoint makes the
     question meaningless and raises.  When ``hop_bound`` is given and even
     the best safe path exceeds it, the count is zero: detours longer than
-    the budget are not viable.  One layered walk from the source carries
-    exact per-node path counts and stops at the target's layer, so it stays
-    polynomial even when the count itself is astronomically large.
+    the budget are not viable; a negative budget raises.  One layered walk
+    from the source carries exact per-node path counts and stops at the
+    target's layer, so it stays polynomial even when the count itself is
+    astronomically large.
     """
     source = int(source)
     target = int(target)
+    bound = None if hop_bound is None else int(hop_bound)
+    if bound is not None and bound < 0:
+        raise ValueError(f"hop bound must be >= 0, got {bound}")
     blocked = set(map(int, compromised))
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
     adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
-    bound = None if hop_bound is None else int(hop_bound)
-    if not blocked:  # a pair is found at depth 0 whatever the bound
+    if not blocked:
         distance, ways = _intact_walk(graph, source, target)
-        return ways if bound is None or distance <= max(bound, 0) else 0
+        return ways if bound is None or distance <= bound else 0
     blocked.add(source)
     return _layered_walk(adjacency, source, target, blocked, bound)[1]
 
@@ -183,25 +186,21 @@ def _greedy_shortest(
     return path
 
 
-def _node_weight(
-    info_map: Mapping[int, NodeInfo],
-    node: int,
-    scale: float,
-    advertised: Mapping[int, float] | None,
-) -> float:
-    if advertised is not None and node in advertised:
-        return float(advertised[node])
-    info = info_map[node]
-    return info.error_rate + info.response_time_ms / scale
+@functools.lru_cache(maxsize=1)
+def _trust_weights(graph: Topology, scale: float) -> dict[int, float]:
+    """Honest weight of every node of the last topology asked; callers copy
+    before overriding."""
+    return {
+        node: info.error_rate + info.response_time_ms / scale
+        for node, info in graph.nodes.items()
+    }
 
 
 def _dijkstra_trust(
     adjacency: Mapping[int, tuple[int, ...]],
-    nodes: Mapping[int, NodeInfo],
+    weights: Mapping[int, float],
     source: int,
     target: int,
-    scale: float,
-    advertised: Mapping[int, float] | None,
 ) -> list[int] | None:
     """Minimum summed weight over intermediate nodes; ties fall to hop count,
     then to the lexicographically smallest node sequence."""
@@ -219,7 +218,7 @@ def _dijkstra_trust(
         for nbr in adjacency[node]:
             if nbr in settled:
                 continue
-            step = 0.0 if nbr == target else _node_weight(nodes, nbr, scale, advertised)
+            step = 0.0 if nbr == target else weights[nbr]
             heapq.heappush(heap, (weight + step, hops + 1, path + (nbr,)))
     return None
 
@@ -253,11 +252,7 @@ def route(
         if target in blocked:
             return None
         return _greedy_shortest(adjacency, source, target, blocked)
-    return _dijkstra_trust(
-        adjacency,
-        graph.nodes,
-        source,
-        target,
-        policy.response_time_scale,
-        advertised_weights,
-    )
+    weights = _trust_weights(graph, policy.response_time_scale)
+    if advertised_weights:
+        weights = {**weights, **{node: float(w) for node, w in advertised_weights.items()}}
+    return _dijkstra_trust(adjacency, weights, source, target)

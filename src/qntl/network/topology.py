@@ -117,35 +117,50 @@ class Topology:
         return v in self.adjacency.get(u, ())
 
 
-def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, list[tuple[int, int]]]:
-    """Deterministic lattice families, relabeled to 0..n-1 by sorted position.
+def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    sizes = ("branching", "height") if kind is TopologyKind.TREE else ("rows", "cols")
+    a, b = (int(params[key]) for key in sizes)
+    if a < 0 or b < 0:
+        raise ValueError(f"{kind.value} {sizes[0]} and {sizes[1]} must be >= 0, got {a} and {b}")
+    return _lattice(kind, a, b)
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice(kind: TopologyKind, a: int, b: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Deterministic lattice families, relabeled to 0..n-1 by sorted position,
+    built once per (family, size).
 
     The tree is numbered in level order.  The hexagonal lattice has node
     columns i = 0..cols of 2*rows + 2 nodes j, less one corner at each end;
     (i, j) links to (i, j + 1), and to (i + 1, j) when i and j share parity.
     """
-    sizes = ("branching", "height") if kind is TopologyKind.TREE else ("rows", "cols")
-    a, b = (int(params[key]) for key in sizes)
-    if a < 0 or b < 0:
-        raise ValueError(f"{kind.value} {sizes[0]} and {sizes[1]} must be >= 0, got {a} and {b}")
     if kind is TopologyKind.TREE:
         n = b + 1 if a == 1 else (a ** (b + 1) - 1) // (a - 1)
-        return n, [((c - 1) // a, c) for c in range(1, n)]
+        return n, tuple(((c - 1) // a, c) for c in range(1, n))
     if kind is TopologyKind.GRID:
         cells = [(i, j) for i in range(a) for j in range(b)]
     elif a and b:  # hexagonal
         corners = {(0, 2 * a + 1), (b, (2 * a + 1) * (b % 2))}
         cells = [(i, j) for i in range(b + 1) for j in range(2 * a + 2) if (i, j) not in corners]
     else:  # a hexagonal lattice with no hexagons has no nodes
-        return 0, []
+        return 0, ()
     labels = {cell: k for k, cell in enumerate(cells)}
     links = [((i, j), (i, j + 1)) for i, j in cells]
     links += [((i, j), (i + 1, j)) for i, j in cells if kind is TopologyKind.GRID or i % 2 == j % 2]
-    return len(cells), [(labels[u], labels[v]) for u, v in links if v in labels]
+    return len(cells), tuple((labels[u], labels[v]) for u, v in links if v in labels)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index pairs u < v of the upper triangle, in row order."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def _erdos_renyi_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = _upper_pairs(n)
     keep = rng.random(iu.size) < p
     return list(zip(iu[keep].tolist(), iv[keep].tolist()))
 
@@ -153,10 +168,9 @@ def _erdos_renyi_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple
 def _waxman_edges(n: int, alpha: float, beta: float, rng: np.random.Generator) -> list[tuple[int, int]]:
     # Nodes scatter uniformly in the unit square; a pair at distance d links
     # with probability alpha * exp(-d / (beta * L)), L the network diameter.
-    positions = rng.random((n, 2))
-    iu, iv = np.triu_indices(n, k=1)
-    deltas = positions[iu] - positions[iv]
-    dists = np.hypot(deltas[:, 0], deltas[:, 1])
+    x, y = rng.random((n, 2)).T
+    iu, iv = _upper_pairs(n)
+    dists = np.hypot(x[iu] - x[iv], y[iu] - y[iv])
     scale = float(dists.max())
     probs = alpha * np.exp(-dists / (beta * scale))
     keep = rng.random(iu.size) < probs
@@ -170,11 +184,21 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
         raise ValueError(f"need at least k + 2 = {k + 2} nodes, got {n}")
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
     degrees = [k] * (k + 1)
+    # Uniforms come from a buffer refilled with the fewest draws still to come
+    # (one per missing target, here and at every later node), which one draw
+    # per attempt would make anyway, so the stream is the same.
+    draws: list[float] = []
+    position = 0
     for new in range(k + 1, n):
         targets: set[int] = set()
         cumulative = list(accumulate(degrees))
+        total = cumulative[-1]
         while len(targets) < k:
-            targets.add(bisect_right(cumulative, rng.random() * cumulative[-1]))
+            if position == len(draws):
+                draws = rng.random(k - len(targets) + k * (n - 1 - new)).tolist()
+                position = 0
+            targets.add(bisect_right(cumulative, draws[position] * total))
+            position += 1
         for t in sorted(targets):
             edges.append((t, new))
             degrees[t] += 1

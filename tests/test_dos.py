@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import ttest_ind
 
 from distcheck import two_sample_p_value
 from qntl.network import Mitigation, MitigationKind, dos_simulate
@@ -449,34 +450,41 @@ def reference_dos_simulate(
 
 
 # Golden-pin load: legitimate traffic alone exceeds four servers, so every
-# mitigation holds a backlog and patience runs out.
+# mitigation holds a backlog and patience runs out.  At eight servers under
+# the embryonic cap most legitimate requests are served, so their number
+# tracks the service time: a 10% shift moves its mean by about five standard
+# errors there, where the four-server cases serve too few to show it.
 DIST_CASES = {
-    "none": (Mitigation.none(), {}),
-    "rate-limit-4-attack": (Mitigation.rate_limit(0.5, 2), {"n_attack_sources": 4}),
-    "embryonic-cap-2": (Mitigation.embryonic_cap(2), {}),
+    "none": (Mitigation.none(), 4, {}),
+    "rate-limit-4-attack": (Mitigation.rate_limit(0.5, 2), 4, {"n_attack_sources": 4}),
+    "embryonic-cap-2": (Mitigation.embryonic_cap(2), 4, {}),
     "suspicion-5-5": (
-        Mitigation.suspicion_scheduler(), {"n_legit_sources": 5, "n_attack_sources": 5}
+        Mitigation.suspicion_scheduler(), 4, {"n_legit_sources": 5, "n_attack_sources": 5}
     ),
+    "embryonic-cap-2-8-servers": (Mitigation.embryonic_cap(2), 8, {}),
 }
 DIST_OUTCOMES = ("legit_served", "legit_dropped", "attack_blocked")
+MEAN_OUTCOME = "legit_served"
 
 
 @pytest.mark.parametrize("case", list(DIST_CASES))
 def test_outcomes_match_per_arrival_reference(case):
-    # Family-wise alpha 0.01 over four cases times three outcomes, so each
-    # p > 0.01 / 12.  Each run is one observation: a one-hot at its count,
-    # so the pooled histogram is the count's distribution over 100 runs a
-    # side, and distcheck merges adjacent counts into bins.  The three
-    # counts of one run are correlated, so each is compared on its own.
-    # (attack_blocked is always 0 without admission control, and those
-    # comparisons pass trivially.)
-    alpha, seeds = 0.01 / 12, range(100)
-    mitigation, sources = DIST_CASES[case]
+    # Family-wise alpha 0.01 over five cases times four comparisons (three
+    # outcome distributions and one mean), so each p > 0.01 / 20.  Each run
+    # is one observation: a one-hot at its count, so the pooled histogram is
+    # the count's distribution over 100 runs a side, and distcheck merges
+    # adjacent counts into bins.  The three counts of one run are
+    # correlated, so each is compared on its own.  Welch's t-test on the
+    # mean number served catches small shifts that the binned distributions
+    # miss.  (attack_blocked is always 0 without admission control, and
+    # those comparisons pass trivially.)
+    alpha, seeds = 0.01 / 20, range(100)
+    mitigation, servers, sources = DIST_CASES[case]
 
     def outcomes(simulate, side):
         return [
-            simulate(5_000.0, 20.0, 50.0, 4, mitigation, stream(seed, f"dos-{case}/{side}"),
-                     **sources)
+            simulate(5_000.0, 20.0, 50.0, servers, mitigation,
+                     stream(seed, f"dos-{case}/{side}"), **sources)
             for seed in seeds
         ]
 
@@ -489,3 +497,9 @@ def test_outcomes_match_per_arrival_reference(case):
             np.bincount([getattr(r, field) for r in candidate]),
         )
         assert p > alpha, f"{case} {field}: p={p:.3g}"
+    p = ttest_ind(
+        [getattr(r, MEAN_OUTCOME) for r in reference],
+        [getattr(r, MEAN_OUTCOME) for r in candidate],
+        equal_var=False,
+    ).pvalue
+    assert p > alpha, f"{case} mean {MEAN_OUTCOME}: p={p:.3g}"

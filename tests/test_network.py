@@ -25,6 +25,8 @@ from qntl.network import (
     route,
     untrusted_node_experiment,
 )
+from qntl.network import experiments
+from qntl.network.experiments import _moments
 from qntl.network.topology import _preferential_edges
 from qntl.stats import stream
 
@@ -315,6 +317,10 @@ def test_count_corner_cases():
         count_viable_paths(topo, 0, 2, {0})
     with pytest.raises(ValueError):
         count_viable_paths(topo, 0, 9)
+    # A negative budget is meaningless, intact or blocked, even for source = target.
+    for source, target, blocked in ((1, 1, ()), (0, 2, ()), (0, 2, {1})):
+        with pytest.raises(ValueError, match="hop bound"):
+            count_viable_paths(topo, source, target, blocked, hop_bound=-1)
 
 
 def test_count_is_monotone_in_compromise():
@@ -557,6 +563,86 @@ def test_decay_distance_rows_partition_the_aggregate():
     assert [r.distance for r in rows] == sorted(r.distance for r in rows)
     # grid stays connected, so the distance bins cover every sampled pair
     assert sum(r.samples for r in rows) == table.aggregate("grid", 0.3).samples
+
+
+def reference_decay_rows(kinds, fractions, trials, pairs_per_trial, rng):
+    """The decay experiment as it ran on per-(fraction, distance) sample
+    lists, a membership test per fraction and one np.mean/np.std per row."""
+    rows = []
+    for kind in kinds:
+        aggregate = {f: [] for f in fractions}
+        by_distance = {}
+        for _ in range(trials):
+            topology = generate_topology(kind, int(rng.integers(0, 2**63)))
+            n = topology.n_nodes
+            node_ids = sorted(topology.nodes)
+            shuffled = [node_ids[i] for i in rng.permutation(n).tolist()]
+            pair_index = rng.integers(0, n, size=(pairs_per_trial, 2)).tolist()
+            compromised_sets = [frozenset(shuffled[: math.floor(f * n)]) for f in fractions]
+            for raw_u, raw_v in pair_index:
+                u, v = node_ids[raw_u], node_ids[raw_v]
+                if u == v:
+                    v = node_ids[(raw_v + 1) % n]
+                intact_distance = hop_distance(topology, u, v)
+                count = 0 if intact_distance < 0 else 1
+                for f, compromised in zip(fractions, compromised_sets):
+                    if u in compromised or v in compromised:
+                        count = 0
+                    if count:
+                        count = count_viable_paths(
+                            topology, u, v, compromised, hop_bound=intact_distance
+                        )
+                    aggregate[f].append(count)
+                    if intact_distance >= 0:
+                        by_distance.setdefault((f, intact_distance), []).append(count)
+        groups = [((f, -1), aggregate[f]) for f in fractions] + sorted(by_distance.items())
+        for (f, distance), samples in groups:
+            rows.append(DecayRow(kind, f, distance, float(np.mean(samples)),
+                                 float(np.std(samples)), len(samples)))
+    return rows
+
+
+def test_decay_rows_match_per_row_reference(monkeypatch):
+    # Same rows and the same count_viable_paths calls, in the same order.
+    # Random families resample per trial; near-equal fractions give equal
+    # compromise sets, and 0.99 compromises nearly every endpoint.
+    kinds = ["grid", "erdos-renyi", "waxman", "tree", "barabasi-albert"]
+    fractions = [0.0, 0.004, 0.009, 0.2, 0.5, 0.99]
+    calls = {"reference": [], "candidate": []}
+    original = count_viable_paths
+
+    def recording(side):
+        def count(topology, u, v, compromised, hop_bound):
+            calls[side].append((u, v, len(compromised), hop_bound))
+            return original(topology, u, v, compromised, hop_bound=hop_bound)
+        return count
+
+    monkeypatch.setattr(experiments, "count_viable_paths", recording("candidate"))
+    table = untrusted_node_experiment(kinds, fractions, 2, 15, stream(11, "decay-ref"))
+    monkeypatch.setitem(globals(), "count_viable_paths", recording("reference"))
+    assert list(table.rows) == reference_decay_rows(
+        kinds, fractions, 2, 15, stream(11, "decay-ref")
+    )
+    assert calls["candidate"] == calls["reference"]
+
+
+@pytest.mark.parametrize("case", ["beyond-uint64", "beyond-int64", "long-rows", "mixed"])
+def test_decay_moments_match_per_row_calls(case):
+    # _moments reduces one int64 row per fraction; each must equal np.mean
+    # and np.std on that fraction's list to the bit.  Beyond 2**64 the lists
+    # infer object dtype, in [2**63, 2**64) float64, and past 8,192 samples
+    # NumPy sums a cast row in buffer-sized chunks.
+    rng = stream(5, f"moments-{case}")
+    if case == "beyond-uint64":
+        counts = [[2**64 + int(x), int(x)] for x in rng.integers(0, 10**6, size=40)]
+    elif case == "beyond-int64":
+        counts = [[2**63 + int(x), int(x)] for x in rng.integers(0, 10**6, size=40)]
+    elif case == "long-rows":
+        counts = rng.integers(0, 2**62, size=(20_000, 3)).tolist()
+    else:
+        counts = rng.integers(0, 50, size=(400, 9)).tolist()
+    expected = [(float(np.mean(column)), float(np.std(column))) for column in map(list, zip(*counts))]
+    assert _moments(counts) == expected
 
 
 def test_decay_validation():
