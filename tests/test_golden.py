@@ -74,8 +74,10 @@ PROTOCOL_CASES = {
 # the decoy test (random intercept also away from transmittance 0.5, where its
 # thinned mean equals the honest channel's and the two digests coincide), a
 # second decoy class, a Poisson mean whose CDF spans many steps (max_bin 60
-# keeps its whole tail in the rows), fixed Trojan phases including zero, and
-# both noise modes at a low and a high flip rate.
+# keeps its whole tail in the rows), pns runs that span several of
+# pns_experiment's chunks at a high and a low mean (every strategy kind, and
+# pulse counts that are not a multiple of the chunk size), fixed Trojan phases
+# including zero, and both noise modes at a low and a high flip rate.
 ARRAY_CASES = {
     "decoy/block-singles": ("decoy", {"pulses": "2000", "attack": "block-singles"}),
     "decoy/random-0.5": ("decoy", {"pulses": "2000", "attack": "random-0.5"}),
@@ -84,6 +86,11 @@ ARRAY_CASES = {
     ),
     "decoy/two-decoys": ("decoy", {"pulses": "2000", "decoy_mus": "0.1,0.05"}),
     "pns/mu-20": ("pns", {"pulses": "10000", "mu": "20", "max_bin": "60"}),
+    "pns/multi-chunk": (
+        "pns",
+        {"pulses": "100003", "strategies": "no-eve,random-0.25,always-minus-one,block-singles"},
+    ),
+    "pns/low-mu-multi-chunk": ("pns", {"pulses": "70001", "mu": "0.1"}),
     "trojan/fixed-1-fixed-0": ("trojan", {"photons": "5000", "policies": "fixed-1,fixed-0"}),
     "qec/p0.05-p0.3": ("qec", {"flip_probs": "0.05,0.3", "blocks": "2000"}),
 }
