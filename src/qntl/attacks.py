@@ -138,6 +138,29 @@ class PnsExperimentResult:
         return self.zscores[label].max_abs
 
 
+# Pulses per chunk of a pns series: 2**15 uniforms (256 KiB) stay in cache.
+_PNS_CHUNK = 1 << 15
+
+
+def _series_histogram(
+    mean: float, strategy: PnsStrategy, rng: np.random.Generator, n_pulses: int, max_bin: int
+) -> Histogram:
+    """Histogram of the counts that ``strategy`` forwards from ``n_pulses``
+    Poisson(mean) pulses, drawn and counted ``_PNS_CHUNK`` pulses at a time.
+
+    Consecutive chunks consume the uniforms of one whole draw, in order, so
+    neither the histogram nor the stream's final state depends on the chunk
+    size.  Random intercept forwards the counts drawn at its thinned mean.
+    """
+    counts = np.zeros(max_bin + 1, dtype=np.int64)
+    for start in range(0, n_pulses, _PNS_CHUNK):
+        forwarded = poisson_sample_array(mean, rng, min(_PNS_CHUNK, n_pulses - start))
+        if strategy.variant in (PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES):
+            _, forwarded = pns_transform_counts(forwarded, strategy)
+        counts += Histogram.from_samples(forwarded, max_bin=max_bin).counts
+    return Histogram(counts=counts, total=n_pulses)
+
+
 def pns_experiment(
     n_pulses: int,
     mean_photons: float,
@@ -160,20 +183,16 @@ def pns_experiment(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate strategy labels: {labels}")
     children = rng.spawn(len(strategies) + 1)
-    base_counts = poisson_sample_array(mean_photons, children[0], n_pulses)
-    baseline = Histogram.from_samples(base_counts, max_bin=max_bin)
+    baseline = _series_histogram(mean_photons, PnsStrategy.no_eve(), children[0], n_pulses, max_bin)
     histograms: dict[str, Histogram] = {}
     zscores: dict[str, ZScoreSeries] = {}
     for strategy, label, child in zip(strategies, labels, children[1:]):
+        mean = mean_photons
         if strategy.variant is PnsVariant.RANDOM_INTERCEPT:
             # Skimming each photon of a Poisson(mu) pulse with probability q
             # leaves exactly Poisson(mu * (1 - q)) photons.
-            survival = 1.0 - strategy.intercept_probability
-            forwarded = poisson_sample_array(mean_photons * survival, child, n_pulses)
-        else:
-            emitted = poisson_sample_array(mean_photons, child, n_pulses)
-            _, forwarded = pns_transform_counts(emitted, strategy)
-        hist = Histogram.from_samples(forwarded, max_bin=max_bin)
+            mean = mean_photons * (1.0 - strategy.intercept_probability)
+        hist = _series_histogram(mean, strategy, child, n_pulses, max_bin)
         histograms[label] = hist
         zscores[label] = zscore_compare(hist, baseline)
     return PnsExperimentResult(

@@ -12,6 +12,8 @@ their draws and the rows built from them.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -81,6 +83,28 @@ def _check_mean(mu: float) -> float:
     return mu
 
 
+@functools.lru_cache(maxsize=64)
+def _poisson_table(mu: float) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Poisson(mu) CDF steps, as a tuple and as an array, and their guide table.
+
+    The steps stop where the CDF reaches 1.0 or a term underflows (a zero
+    term would repeat the last step), so a uniform above them reads len(cdf).
+    """
+    pmf = math.exp(-mu)
+    steps = [pmf]
+    while steps[-1] < 1.0:
+        pmf *= mu / len(steps)  # the term of count len(steps)
+        if pmf == 0.0:
+            break
+        steps.append(steps[-1] + pmf)
+    cdf = np.asarray(steps)
+    cut = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
+    guide = np.where(cut[:-1] == cut[1:], cut[:-1], -1)
+    cdf.setflags(write=False)
+    guide.setflags(write=False)
+    return tuple(steps), cdf, guide
+
+
 def poisson_sample(mu: float, rng: np.random.Generator) -> int:
     """Draw one Poisson(mu) variate by CDF inversion on a single uniform.
 
@@ -90,15 +114,7 @@ def poisson_sample(mu: float, rng: np.random.Generator) -> int:
     mu = _check_mean(mu)
     if mu == 0.0:
         return 0
-    u = rng.random()
-    k = 0
-    pmf = math.exp(-mu)
-    cdf = pmf
-    while u > cdf and pmf > 0.0:
-        k += 1
-        pmf *= mu / k
-        cdf += pmf
-    return k
+    return bisect.bisect_left(_poisson_table(mu)[0], rng.random())
 
 
 def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -107,33 +123,24 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
     Consumes exactly one uniform per draw, in order, and returns the same
     counts the scalar routine would produce from the same stream.  At
     ``mu == 0`` the stream positions part: this routine still draws ``size``
-    uniforms, while the scalar routine draws none.
+    uniforms, while the scalar routine draws none.  Calls of sizes a and b in
+    a row equal one call of size a + b, counts and stream state alike.
 
     Each count is #(cdf < u), found by indexed search (a guide table, Chen
-    and Asau 1974): bucket b of 2**12 equal buckets over [0, 1) stores
-    #(cdf < b/G) when that equals #(cdf < (b+1)/G), and -1 otherwise.  The
-    lookup is exact because u*G is exact for a power-of-two G, and for u in
-    [b/G, (b+1)/G) the count is squeezed between those two.  Only draws in
-    a bucket that holds a CDF step are binary-searched.
+    and Asau 1974) in a table built once per mean and cached: the CDF steps,
+    and per bucket b of 2**12 equal buckets over [0, 1) #(cdf < b/G) when
+    that equals #(cdf < (b+1)/G), else -1.  The lookup is exact because u*G
+    is exact for a power-of-two G, and for u in [b/G, (b+1)/G) the count is
+    squeezed between those two.  Only draws in a bucket that holds a CDF
+    step are binary-searched.
     """
     mu = _check_mean(mu)
     if size < 0:
         raise ValueError("size must be >= 0")
+    _, cdf, guide = _poisson_table(mu)
     u = rng.random(size)
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
-    umax = float(u.max())
-    pmf = math.exp(-mu)
-    cdf_steps = [pmf]
-    k = 0
-    while cdf_steps[-1] < umax and pmf > 0.0:
-        k += 1
-        pmf *= mu / k
-        cdf_steps.append(cdf_steps[-1] + pmf)
-    cdf = np.asarray(cdf_steps)
-    cut = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
-    table = np.where(cut[:-1] == cut[1:], cut[:-1], -1)
-    counts = table[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    # Casting inside the multiply is several times faster than .astype here.
+    counts = guide[np.multiply(u, _GUIDE_BUCKETS, out=np.empty(size, np.intp), casting="unsafe")]
     ambiguous = np.flatnonzero(counts < 0)
     counts[ambiguous] = np.searchsorted(cdf, u[ambiguous], side="left")
     return counts
@@ -209,34 +216,6 @@ class Histogram:
         if self.total == 0:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / self.total
-
-    def rebin(self, max_bin: int) -> "Histogram":
-        """Aggregate the tail into a smaller overflow bin; total is conserved."""
-        if not 0 <= max_bin <= self.max_bin:
-            raise ValueError("new max_bin must be within the current range")
-        head = self.counts[:max_bin]
-        tail = int(self.counts[max_bin:].sum())
-        counts = np.concatenate([head, [tail]])
-        return Histogram(counts=counts, total=self.total, overflow=True)
-
-    def to_csv(self) -> str:
-        lines = ["bin,count"]
-        lines.extend(f"{b},{c}" for b, c in zip(self.bins, self.counts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, overflow: bool = True) -> "Histogram":
-        rows = [line for line in text.strip().splitlines() if line]
-        if not rows or rows[0] != "bin,count":
-            raise ValueError("histogram CSV must start with a 'bin,count' header")
-        counts = []
-        for i, line in enumerate(rows[1:]):
-            bin_str, count_str = line.split(",")
-            if int(bin_str) != i:
-                raise ValueError("histogram CSV bins must be contiguous from 0")
-            counts.append(int(count_str))
-        arr = np.asarray(counts, dtype=np.int64)
-        return cls(counts=arr, total=int(arr.sum()), overflow=overflow)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,13 @@ from scipy.stats import binom as sp_binom
 from scipy.stats import poisson as sp_poisson
 
 from qntl.attacks import (
+    _PNS_CHUNK,
     PnsStrategy,
+    PnsVariant,
     TrojanPolicy,
     TrojanVariant,
     _block_failure_probability,
+    _series_histogram,
     iid_logical_error_rate,
     interlock_detection_rate,
     interlock_exchange,
@@ -151,6 +154,44 @@ def test_pns_experiment_distributions():
     # taking half the photons distorts far more than taking one
     assert result.max_abs_z("random-0.5") > result.max_abs_z("always-minus-one")
     assert result.max_abs_z("always-minus-one") > 4.0
+
+
+def reference_pns_histograms(n_pulses, mu, strategies, rng, max_bin=20):
+    """pns as it was drawn before chunking: one whole array of counts per
+    series, then one histogram of it."""
+    children = rng.spawn(len(strategies) + 1)
+    hists = [Histogram.from_samples(poisson_sample_array(mu, children[0], n_pulses), max_bin)]
+    for strategy, child in zip(strategies, children[1:]):
+        if strategy.variant is PnsVariant.RANDOM_INTERCEPT:
+            survival = 1.0 - strategy.intercept_probability
+            forwarded = poisson_sample_array(mu * survival, child, n_pulses)
+        else:
+            _, forwarded = pns_transform_counts(poisson_sample_array(mu, child, n_pulses), strategy)
+        hists.append(Histogram.from_samples(forwarded, max_bin))
+    return hists
+
+
+@pytest.mark.parametrize("n", [10_000, _PNS_CHUNK, _PNS_CHUNK + 1, 3 * _PNS_CHUNK - 1])
+def test_pns_chunks_match_one_whole_draw(n):
+    strategies = [
+        PnsStrategy.no_eve(),
+        PnsStrategy.random_intercept(0.25),
+        PnsStrategy.always_minus_one(),
+        PnsStrategy.block_singles(),
+    ]
+    want = reference_pns_histograms(n, 5.0, strategies, stream(4, "pns-chunks"))
+    result = pns_experiment(n, 5.0, strategies, stream(4, "pns-chunks"))
+    got = [result.baseline, *(result.histograms[s.label()] for s in strategies)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.counts, w.counts)
+        assert g.total == w.total == n
+        assert g.overflow and w.overflow
+    # Each series leaves its stream where one whole draw would.
+    for strategy in strategies:
+        chunked, whole = stream(5, "pns-state"), stream(5, "pns-state")
+        _series_histogram(2.5, strategy, chunked, n, 20)
+        poisson_sample_array(2.5, whole, n)
+        assert chunked.bit_generator.state == whole.bit_generator.state
 
 
 def test_pns_experiment_validation():

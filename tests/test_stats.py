@@ -19,6 +19,7 @@ from qntl.stats import (
 )
 
 from distcheck import chi_square_gof
+from histtools import from_csv, rebin, to_csv
 
 
 # ---------------------------------------------------------------- stream
@@ -104,16 +105,21 @@ def reference_poisson_array(mu, rng, size):
 
 
 class CraftedUniforms:
-    """Stands in for a generator whose ``random(size)`` returns fixed draws."""
+    """Stands in for a generator whose ``random()`` and ``random(size)``
+    return fixed draws, in order."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=float)
         self.calls = 0
+        self.used = 0
 
-    def random(self, size):
-        assert size == self.draws.size
+    def random(self, size=None):
+        n = 1 if size is None else size
+        assert self.used + n <= self.draws.size
+        out = self.draws[self.used:self.used + n].copy()
         self.calls += 1
-        return self.draws.copy()
+        self.used += n
+        return float(out[0]) if size is None else out
 
 
 def crafted_draws(mu):
@@ -140,6 +146,55 @@ def test_indexed_search_matches_binary_search_on_crafted_draws(mu):
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert got_rng.calls == want_rng.calls == 1
+    assert got_rng.used == want_rng.used == len(draws)
+
+
+def reference_poisson_sample(mu, rng):
+    """The scalar loop that the cached table replaced: add terms until the
+    CDF reaches the uniform or a term underflows."""
+    if mu == 0.0:
+        return 0
+    u = rng.random()
+    k = 0
+    pmf = math.exp(-mu)
+    cdf = pmf
+    while u > cdf and pmf > 0.0:
+        k += 1
+        pmf *= mu / k
+        cdf += pmf
+    return k
+
+
+# At mu = 0.1 the float CDF stops at 0.9999999999999998, below the largest
+# uniform 1 - 2**-53.  reference_poisson_array keeps the step where the term
+# underflows, so it reads 123 there where the scalar loop reads 122; the
+# cached table leaves that step out, so both samplers read 122.
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.5, 5.0, 20.0, 700.0])
+def test_scalar_and_array_poisson_agree_at_cdf_saturation(mu):
+    draws = crafted_draws(mu)
+    scalar_rng, want_rng, array_rng = (CraftedUniforms(draws) for _ in range(3))
+    scalar = [poisson_sample(mu, scalar_rng) for _ in draws]
+    want = [reference_poisson_sample(mu, want_rng) for _ in draws]
+    array = poisson_sample_array(mu, array_rng, len(draws)).tolist()
+    assert scalar == want == array
+    assert scalar_rng.used == want_rng.used == (0 if mu == 0.0 else len(draws))
+    assert array_rng.used == len(draws)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(0.0, 700.0),
+    a=st.integers(0, 3000),
+    b=st.integers(0, 3000),
+    seed=st.integers(0, 2**32),
+)
+def test_poisson_array_draws_split_across_calls(mu, a, b, seed):
+    split_rng, whole_rng = stream(seed, "split"), stream(seed, "split")
+    split = np.concatenate([
+        poisson_sample_array(mu, split_rng, a), poisson_sample_array(mu, split_rng, b),
+    ])
+    assert np.array_equal(split, poisson_sample_array(mu, whole_rng, a + b))
+    assert split_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,7 +306,7 @@ def test_histogram_empty_frequencies_are_zero():
 
 def test_histogram_rebin_conserves_total():
     h = Histogram.from_samples(list(range(12)), max_bin=10)
-    r = h.rebin(4)
+    r = rebin(h, 4)
     assert r.total == h.total
     assert r.max_bin == 4
     assert list(r.counts) == [1, 1, 1, 1, 8]
@@ -264,14 +319,14 @@ def test_histogram_rejects_inconsistent_total():
 
 def test_histogram_csv_round_trip():
     h = Histogram.from_samples([0, 0, 1, 3, 3, 3], max_bin=5)
-    again = Histogram.from_csv(h.to_csv())
+    again = from_csv(to_csv(h))
     assert np.array_equal(again.counts, h.counts)
     assert again.total == h.total
 
 
 def test_histogram_csv_rejects_bad_header():
     with pytest.raises(ValueError):
-        Histogram.from_csv("a,b\n0,1\n")
+        from_csv("a,b\n0,1\n")
 
 
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=200), st.integers(1, 30))
@@ -280,7 +335,7 @@ def test_histogram_total_always_conserved(samples, max_bin):
     h = Histogram.from_samples(samples, max_bin=max_bin)
     assert h.total == len(samples)
     assert int(h.counts.sum()) == len(samples)
-    r = h.rebin(max_bin // 2) if max_bin >= 2 else h
+    r = rebin(h, max_bin // 2) if max_bin >= 2 else h
     assert r.total == len(samples)
 
 
