@@ -317,7 +317,6 @@ def probe_hook() -> Callable[[PureState], PureState]:
 def interlock_exchange(
     message_bits: int,
     trials: int,
-    eve_present: bool,
     rng: np.random.Generator,
 ) -> int:
     """Run ``trials`` interlock exchanges of ``message_bits``-bit messages and
@@ -328,15 +327,13 @@ def interlock_exchange(
     relay attacker must therefore commit to the sender's second half before
     seeing it; she guesses those message_bits/2 bits uniformly and is caught
     whenever the guess differs from the real half, i.e. with probability
-    1 - 2^(-message_bits/2).  Without her no exchange is flagged.
+    1 - 2^(-message_bits/2).
     """
     k = int(message_bits)
     if k < 2 or k % 2 != 0:
         raise ValueError(f"message length must be an even integer >= 2, got {k}")
     if trials < 1:
         raise ValueError(f"need at least one exchange, got {trials}")
-    if not eve_present:
-        return 0
     half = k // 2
     sent = rng.integers(0, 2, size=(trials, k), dtype=np.int8)
     guesses = rng.integers(0, 2, size=(trials, half), dtype=np.int8)
@@ -354,25 +351,12 @@ def interlock_detection_rate(message_bits: int) -> float:
 # Intercept-resend
 # ---------------------------------------------------------------------------
 
-def intercept_resend(
-    mode: str = "random",
-) -> Callable[[PureState, Basis, np.random.Generator], PureState]:
-    """Build an in-flight qubit hook that measures and re-prepares each pulse.
-
-    Modes: "random" guesses a basis uniformly (the physical attack);
-    "always-correct" and "always-wrong" are oracle modes for testing that
-    pin the guess relative to the sender's true basis.
-    """
-    if mode not in ("random", "always-correct", "always-wrong"):
-        raise ValueError(f"unknown intercept-resend mode {mode!r}")
+def intercept_resend() -> Callable[[PureState, Basis, np.random.Generator], PureState]:
+    """Build an in-flight qubit hook that measures each pulse in a uniformly
+    guessed basis and re-prepares the bit it read in that basis."""
 
     def hook(state: PureState, sender_basis: Basis, rng: np.random.Generator) -> PureState:
-        if mode == "random":
-            guess = Basis.RECTILINEAR if rng.integers(0, 2) == 0 else Basis.DIAGONAL
-        elif mode == "always-correct":
-            guess = sender_basis
-        else:
-            guess = Basis.DIAGONAL if sender_basis is Basis.RECTILINEAR else Basis.RECTILINEAR
+        guess = Basis.RECTILINEAR if rng.integers(0, 2) == 0 else Basis.DIAGONAL
         outcome: MeasurementOutcome = measure_qubit(state, 0, guess, rng)
         return encoded_qubit(outcome.bit, guess)
 

@@ -28,6 +28,8 @@ ENV_SEED = "QNTL_SEED"
 
 # start:stop:step expansion tolerance; guards float accumulation at the stop.
 _RANGE_EPS = 1e-12
+# Most values a start:stop:step range may expand to.
+_RANGE_MAX_VALUES = 10_000
 
 
 class ConfigError(Exception):
@@ -39,6 +41,7 @@ def parse_range(text: str) -> list[float]:
 
     Range notation is inclusive at start and exclusive at stop, e.g.
     ``0:0.9:0.1`` -> [0.0, 0.1, ..., 0.8].  A bare number is a one-item list.
+    A range that would expand past ``_RANGE_MAX_VALUES`` values is refused.
     """
     text = text.strip()
     if not text:
@@ -61,6 +64,8 @@ def parse_range(text: str) -> list[float]:
             value = start + k * step
             if value >= stop - _RANGE_EPS:
                 break
+            if k == _RANGE_MAX_VALUES:
+                raise ConfigError(f"range {text!r} expands past {_RANGE_MAX_VALUES} values")
             # round off accumulation noise so 0:0.9:0.1 yields 0.3, not 0.30000000000000004
             values.append(round(value, 12))
             k += 1

@@ -1,29 +1,23 @@
 """Turn experiment reports into per-series plot data files.
 
-Each figure name maps to one source experiment and a recipe for slicing its
-rows into named (x, y) series.  The emitter writes one small CSV per series
-plus, on request, a self-contained SVG line chart; it refuses reports from
-the wrong experiment rather than guessing at column meanings.
+Each figure name maps to one source experiment, a recipe for slicing its
+rows into named (x, y) series, and the line charts that draw them.  The
+emitter writes one small CSV per series plus, on request, one self-contained
+SVG per chart; it refuses reports from the wrong experiment rather than
+guessing at column meanings.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .config import ConfigError
 from .report import ExperimentReport, rows_to_csv
 from .svg import LineChart, Series, render_line_chart
 
 __all__ = ["FIGURES", "emit_plotdata"]
-
-# figure name -> experiment whose report feeds it
-FIGURES: dict[str, str] = {
-    "fig3": "pns",
-    "fig4": "trojan",
-    "fig6a": "topology-decay",
-    "fig6b": "topology-decay",
-}
 
 _AGGREGATE_DISTANCE = -1
 
@@ -34,17 +28,22 @@ def _slug(text: str) -> str:
 
 @dataclass(frozen=True)
 class _SeriesData:
+    """One (x, y) series, drawn by the figure's chart number ``chart``; a
+    chart is drawn once per distinct ``group`` among its series."""
+
     name: str
     x_name: str
     y_name: str
     points: tuple[tuple[float, float], ...]
+    chart: int = 0
+    group: str = ""
 
 
 def _cells(report: ExperimentReport) -> list[dict]:
     return [dict(zip(report.columns, row)) for row in report.rows]
 
 
-def _pns_series(report: ExperimentReport) -> tuple[list[_SeriesData], list[_SeriesData]]:
+def _pns_series(report: ExperimentReport) -> list[_SeriesData]:
     counts: dict[str, list[tuple[float, float]]] = {}
     zscores: dict[str, list[tuple[float, float]]] = {}
     for cell in _cells(report):
@@ -52,14 +51,12 @@ def _pns_series(report: ExperimentReport) -> tuple[list[_SeriesData], list[_Seri
         target.setdefault(cell["series"], []).append(
             (float(cell["bin"]), float(cell["value"]))
         )
-    count_series = [
+    return [
         _SeriesData(name, "bin", "count", tuple(pts)) for name, pts in counts.items()
-    ]
-    z_series = [
-        _SeriesData(f"{name} z", "bin", "zscore", tuple(pts))
+    ] + [
+        _SeriesData(f"{name} z", "bin", "zscore", tuple(pts), chart=1)
         for name, pts in zscores.items()
     ]
-    return count_series, z_series
 
 
 def _trojan_series(report: ExperimentReport) -> list[_SeriesData]:
@@ -74,34 +71,68 @@ def _trojan_series(report: ExperimentReport) -> list[_SeriesData]:
     ]
 
 
-def _decay_series(report: ExperimentReport, by_distance: bool) -> list[_SeriesData]:
-    grouped: dict[tuple, list[tuple[float, float]]] = {}
-    for cell in _cells(report):
-        distance = int(cell["distance"])
-        if by_distance != (distance != _AGGREGATE_DISTANCE):
-            continue
-        key = (cell["kind"], distance) if by_distance else (cell["kind"],)
-        grouped.setdefault(key, []).append(
-            (float(cell["fraction"]), float(cell["mean_count"]))
-        )
-    out = []
-    for key, pts in grouped.items():
-        name = key[0] if len(key) == 1 else f"{key[0]} d={key[1]}"
-        out.append(_SeriesData(name, "fraction", "mean_count", tuple(sorted(pts))))
-    return out
+def _decay_series(by_distance: bool) -> Callable[[ExperimentReport], list[_SeriesData]]:
+    """Mean viable paths per family (aggregate rows), or per family and
+    distance with one chart group per family."""
+
+    def build(report: ExperimentReport) -> list[_SeriesData]:
+        grouped: dict[tuple, list[tuple[float, float]]] = {}
+        for cell in _cells(report):
+            distance = int(cell["distance"])
+            if by_distance != (distance != _AGGREGATE_DISTANCE):
+                continue
+            key = (cell["kind"], distance) if by_distance else (cell["kind"],)
+            grouped.setdefault(key, []).append(
+                (float(cell["fraction"]), float(cell["mean_count"]))
+            )
+        return [
+            _SeriesData(
+                f"{key[0]} d={key[1]}" if by_distance else key[0],
+                "fraction",
+                "mean_count",
+                tuple(sorted(pts)),
+                group=key[0] if by_distance else "",
+            )
+            for key, pts in grouped.items()
+        ]
+
+    return build
 
 
-def _write_series_csv(out_dir: Path, figure: str, series: _SeriesData) -> Path:
-    path = out_dir / f"{figure}-{_slug(series.name)}.csv"
-    text = rows_to_csv((series.x_name, series.y_name), series.points)
-    path.write_text(text, encoding="utf-8")
-    return path
+@dataclass(frozen=True)
+class _Figure:
+    """A figure's source experiment, series recipe, and charts: each is a
+    file stem and a chart without series, with ``{figure}`` and ``{group}``
+    filled in (the group slugged in the stem)."""
+
+    experiment: str
+    series: Callable[[ExperimentReport], list[_SeriesData]]
+    charts: tuple[tuple[str, LineChart], ...]
 
 
-def _write_svg(out_dir: Path, stem: str, chart: LineChart) -> Path:
-    path = out_dir / f"{stem}.svg"
-    path.write_text(render_line_chart(chart), encoding="utf-8")
-    return path
+_COUNT_PER_BIN = "photons per pulse"
+_DECAY_AXES = ("untrusted node fraction", "mean viable paths")
+
+FIGURES: dict[str, _Figure] = {
+    "fig3": _Figure("pns", _pns_series, (
+        ("{figure}", LineChart(
+            "Received photon-number distributions", _COUNT_PER_BIN, "pulses", ())),
+        ("{figure}-zscores", LineChart(
+            "Per-bin deviation from the clean baseline", _COUNT_PER_BIN, "z-score", ())),
+    )),
+    "fig4": _Figure("trojan", _trojan_series, (
+        ("{figure}", LineChart("Cumulative probe gain", "photon", "accumulated gain", ())),
+    )),
+    "fig6a": _Figure("topology-decay", _decay_series(by_distance=False), (
+        ("{figure}", LineChart(
+            "Viable paths vs untrusted fraction", *_DECAY_AXES, (), log_y=True, floor=1e-2)),
+    )),
+    "fig6b": _Figure("topology-decay", _decay_series(by_distance=True), (
+        ("{figure}-{group}", LineChart(
+            "Viable paths by endpoint distance ({group})", *_DECAY_AXES, (),
+            log_y=True, floor=1e-2)),
+    )),
+}
 
 
 def emit_plotdata(
@@ -112,111 +143,39 @@ def emit_plotdata(
 ) -> list[Path]:
     """Write the figure's series files (and optional SVG charts) to ``out_dir``.
 
-    Returns the written paths.  Raises :class:`ConfigError` when the figure
-    name is unknown or the report comes from a different experiment.
+    Returns the written paths: the series CSVs in recipe order, then the
+    charts by chart number and group.  Raises :class:`ConfigError` when the
+    figure name is unknown or the report comes from a different experiment.
     """
-    required = FIGURES.get(figure)
-    if required is None:
+    spec = FIGURES.get(figure)
+    if spec is None:
         listed = ", ".join(sorted(FIGURES))
         raise ConfigError(f"unknown figure {figure!r}; expected one of {listed}")
     experiment = report.config.get("experiment")
-    if experiment != required:
+    if experiment != spec.experiment:
         raise ConfigError(
-            f"figure {figure!r} needs a report from the {required!r} experiment, "
+            f"figure {figure!r} needs a report from the {spec.experiment!r} experiment, "
             f"got {experiment!r}"
         )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    if figure == "fig3":
-        count_series, z_series = _pns_series(report)
-        for series in count_series + z_series:
-            written.append(_write_series_csv(out, figure, series))
-        if svg:
-            written.append(
-                _write_svg(
-                    out,
-                    figure,
-                    LineChart(
-                        title="Received photon-number distributions",
-                        x_label="photons per pulse",
-                        y_label="pulses",
-                        series=tuple(
-                            Series(s.name, s.points) for s in count_series
-                        ),
-                    ),
-                )
+    series_list = spec.series(report)
+    for series in series_list:
+        path = out / f"{figure}-{_slug(series.name)}.csv"
+        text = rows_to_csv((series.x_name, series.y_name), series.points)
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
+    if svg:
+        for chart, group in sorted({(s.chart, s.group) for s in series_list}):
+            stem, template = spec.charts[chart]
+            drawn = tuple(
+                Series(s.name, s.points) for s in series_list
+                if (s.chart, s.group) == (chart, group)
             )
-            written.append(
-                _write_svg(
-                    out,
-                    f"{figure}-zscores",
-                    LineChart(
-                        title="Per-bin deviation from the clean baseline",
-                        x_label="photons per pulse",
-                        y_label="z-score",
-                        series=tuple(Series(s.name, s.points) for s in z_series),
-                    ),
-                )
-            )
-    elif figure == "fig4":
-        series_list = _trojan_series(report)
-        for series in series_list:
-            written.append(_write_series_csv(out, figure, series))
-        if svg:
-            written.append(
-                _write_svg(
-                    out,
-                    figure,
-                    LineChart(
-                        title="Cumulative probe gain",
-                        x_label="photon",
-                        y_label="accumulated gain",
-                        series=tuple(Series(s.name, s.points) for s in series_list),
-                    ),
-                )
-            )
-    elif figure == "fig6a":
-        series_list = _decay_series(report, by_distance=False)
-        for series in series_list:
-            written.append(_write_series_csv(out, figure, series))
-        if svg:
-            written.append(
-                _write_svg(
-                    out,
-                    figure,
-                    LineChart(
-                        title="Viable paths vs untrusted fraction",
-                        x_label="untrusted node fraction",
-                        y_label="mean viable paths",
-                        series=tuple(Series(s.name, s.points) for s in series_list),
-                        log_y=True,
-                        floor=1e-2,
-                    ),
-                )
-            )
-    else:  # fig6b
-        series_list = _decay_series(report, by_distance=True)
-        for series in series_list:
-            written.append(_write_series_csv(out, figure, series))
-        if svg:
-            kinds = sorted({s.name.split(" d=")[0] for s in series_list})
-            for kind in kinds:
-                chosen = [s for s in series_list if s.name.split(" d=")[0] == kind]
-                written.append(
-                    _write_svg(
-                        out,
-                        f"{figure}-{_slug(kind)}",
-                        LineChart(
-                            title=f"Viable paths by endpoint distance ({kind})",
-                            x_label="untrusted node fraction",
-                            y_label="mean viable paths",
-                            series=tuple(Series(s.name, s.points) for s in chosen),
-                            log_y=True,
-                            floor=1e-2,
-                        ),
-                    )
-                )
+            path = out / f"{stem.format(figure=figure, group=_slug(group))}.svg"
+            filled = replace(template, title=template.title.format(group=group), series=drawn)
+            path.write_text(render_line_chart(filled), encoding="utf-8")
+            written.append(path)
     return written

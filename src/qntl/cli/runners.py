@@ -330,7 +330,7 @@ def _run_bb84(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summ
     )
     eavesdropper = None
     if params["attack"] == "intercept-resend":
-        eavesdropper = attacks.intercept_resend("random")
+        eavesdropper = attacks.intercept_resend()
     session = qkd.run_bb84(
         params["rounds"],
         rng,
@@ -506,22 +506,29 @@ def _run_decoy(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
 # Repetition-code error correction
 # ---------------------------------------------------------------------------
 
+_QEC_MODES = ("iid", "burst-2")
+
+
+def _parse_modes(raw: Any) -> list[str]:
+    modes = [_choice("noise mode", _QEC_MODES)(token) for token in _as_str_list(raw)]
+    if len(set(modes)) != len(modes):
+        raise ConfigError("duplicate noise modes in list")
+    return modes
+
+
 _QEC_SPECS = (
     ParamSpec("flip_probs", _as_float_list, [0.05, 0.1, 0.2, 0.3], "physical flip probabilities"),
     ParamSpec("blocks", _as_int, 20_000, "code blocks per (mode, probability) cell"),
     ParamSpec(
         "modes",
-        _as_str_list,
-        ["iid", "burst-2"],
+        _parse_modes,
+        list(_QEC_MODES),
         "noise modes: independent flips, or correlated adjacent-pair bursts",
     ),
 )
 
 
 def _run_qec(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
-    for mode in params["modes"]:
-        if mode not in ("iid", "burst-2"):
-            raise ConfigError(f"unknown noise mode {mode!r}; expected iid or burst-2")
     rng = stream(seed, "qec")
     columns = (
         "mode", "flip_probability", "blocks", "logical_errors", "logical_rate",
@@ -558,7 +565,7 @@ def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
     columns = ("message_bits", "trials", "detected", "detection_rate", "analytic_rate")
     rows: Rows = []
     for k in params["message_bits"]:
-        detected = attacks.interlock_exchange(k, trials, True, rng)
+        detected = attacks.interlock_exchange(k, trials, rng)
         rows.append(
             _row(k, trials, detected, detected / trials, attacks.interlock_detection_rate(k))
         )
@@ -631,7 +638,7 @@ def _as_float_pair(raw: Any) -> tuple[float, float]:
 
 
 _DIVERSION_SPECS = (
-    ParamSpec("kind", _parse_kinds, ["grid"], "topology family (single)"),
+    ParamSpec("kind", _choice("topology kind", _ALL_KINDS), "grid", "topology family"),
     ParamSpec("pairs", _as_int, 200, "endpoint pairs routed"),
     ParamSpec("hijacker", _as_int, -1, "advertising node id, or -1 for the middle node"),
     ParamSpec(
@@ -653,13 +660,10 @@ _DIVERSION_SPECS = (
 
 
 def _run_diversion(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
-    kinds = params["kind"]
-    if len(kinds) != 1:
-        raise ConfigError("diversion runs on a single topology kind")
     rng = stream(seed, "diversion")
     topo_seed = int(rng.integers(0, 2**63))
     topology = network.generate_topology(
-        kinds[0],
+        params["kind"],
         topo_seed,
         error_rate_range=params["error_rate_range"],
         response_time_range=params["response_time_range"],

@@ -9,13 +9,7 @@ from .experiments import (
     diversion_experiment,
     untrusted_node_experiment,
 )
-from .paths import (
-    RoutePolicyKind,
-    RoutingPolicy,
-    count_viable_paths,
-    hop_distance,
-    route,
-)
+from .paths import count_viable_paths, hop_distance, route
 from .topology import (
     DEFAULT_PARAMS,
     NodeInfo,
@@ -24,7 +18,6 @@ from .topology import (
     export_topology,
     generate_topology,
     import_topology,
-    mark_untrusted,
 )
 
 __all__ = [
@@ -38,8 +31,6 @@ __all__ = [
     "DiversionResult",
     "diversion_experiment",
     "untrusted_node_experiment",
-    "RoutePolicyKind",
-    "RoutingPolicy",
     "count_viable_paths",
     "hop_distance",
     "route",
@@ -50,5 +41,4 @@ __all__ = [
     "export_topology",
     "generate_topology",
     "import_topology",
-    "mark_untrusted",
 ]

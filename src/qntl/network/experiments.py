@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .paths import RoutingPolicy, count_viable_paths, hop_distance, route
+from .paths import count_viable_paths, hop_distance, route
 from .topology import Topology, TopologyKind, generate_topology
 
 __all__ = [
@@ -58,20 +58,6 @@ class DecayTable:
             if row.kind == kind and row.fraction == fraction and row.distance == AGGREGATE_DISTANCE:
                 return row
         raise KeyError(f"no aggregate row for ({kind!r}, {fraction!r})")
-
-    def by_distance(self, kind: str, fraction: float) -> list[DecayRow]:
-        return sorted(
-            (
-                row
-                for row in self.rows
-                if row.kind == kind and row.fraction == fraction
-                and row.distance != AGGREGATE_DISTANCE
-            ),
-            key=lambda row: row.distance,
-        )
-
-    def fractions(self, kind: str) -> list[float]:
-        return sorted({row.fraction for row in self.rows if row.kind == kind})
 
 
 def untrusted_node_experiment(
@@ -233,7 +219,6 @@ def diversion_experiment(
         raise ValueError(f"hijackers {sorted(missing)} are not nodes of the topology")
     if n_pairs <= 0:
         raise ValueError("need at least one pair")
-    policy = RoutingPolicy.trust_weighted(response_time_scale)
     candidates = [node for node in sorted(topology.nodes) if node not in hijacked]
     if len(candidates) < 2:
         raise ValueError("topology too small for endpoint pairs")
@@ -242,8 +227,8 @@ def diversion_experiment(
     for _ in range(n_pairs):
         i, j = rng.choice(len(candidates), size=2, replace=False)
         u, v = candidates[int(i)], candidates[int(j)]
-        honest = route(topology, u, v, policy)
-        diverted = route(topology, u, v, policy, advertised_weights=lie)
+        honest = route(topology, u, v, response_time_scale)
+        diverted = route(topology, u, v, response_time_scale, advertised_weights=lie)
         if honest is None or diverted is None:
             continue
         pairs.append(

@@ -2,83 +2,23 @@
 
 The viability metric counts minimum-hop paths that avoid compromised nodes,
 optionally under a hop budget; it is the quantity whose decay the
-untrusted-node experiment tracks.  Routing offers three policies with fully
-deterministic tie-breaking, so a route is a pure function of the topology
-and inputs.
+untrusted-node experiment tracks.  Routing minimizes advertised trust
+weight with fully deterministic tie-breaking, so a route is a pure function
+of the topology and inputs.
 """
 from __future__ import annotations
 
 import functools
 import heapq
-from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from typing import AbstractSet, Mapping
 
 from .topology import Topology
 
 __all__ = [
-    "RoutePolicyKind",
-    "RoutingPolicy",
     "count_viable_paths",
     "hop_distance",
     "route",
 ]
-
-
-class RoutePolicyKind(str, Enum):
-    SHORTEST_HOP = "shortest-hop"
-    TRUST_WEIGHTED = "trust-weighted"
-    PRUNE_COMPROMISED = "prune-compromised"
-
-
-@dataclass(frozen=True)
-class RoutingPolicy:
-    """Route selection policy.
-
-    shortest-hop walks greedily toward the target, always taking the
-    lowest-numbered neighbor that stays on a shortest path.  trust-weighted
-    minimizes the summed advertised weight of intermediate nodes (weight =
-    error rate + response time / ``response_time_scale``), breaking ties by
-    hop count and then lexicographically.  prune-compromised is shortest-hop
-    over trusted nodes only.
-    """
-
-    kind: RoutePolicyKind
-    response_time_scale: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.response_time_scale <= 0.0:
-            raise ValueError("response time scale must be positive")
-
-    @classmethod
-    def shortest_hop(cls) -> "RoutingPolicy":
-        return cls(RoutePolicyKind.SHORTEST_HOP)
-
-    @classmethod
-    def trust_weighted(cls, response_time_scale: float = 100.0) -> "RoutingPolicy":
-        return cls(RoutePolicyKind.TRUST_WEIGHTED, response_time_scale)
-
-    @classmethod
-    def prune_compromised(cls) -> "RoutingPolicy":
-        return cls(RoutePolicyKind.PRUNE_COMPROMISED)
-
-
-def _bfs_distances(
-    adjacency: Mapping[int, tuple[int, ...]],
-    start: int,
-    blocked: AbstractSet[int],
-) -> dict[int, int]:
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        node = frontier.popleft()
-        for nbr in adjacency[node]:
-            if nbr in blocked or nbr in dist:
-                continue
-            dist[nbr] = dist[node] + 1
-            frontier.append(nbr)
-    return dist
 
 
 def _layered_walk(
@@ -163,29 +103,6 @@ def count_viable_paths(
     return _layered_walk(adjacency, source, target, blocked, bound)[1]
 
 
-def _greedy_shortest(
-    adjacency: Mapping[int, tuple[int, ...]],
-    source: int,
-    target: int,
-    blocked: AbstractSet[int],
-) -> list[int] | None:
-    """Lexicographically smallest minimum-hop path, built as a greedy walk
-    down the BFS distance field from the target."""
-    dist_to_target = _bfs_distances(adjacency, target, blocked)
-    if source not in dist_to_target:
-        return None
-    path = [source]
-    node = source
-    while node != target:
-        node = min(
-            nbr
-            for nbr in adjacency[node]
-            if nbr not in blocked and dist_to_target.get(nbr, -1) == dist_to_target[node] - 1
-        )
-        path.append(node)
-    return path
-
-
 @functools.lru_cache(maxsize=1)
 def _trust_weights(graph: Topology, scale: float) -> dict[int, float]:
     """Honest weight of every node of the last topology asked; callers copy
@@ -227,15 +144,19 @@ def route(
     graph: Topology,
     source: int,
     target: int,
-    policy: RoutingPolicy,
+    response_time_scale: float = 100.0,
     advertised_weights: Mapping[int, float] | None = None,
 ) -> list[int] | None:
-    """Select a route under the given policy, or None when unreachable.
+    """Trust-weighted route from source to target, or None when unreachable.
 
-    ``advertised_weights`` models nodes lying about their quality figures: it
-    overrides the trust-weighted cost of the listed nodes and is ignored by
-    the other policies (they never consult weights).
+    The route minimizes the summed weight of its intermediate nodes (weight =
+    error rate + response time / ``response_time_scale``), breaking ties by
+    hop count and then lexicographically.  ``advertised_weights`` models
+    nodes lying about their quality figures: it overrides the weight of the
+    listed nodes.
     """
+    if response_time_scale <= 0.0:
+        raise ValueError("response time scale must be positive")
     source = int(source)
     target = int(target)
     adjacency = graph.adjacency
@@ -243,16 +164,7 @@ def route(
         raise ValueError("source and target must be nodes of the topology")
     if source == target:
         return [source]
-    if policy.kind is RoutePolicyKind.SHORTEST_HOP:
-        return _greedy_shortest(adjacency, source, target, frozenset())
-    if policy.kind is RoutePolicyKind.PRUNE_COMPROMISED:
-        blocked = frozenset(
-            node for node, meta in graph.nodes.items() if not meta.trusted and node != source
-        )
-        if target in blocked:
-            return None
-        return _greedy_shortest(adjacency, source, target, blocked)
-    weights = _trust_weights(graph, policy.response_time_scale)
+    weights = _trust_weights(graph, response_time_scale)
     if advertised_weights:
         weights = {**weights, **{node: float(w) for node, w in advertised_weights.items()}}
     return _dijkstra_trust(adjacency, weights, source, target)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "Topology",
     "DEFAULT_PARAMS",
     "generate_topology",
-    "mark_untrusted",
     "export_topology",
     "import_topology",
 ]
@@ -109,12 +108,6 @@ class Topology:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, node_id: int) -> tuple[int, ...]:
-        return self.adjacency[node_id]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, ())
 
 
 def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -265,19 +258,6 @@ def generate_topology(
         records = [NodeInfo(i, True, error_rate, response_time)
                    for i, error_rate, response_time in zip(range(n), error_rates, response_times)]
     return Topology(kind=kind, seed=int(seed), nodes=dict(enumerate(records)), edges=tuple(edges))
-
-
-def mark_untrusted(topology: Topology, node_ids: Iterable[int]) -> Topology:
-    """Copy of the topology with the listed nodes flagged untrusted."""
-    flagged = set(int(x) for x in node_ids)
-    unknown = flagged - set(topology.nodes)
-    if unknown:
-        raise ValueError(f"unknown node ids: {sorted(unknown)}")
-    nodes = {
-        node_id: (replace(info, trusted=False) if node_id in flagged else info)
-        for node_id, info in topology.nodes.items()
-    }
-    return Topology(kind=topology.kind, seed=topology.seed, nodes=nodes, edges=topology.edges)
 
 
 def export_topology(topology: Topology) -> str:

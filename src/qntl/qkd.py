@@ -185,18 +185,14 @@ def estimate_qber(
     return qber, np.sort(indices)
 
 
-def privacy_amplify(
-    bits: np.ndarray,
-    leaked_bits: int,
-    safety_margin: int = 0,
-) -> np.ndarray:
+def privacy_amplify(bits: np.ndarray, leaked_bits: int) -> np.ndarray:
     """Compress a partially leaked key with a random Toeplitz hash.
 
-    The output length is len(bits) - leaked_bits - safety_margin; when that
-    is not positive the key is spent and an empty array comes back.  The
-    Toeplitz diagonals are drawn from a stream seeded by
-    ``DEFAULT_HASH_SEED``, which is public shared state (both ends must build
-    the same matrix), so the same input always hashes to the same output.
+    The output length is len(bits) - leaked_bits; when that is not positive
+    the key is spent and an empty array comes back.  The Toeplitz diagonals
+    are drawn from a stream seeded by ``DEFAULT_HASH_SEED``, which is public
+    shared state (both ends must build the same matrix), so the same input
+    always hashes to the same output.
     """
     x = np.asarray(bits, dtype=np.int64)
     if x.ndim != 1:
@@ -204,11 +200,10 @@ def privacy_amplify(
     if x.size and not np.all((x == 0) | (x == 1)):
         raise ValueError("key bits must be 0/1")
     leaked = int(leaked_bits)
-    margin = int(safety_margin)
-    if leaked < 0 or margin < 0:
-        raise ValueError("leaked bits and safety margin must be >= 0")
+    if leaked < 0:
+        raise ValueError("leaked bits must be >= 0")
     n = x.size
-    m = n - leaked - margin
+    m = n - leaked
     if m <= 0:
         return np.zeros(0, dtype=np.int8)
     diagonals = stream(DEFAULT_HASH_SEED, "toeplitz-hash").integers(0, 2, size=n + m - 1)
@@ -461,12 +456,6 @@ class RelayChainResult:
     @property
     def n_hops(self) -> int:
         return self.n_relays + 1
-
-    def exposure_for(self, relay_index: int) -> RelayExposure:
-        for item in self.exposures:
-            if item.relay_index == relay_index:
-                return item
-        raise KeyError(f"no exposure recorded for relay {relay_index}")
 
 
 def _check_bits(arr: np.ndarray, what: str) -> np.ndarray:

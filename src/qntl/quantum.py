@@ -10,13 +10,9 @@ input, and the prepared states (:func:`encoded_qubit`, :func:`bell_pair`)
 are module constants shared by every caller, so states can be shared freely
 across threads.  Measurement outcomes are memoised by value and shared the
 same way; each measurement still draws one uniform variate.
-
-Global phase is physically meaningless but is not normalized away; use
-:func:`equal_up_to_global_phase` to compare states.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -30,21 +26,15 @@ __all__ = [
     "NORM_TOL",
     "CHSH_OPTIMAL_ANGLES",
     "Basis",
-    "BellVariant",
     "PureState",
     "MeasurementOutcome",
-    "pure_state",
     "basis_state",
     "encoded_qubit",
     "bell_pair",
     "measure_qubit",
     "measure_rotated",
     "apply_cnot",
-    "apply_phase",
     "joint_probabilities",
-    "correlation",
-    "chsh_value",
-    "equal_up_to_global_phase",
 ]
 
 MAX_QUBITS = 4
@@ -70,13 +60,6 @@ class Basis(Enum):
     def analyzer_angle(self) -> float:
         """Rotation angle whose eigenvectors realize this basis."""
         return 0.0 if self is Basis.RECTILINEAR else math.pi / 4
-
-
-class BellVariant(Enum):
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +91,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
 
-    def probability(self, index: int) -> float:
-        """Born probability of the computational basis outcome ``index``."""
-        return float(abs(self.amplitudes[index]) ** 2)
-
     def tensor(self, other: "PureState") -> "PureState":
         """Joint state with ``other`` appended as the trailing qubits."""
         total = self.num_qubits + other.num_qubits
@@ -126,15 +105,6 @@ class MeasurementOutcome:
 
     bit: int
     post_state: PureState
-
-
-def pure_state(amplitudes: Sequence[complex]) -> PureState:
-    """Build a state from raw amplitudes, inferring the register size."""
-    arr = np.asarray(amplitudes, dtype=np.complex128)
-    n = int(round(math.log2(arr.size))) if arr.size else 0
-    if arr.size != 2**n or n < 1:
-        raise ValueError(f"amplitude vector length {arr.size} is not a power of two >= 2")
-    return PureState(arr, n)
 
 
 def basis_state(bits: Sequence[int] | str) -> PureState:
@@ -173,24 +143,13 @@ def encoded_qubit(bit: int, basis: Basis) -> PureState:
         raise ValueError(f"bit must be 0 or 1, got {bit!r}") from None
 
 
-_BELL = {
-    BellVariant.PHI_PLUS: PureState((_SQRT_HALF, 0.0, 0.0, _SQRT_HALF), 2),
-    BellVariant.PHI_MINUS: PureState((_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF), 2),
-    BellVariant.PSI_PLUS: PureState((0.0, _SQRT_HALF, _SQRT_HALF, 0.0), 2),
-    BellVariant.PSI_MINUS: PureState((0.0, _SQRT_HALF, -_SQRT_HALF, 0.0), 2),
-}
+_PHI_PLUS = PureState((_SQRT_HALF, 0.0, 0.0, _SQRT_HALF), 2)
 
 
-def bell_pair(variant: BellVariant | str = BellVariant.PHI_PLUS) -> PureState:
-    """Maximally entangled two-qubit pair of the requested variant; each
-    variant is one shared immutable constant, validated once at import."""
-    if isinstance(variant, str):
-        try:
-            variant = BellVariant(variant.lower())
-        except ValueError:
-            names = ", ".join(v.value for v in BellVariant)
-            raise ValueError(f"unknown pair variant {variant!r}; expected one of {names}") from None
-    return _BELL[variant]
+def bell_pair() -> PureState:
+    """The phi+ pair (|00> + |11>)/sqrt(2): one shared immutable constant,
+    validated once at import."""
+    return _PHI_PLUS
 
 
 def _check_qubit(state: PureState, qubit_index: int) -> int:
@@ -298,19 +257,6 @@ def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     return PureState(out.reshape(-1), n)
 
 
-def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:
-    """Phase gate: multiplies the qubit's |1> amplitudes by exp(i*theta).
-
-    Rectilinear measurement probabilities are unchanged by construction; only
-    superposition (diagonal-basis) statistics feel the phase.
-    """
-    q = _check_qubit(state, qubit_index)
-    n = state.num_qubits
-    amps = state.amplitudes.reshape([2] * n).copy()
-    amps[(slice(None),) * q + (1,)] *= cmath.exp(1j * float(theta))
-    return PureState(amps.reshape(-1), n)
-
-
 def joint_probabilities(
     state: PureState,
     angle_a: float,
@@ -331,49 +277,3 @@ def joint_probabilities(
         raise ValueError(f"correlation needs exactly 2 remaining qubits, got {len(kept)}")
     projected = _project(state.amplitudes, n, kept, (angle_a, angle_b))
     return (np.abs(projected) ** 2).sum(axis=1).reshape(2, 2)
-
-
-def correlation(
-    state: PureState,
-    angle_a: float,
-    angle_b: float,
-    trace_out: Iterable[int] | None = None,
-) -> float:
-    """Expectation of the +/-1 outcome product at the two analyzer angles.
-
-    The first kept qubit is measured at ``angle_a``, the second at
-    ``angle_b``.  ``trace_out`` discards ancillary qubits (e.g. an
-    eavesdropper's probe) before the correlator is formed.
-    """
-    (p00, p01), (p10, p11) = joint_probabilities(state, angle_a, angle_b, trace_out)
-    return float(p00 - p01 - p10 + p11)
-
-
-def chsh_value(
-    state: PureState,
-    angles: Sequence[float] = CHSH_OPTIMAL_ANGLES,
-    trace_out: Iterable[int] | None = None,
-) -> float:
-    """Analytic CHSH combination S for the given analyzer angles.
-
-    ``angles`` is (a, a', b, b'); the combination is
-    S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.  Any state whose two kept
-    qubits are unentangled satisfies S <= 2; a phi+ pair at the optimal
-    angles reaches 2*sqrt(2).
-    """
-    if len(angles) != 4:
-        raise ValueError("angles must be (a, a_prime, b, b_prime)")
-    a, ap, b, bp = (float(x) for x in angles)
-    e_ab = correlation(state, a, b, trace_out)
-    e_abp = correlation(state, a, bp, trace_out)
-    e_apb = correlation(state, ap, b, trace_out)
-    e_apbp = correlation(state, ap, bp, trace_out)
-    return abs(e_ab - e_abp + e_apb + e_apbp)
-
-
-def equal_up_to_global_phase(a: PureState, b: PureState, tol: float = NORM_TOL) -> bool:
-    """True when the states differ only by a global phase, within ``tol``."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    inner = complex(np.vdot(a.amplitudes, b.amplitudes))
-    return abs(abs(inner) - 1.0) <= tol

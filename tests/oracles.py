@@ -1,0 +1,64 @@
+"""Analytic state-vector oracles that only the tests use.
+
+The phase gate gives the Born probabilities the Trojan-horse kernel must
+match, and the correlator and CHSH combination are the analytic side of the
+entanglement checks (acceptance criterion 5).  Each works on a
+:class:`qntl.quantum.PureState` through the package's public calls.
+"""
+import cmath
+from typing import Iterable, Sequence
+
+from qntl.quantum import CHSH_OPTIMAL_ANGLES, PureState, joint_probabilities
+
+
+def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:
+    """Phase gate: multiplies the qubit's |1> amplitudes by exp(i*theta).
+
+    Rectilinear measurement probabilities are unchanged by construction; only
+    superposition (diagonal-basis) statistics feel the phase.
+    """
+    n = state.num_qubits
+    q = int(qubit_index)
+    if not 0 <= q < n:
+        raise IndexError(f"qubit index {q} out of range for {n} qubit(s)")
+    amps = state.amplitudes.reshape([2] * n).copy()
+    amps[(slice(None),) * q + (1,)] *= cmath.exp(1j * float(theta))
+    return PureState(amps.reshape(-1), n)
+
+
+def correlation(
+    state: PureState,
+    angle_a: float,
+    angle_b: float,
+    trace_out: Iterable[int] | None = None,
+) -> float:
+    """Expectation of the +/-1 outcome product at the two analyzer angles.
+
+    The first kept qubit is measured at ``angle_a``, the second at
+    ``angle_b``.  ``trace_out`` discards ancillary qubits (e.g. an
+    eavesdropper's probe) before the correlator is formed.
+    """
+    (p00, p01), (p10, p11) = joint_probabilities(state, angle_a, angle_b, trace_out)
+    return float(p00 - p01 - p10 + p11)
+
+
+def chsh_value(
+    state: PureState,
+    angles: Sequence[float] = CHSH_OPTIMAL_ANGLES,
+    trace_out: Iterable[int] | None = None,
+) -> float:
+    """Analytic CHSH combination S for the given analyzer angles.
+
+    ``angles`` is (a, a', b, b'); the combination is
+    S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.  Any state whose two kept
+    qubits are unentangled satisfies S <= 2; a phi+ pair at the optimal
+    angles reaches 2*sqrt(2).
+    """
+    if len(angles) != 4:
+        raise ValueError("angles must be (a, a_prime, b, b_prime)")
+    a, ap, b, bp = (float(x) for x in angles)
+    e_ab = correlation(state, a, b, trace_out)
+    e_abp = correlation(state, a, bp, trace_out)
+    e_apb = correlation(state, ap, b, trace_out)
+    e_apbp = correlation(state, ap, bp, trace_out)
+    return abs(e_ab - e_abp + e_apb + e_apbp)

@@ -19,10 +19,11 @@ from qntl.cli.config import resolve_config
 from qntl.cli.report import rows_to_csv
 from qntl.cli.runners import EXPERIMENTS, get_experiment
 from qntl.network import Mitigation, dos_simulate, untrusted_node_experiment
-from qntl.quantum import Basis, bell_pair, chsh_value, encoded_qubit
+from qntl.quantum import Basis, bell_pair, encoded_qubit
 from qntl.stats import stream
 
 from distcheck import chi_square_gof
+from oracles import chsh_value
 
 from pathlib import Path
 
@@ -170,7 +171,7 @@ def test_criterion_04_bb84_oracle_suite(check):
     attacked = qkd.run_bb84(
         100_000,
         stream(42, "acc-bb84-attack"),
-        eavesdropper=attacks.intercept_resend("random"),
+        eavesdropper=attacks.intercept_resend(),
         disclosed_fraction=0.5,
     )
 
@@ -194,8 +195,8 @@ def test_criterion_04_bb84_oracle_suite(check):
 # ---------------------------------------------------------------- criterion 5
 
 def test_criterion_05_chsh_suite(check):
-    s_optimal = chsh_value(bell_pair("phi+"))
-    probed = attacks.probe_infiltrate(bell_pair("phi+"))
+    s_optimal = chsh_value(bell_pair())
+    probed = attacks.probe_infiltrate(bell_pair())
     s_probed = chsh_value(probed, trace_out=[2])
 
     detections = sum(
@@ -260,7 +261,7 @@ def test_criterion_07_interlock_detection(check):
     for k in (2, 8, 16):
         rate = attacks.interlock_detection_rate(k)
         rng = stream(11, f"acc-interlock-{k}")
-        hits = attacks.interlock_exchange(k, n, True, rng)
+        hits = attacks.interlock_exchange(k, n, rng)
         sigma = math.sqrt(rate * (1.0 - rate) / n)
         ok = ok and abs(hits / n - rate) <= 3.0 * sigma
         results.append(f"k={k}: {hits / n:.4f} vs {rate:.4f}")

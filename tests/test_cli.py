@@ -74,6 +74,17 @@ def test_parse_range_rejections():
             parse_range(bad)
 
 
+def test_parse_range_size_limit():
+    # The expansion stops at a fixed 10,000 values, before it can exhaust
+    # memory: a range of exactly that many parses, a larger one fails at once.
+    values = parse_range("0:1:0.0001")
+    assert len(values) == 10_000 and values[-1] == 0.9999
+    assert len(parse_range("0:10000:1")) == 10_000
+    for huge in ("0:10001:1", "0:1:1e-9"):
+        with pytest.raises(ConfigError, match="past 10000 values"):
+            parse_range(huge)
+
+
 def test_parse_int_list():
     assert parse_int_list("2:8:2") == [2, 4, 6]
     assert parse_int_list("1,2") == [1, 2]
@@ -165,6 +176,9 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
         (["pns", "--strategies", "random-1.5"], "strategies"),
         (["trojan", "--policies", "fixed-7"], "policies"),
         (["decoy", "--attack", "random-2"], "attack"),
+        (["qec", "--modes", "iid,bogus"], "modes"),
+        (["qec", "--modes", "iid,iid"], "modes"),
+        (["diversion", "--kind", "all"], "kind"),
     ],
 )
 def test_bad_value_diagnostic_names_the_key(argv, key, capsys):

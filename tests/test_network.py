@@ -1,7 +1,9 @@
 """Tests for topology generation, path counting, routing, and the network
 experiments."""
 import hashlib
+import itertools
 import math
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from qntl.network import (
     DecayRow,
     NodeInfo,
-    RoutingPolicy,
     Topology,
     TopologyKind,
     count_viable_paths,
@@ -21,7 +22,6 @@ from qntl.network import (
     generate_topology,
     hop_distance,
     import_topology,
-    mark_untrusted,
     route,
     untrusted_node_experiment,
 )
@@ -29,6 +29,15 @@ from qntl.network import experiments
 from qntl.network.experiments import _moments
 from qntl.network.topology import _preferential_edges
 from qntl.stats import stream
+
+
+def with_untrusted(topology, node_ids):
+    """Copy of the topology with the listed nodes flagged untrusted."""
+    nodes = {
+        node_id: replace(info, trusted=info.trusted and node_id not in node_ids)
+        for node_id, info in topology.nodes.items()
+    }
+    return Topology(kind=topology.kind, seed=topology.seed, nodes=nodes, edges=topology.edges)
 
 
 def tiny_path_topology():
@@ -224,7 +233,7 @@ def test_generated_topologies_share_no_node_map():
     first = generate_topology("grid", 0)
     second = generate_topology("grid", 1)
     assert first.nodes is not second.nodes
-    flagged = mark_untrusted(first, [0, 3, 17])
+    flagged = with_untrusted(first, {0, 3, 17})
     assert not flagged.nodes[3].trusted
     later = generate_topology("grid", 2)
     for topo in (first, second, later):
@@ -232,22 +241,11 @@ def test_generated_topologies_share_no_node_map():
         assert all(node_id == info.node_id for node_id, info in topo.nodes.items())
 
 
-def test_mark_untrusted():
-    topo = generate_topology("grid", 0)
-    flagged = mark_untrusted(topo, [3, 17])
-    assert not flagged.nodes[3].trusted
-    assert not flagged.nodes[17].trusted
-    assert flagged.nodes[4].trusted
-    assert topo.nodes[3].trusted  # original untouched
-    with pytest.raises(ValueError):
-        mark_untrusted(topo, [999])
-
-
 def test_export_import_round_trip():
     topo = generate_topology(
         "waxman", 11, error_rate_range=(0.0, 0.1), response_time_range=(5.0, 9.0)
     )
-    topo = mark_untrusted(topo, [2, 5])
+    topo = with_untrusted(topo, {2, 5})
     text = export_topology(topo)
     again = import_topology(text)
     assert again.edges == topo.edges
@@ -288,7 +286,7 @@ def test_adjacent_endpoints_survive_removals():
     topo = generate_topology("grid", 0)
     rng = stream(5, "adjacent")
     u, v = 44, 45
-    assert topo.has_edge(u, v)
+    assert v in topo.adjacency[u]
     others = [n for n in topo.nodes if n not in (u, v)]
     for _ in range(20):
         removed = set(rng.choice(others, size=50, replace=False).tolist())
@@ -452,15 +450,50 @@ def test_intact_memo_leaves_blocked_walks_alone():
 # ---------------------------------------------------------------- routing
 
 def test_uniform_weights_match_shortest_hop():
-    topo = generate_topology("grid", 0)  # all quality figures zero
+    # With every quality figure zero the route is the lexicographically
+    # smallest minimum-hop path, which networkx finds on its own.
     rng = stream(8, "route-equal")
-    for _ in range(25):
-        u, v = rng.integers(0, 100, size=2)
-        if u == v:
-            continue
-        short = route(topo, int(u), int(v), RoutingPolicy.shortest_hop())
-        trust = route(topo, int(u), int(v), RoutingPolicy.trust_weighted())
-        assert short == trust
+    for kind in TopologyKind:
+        topo = generate_topology(kind, 3)
+        graph = nx.Graph(topo.edges)
+        graph.add_nodes_from(topo.nodes)
+        for _ in range(60):
+            u, v = (int(x) for x in rng.choice(topo.n_nodes, size=2, replace=False))
+            expected = min(nx.all_shortest_paths(graph, u, v)) if nx.has_path(graph, u, v) else None
+            assert route(topo, u, v) == expected
+
+
+def brute_force_route(graph, weights, source, target):
+    """The least (intermediate weight summed in path order, hops, path) over
+    every simple path, or None when there is none."""
+    best = None
+    for path in nx.all_simple_paths(graph, source, target):
+        cost = 0.0
+        for node in path[1:-1]:
+            cost += weights[node]
+        key = (cost, len(path), path)
+        best = key if best is None or key < best else best
+    return None if best is None else best[2]
+
+
+def test_route_matches_brute_force_over_simple_paths():
+    # Small random graphs whose node weights take few values, so equal-weight
+    # and equal-hop ties are common; one node in three advertises zero cost.
+    rng = stream(9, "route-brute")
+    for _ in range(300):
+        n = int(rng.integers(4, 9))
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        errors = rng.choice([0.0, 0.25, 0.5], size=n).tolist()
+        times = rng.choice([0.0, 25.0], size=n).tolist()
+        nodes = {i: NodeInfo(i, True, errors[i], times[i]) for i in range(n)}
+        topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
+        lie = {i: 0.0 for i in range(n) if rng.random() < 1 / 3}
+        weights = {i: lie.get(i, errors[i] + times[i] / 50.0) for i in range(n)}
+        graph = nx.Graph(edges)
+        graph.add_nodes_from(range(n))
+        for u, v in itertools.permutations(range(n), 2):
+            expected = brute_force_route(graph, weights, u, v)
+            assert route(topo, u, v, 50.0, advertised_weights=lie) == expected, (edges, u, v)
 
 
 def test_route_avoids_bad_intermediate():
@@ -474,10 +507,7 @@ def test_route_avoids_bad_intermediate():
     topo = Topology(
         kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3))
     )
-    path = route(topo, 0, 3, RoutingPolicy.trust_weighted())
-    assert path == [0, 2, 3]
-    # shortest-hop ignores the figure and takes the lexicographic tie-break
-    assert route(topo, 0, 3, RoutingPolicy.shortest_hop()) == [0, 1, 3]
+    assert route(topo, 0, 3) == [0, 2, 3]
 
 
 def test_route_none_when_disconnected():
@@ -487,35 +517,22 @@ def test_route_none_when_disconnected():
         nodes={i: NodeInfo(node_id=i) for i in range(3)},
         edges=((0, 1),),
     )
-    for policy in (
-        RoutingPolicy.shortest_hop(),
-        RoutingPolicy.trust_weighted(),
-        RoutingPolicy.prune_compromised(),
-    ):
-        assert route(lonely, 0, 2, policy) is None
-
-
-def test_route_prunes_untrusted_nodes():
-    topo = mark_untrusted(tiny_path_topology(), [1])
-    assert route(topo, 0, 2, RoutingPolicy.shortest_hop()) == [0, 1, 2]
-    assert route(topo, 0, 2, RoutingPolicy.prune_compromised()) is None
-    untrusted_target = mark_untrusted(tiny_path_topology(), [2])
-    assert route(untrusted_target, 0, 2, RoutingPolicy.prune_compromised()) is None
+    assert route(lonely, 0, 2) is None
 
 
 def test_route_trivia():
     topo = tiny_path_topology()
-    assert route(topo, 1, 1, RoutingPolicy.shortest_hop()) == [1]
+    assert route(topo, 1, 1) == [1]
     with pytest.raises(ValueError):
-        route(topo, 0, 9, RoutingPolicy.shortest_hop())
+        route(topo, 0, 9)
     with pytest.raises(ValueError):
-        RoutingPolicy.trust_weighted(0.0)
+        route(topo, 0, 2, 0.0)
 
 
 def test_route_is_deterministic():
     topo = generate_topology("erdos-renyi", 4)
-    a = route(topo, 0, 99, RoutingPolicy.shortest_hop())
-    b = route(topo, 0, 99, RoutingPolicy.shortest_hop())
+    a = route(topo, 0, 99)
+    b = route(topo, 0, 99)
     assert a == b
 
 
@@ -529,9 +546,9 @@ def test_advertised_weights_override_only_listed_nodes():
     topo = Topology(
         kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3))
     )
-    honest = route(topo, 0, 3, RoutingPolicy.trust_weighted())
+    honest = route(topo, 0, 3)
     assert honest == [0, 2, 3]
-    lied = route(topo, 0, 3, RoutingPolicy.trust_weighted(), advertised_weights={1: 0.0})
+    lied = route(topo, 0, 3, advertised_weights={1: 0.0})
     assert lied == [0, 1, 3]
 
 
@@ -543,7 +560,7 @@ def test_decay_experiment_shape_and_monotonicity():
         ["grid", "tree"], fractions, trials=3, pairs_per_trial=8, rng=stream(42, "decay")
     )
     for kind in ("grid", "tree"):
-        assert table.fractions(kind) == fractions
+        assert sorted({row.fraction for row in table.rows if row.kind == kind}) == fractions
         means = [table.aggregate(kind, f).mean_count for f in fractions]
         assert means[0] > 0
         # nested compromise sets force non-increasing means, every seed
@@ -557,7 +574,10 @@ def test_decay_distance_rows_partition_the_aggregate():
     table = untrusted_node_experiment(
         ["grid"], [0.0, 0.3], trials=2, pairs_per_trial=10, rng=stream(7, "decay-dist")
     )
-    rows = table.by_distance("grid", 0.3)
+    rows = [
+        row for row in table.rows
+        if row.kind == "grid" and row.fraction == 0.3 and row.distance != -1
+    ]
     assert rows, "expected distance-binned rows"
     assert all(isinstance(r, DecayRow) and r.distance >= 1 for r in rows)
     assert [r.distance for r in rows] == sorted(r.distance for r in rows)
