@@ -374,8 +374,7 @@ def iid_logical_error_rate(p: float) -> float:
 
 @dataclass(frozen=True)
 class QecResult:
-    """Outcome of a repetition-code run, with both break-even readings
-    surfaced (neither is chosen as a verdict here)."""
+    """Outcome of a repetition-code run."""
 
     mode: str
     flip_probability: float
@@ -383,8 +382,6 @@ class QecResult:
     logical_errors: int
     logical_error_rate: float
     iid_analytic_rate: float
-    majority_crossover_probability: float = 0.5
-    correctable_qubit_fraction: float = 1.0 / 3.0
 
 
 def _block_failure_probability(p: float, mode: str) -> float:

@@ -1,26 +1,1 @@
-"""Command-line interface: experiment registry, reports, and plot data."""
-from .catalog import CatalogEntry, catalog_sha256, filter_catalog, load_catalog
-from .config import ConfigError, ParamSpec, ScenarioConfig, parse_range
-from .main import main
-from .plotdata import FIGURES, emit_plotdata
-from .report import ExperimentReport, rows_to_csv
-from .runners import EXPERIMENTS, ExperimentDef, get_experiment
-
-__all__ = [
-    "CatalogEntry",
-    "catalog_sha256",
-    "filter_catalog",
-    "load_catalog",
-    "ConfigError",
-    "ParamSpec",
-    "ScenarioConfig",
-    "parse_range",
-    "main",
-    "FIGURES",
-    "emit_plotdata",
-    "ExperimentReport",
-    "rows_to_csv",
-    "EXPERIMENTS",
-    "ExperimentDef",
-    "get_experiment",
-]
+"""Command-line interface.  Import its submodules; the package re-exports nothing."""

@@ -1,4 +1,4 @@
-"""Scenario configuration: file loading, flag merging, strict validation.
+"""Scenario configuration: value parsers, file loading, flag merging, strict validation.
 
 Precedence for every setting is flags, then config file, then the QNTL_SEED
 environment variable (seed only), then built-in defaults.  Parsing is
@@ -18,8 +18,13 @@ __all__ = [
     "ScenarioConfig",
     "ENV_SEED",
     "parse_range",
-    "parse_int_list",
-    "parse_str_list",
+    "as_int",
+    "as_float",
+    "as_bool",
+    "float_list",
+    "int_list",
+    "names",
+    "choice",
     "load_config_file",
     "resolve_config",
 ]
@@ -44,8 +49,6 @@ def parse_range(text: str) -> list[float]:
     A range that would expand past ``_RANGE_MAX_VALUES`` values is refused.
     """
     text = text.strip()
-    if not text:
-        raise ConfigError("empty numeric list")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -72,28 +75,104 @@ def parse_range(text: str) -> list[float]:
         if not values:
             raise ConfigError(f"range {text!r} expands to nothing")
         return values
+    items = [p for p in text.split(",") if p.strip()]
+    if not items:
+        raise ConfigError("empty numeric list")
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        return [float(p) for p in items]
     except ValueError:
         raise ConfigError(f"non-numeric list component in {text!r}") from None
 
 
-def parse_int_list(text: str) -> list[int]:
-    """Like :func:`parse_range` but every value must be a whole number."""
-    values = parse_range(text)
-    out = []
-    for v in values:
-        if v != int(v):
-            raise ConfigError(f"expected integers, got {v}")
-        out.append(int(v))
-    return out
+# Value parsers: a flag arrives as a string, a config file value as JSON.
+
+def as_int(raw: Any) -> int:
+    if isinstance(raw, bool):
+        raise ConfigError(f"expected an integer, got {raw!r}")
+    if isinstance(raw, int):
+        return raw
+    if isinstance(raw, float):
+        if not raw.is_integer():  # also refuses inf and nan
+            raise ConfigError(f"expected an integer, got {raw!r}")
+        return int(raw)
+    try:
+        return int(str(raw).strip())
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {raw!r}") from None
 
 
-def parse_str_list(text: str) -> list[str]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not items:
+def as_float(raw: Any) -> float:
+    if isinstance(raw, bool):
+        raise ConfigError(f"expected a number, got {raw!r}")
+    if isinstance(raw, (int, float)):
+        return float(raw)
+    try:
+        return float(str(raw).strip())
+    except ValueError:
+        raise ConfigError(f"expected a number, got {raw!r}") from None
+
+
+def as_bool(raw: Any) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    text = str(raw).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+def _numbers(raw: Any, item: Callable[[Any], Any]) -> list:
+    """A JSON list, or :func:`parse_range` text; at least one value."""
+    values = raw if isinstance(raw, (list, tuple)) else parse_range(str(raw))
+    if not values:
         raise ConfigError("empty list")
-    return items
+    return [item(v) for v in values]
+
+
+def float_list(raw: Any) -> list[float]:
+    return _numbers(raw, as_float)
+
+
+def int_list(raw: Any) -> list[int]:
+    return _numbers(raw, as_int)
+
+
+def names(
+    plural: str, check: Callable[[str], Any], key: Callable[[Any], Any] | None = None
+) -> Callable[[Any], list[str]]:
+    """Parser for a list of distinct tokens: a JSON list or comma-separated text.
+
+    ``check`` refuses a bad token.  Two tokens clash when they are equal, or,
+    given ``key``, when it maps their checked values to the same key.
+    """
+
+    def parse(raw: Any) -> list[str]:
+        if isinstance(raw, (list, tuple)):
+            tokens = [str(v).strip() for v in raw]
+        else:
+            tokens = [p.strip() for p in str(raw).split(",") if p.strip()]
+        if not tokens:
+            raise ConfigError("empty list")
+        checked = [check(t) for t in tokens]
+        keys = tokens if key is None else [key(c) for c in checked]
+        if len(set(keys)) != len(keys):
+            raise ConfigError(f"duplicate {plural} in list")
+        return tokens
+
+    return parse
+
+
+def choice(name: str, options: Sequence[str]) -> Callable[[Any], str]:
+    def parse(raw: Any) -> str:
+        token = str(raw).strip()
+        if token not in options:
+            listed = ", ".join(options)
+            raise ConfigError(f"unknown {name} {token!r}; expected one of {listed}")
+        return token
+
+    return parse
 
 
 @dataclass(frozen=True)
@@ -101,17 +180,15 @@ class ParamSpec:
     """One experiment parameter: its config key, parser, and default.
 
     ``parse`` maps the raw config value (string from a flag, or whatever the
-    JSON file held) to the runtime value; ``echo`` maps the runtime value
-    back to the JSON-safe form recorded in the report.  The echoed form must
-    re-parse to an equal runtime value, which is what makes a report's
-    embedded config re-runnable.
+    JSON file held) to the runtime value.  The runtime value's JSON form is
+    what the report records, and it must re-parse to an equal value, which
+    is what makes a report's embedded config re-runnable.
     """
 
     name: str
     parse: Callable[[Any], Any]
     default: Any
     help: str
-    echo: Callable[[Any], Any] = staticmethod(lambda v: v)
 
     @property
     def flag(self) -> str:
@@ -128,15 +205,12 @@ class ScenarioConfig:
     output_format: str = "csv"
     output_path: str | None = None
 
-    def echo(self, specs: Sequence[ParamSpec]) -> dict[str, Any]:
+    def echo(self) -> dict[str, Any]:
         """JSON-safe resolved-config block for embedding in the report."""
-        by_name = {s.name: s for s in specs}
         return {
             "experiment": self.experiment,
             "seed": self.seed,
-            "params": {
-                key: by_name[key].echo(value) for key, value in sorted(self.params.items())
-            },
+            "params": dict(sorted(self.params.items())),
             "output": {"format": self.output_format, "path": self.output_path},
         }
 
@@ -168,20 +242,20 @@ def load_config_file(path: str) -> dict[str, Any]:
     return raw
 
 
-def _resolve_seed(flag_seed: int | None, file_seed: Any) -> int:
-    if flag_seed is not None:
-        return int(flag_seed)
-    if file_seed is not None:
+def _resolve_seed(flag_seed: int | str | None, file_seed: Any) -> int:
+    if flag_seed is None and file_seed is not None:
         if not isinstance(file_seed, int) or isinstance(file_seed, bool):
             raise ConfigError(f"seed must be an integer, got {file_seed!r}")
         return file_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return 0
+    raw, source = flag_seed, "seed"
+    if raw is None:
+        raw, source = os.environ.get(ENV_SEED), ENV_SEED
+    if raw is None:
+        return 0
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {raw!r}") from None
 
 
 def resolve_config(
@@ -189,7 +263,7 @@ def resolve_config(
     specs: Sequence[ParamSpec],
     flag_values: Mapping[str, Any],
     file_values: Mapping[str, Any] | None,
-    flag_seed: int | None,
+    flag_seed: int | str | None,
     file_seed: Any,
     output_format: str,
     output_path: str | None,

@@ -73,12 +73,6 @@ def _cmd_run(argv: Sequence[str]) -> int:
         for spec in exp.specs
         if getattr(args, spec.name) is not None
     }
-    flag_seed: int | None = None
-    if args.seed is not None:
-        try:
-            flag_seed = int(args.seed)
-        except ValueError:
-            raise ConfigError(f"seed must be an integer, got {args.seed!r}") from None
 
     file_params: dict[str, Any] | None = None
     file_seed: Any = None
@@ -98,7 +92,7 @@ def _cmd_run(argv: Sequence[str]) -> int:
     output_path = args.out if args.out is not None else file_output.get("path")
 
     config = resolve_config(
-        exp.name, exp.specs, flag_values, file_params, flag_seed, file_seed,
+        exp.name, exp.specs, flag_values, file_params, args.seed, file_seed,
         output_format, output_path,
     )
 
@@ -107,7 +101,7 @@ def _cmd_run(argv: Sequence[str]) -> int:
     duration_ms = (time.perf_counter() - start) * 1000.0
 
     report = ExperimentReport(
-        config=config.echo(exp.specs),
+        config=config.echo(),
         columns=tuple(columns),
         rows=tuple(tuple(r) for r in rows),
         summary=summary,

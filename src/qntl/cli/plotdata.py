@@ -13,13 +13,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
+from ..network.experiments import AGGREGATE_DISTANCE
 from .config import ConfigError
 from .report import ExperimentReport, rows_to_csv
 from .svg import LineChart, Series, render_line_chart
 
 __all__ = ["FIGURES", "emit_plotdata"]
-
-_AGGREGATE_DISTANCE = -1
 
 
 def _slug(text: str) -> str:
@@ -79,7 +78,7 @@ def _decay_series(by_distance: bool) -> Callable[[ExperimentReport], list[_Serie
         grouped: dict[tuple, list[tuple[float, float]]] = {}
         for cell in _cells(report):
             distance = int(cell["distance"])
-            if by_distance != (distance != _AGGREGATE_DISTANCE):
+            if by_distance != (distance != AGGREGATE_DISTANCE):
                 continue
             key = (cell["kind"], distance) if by_distance else (cell["kind"],)
             grouped.setdefault(key, []).append(

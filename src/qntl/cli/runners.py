@@ -12,13 +12,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .. import attacks, network, photonics, qkd
 from ..stats import stream
-from .config import ConfigError, ParamSpec, parse_int_list, parse_range, parse_str_list
+from .config import (
+    ConfigError, ParamSpec, as_bool, as_float, as_int, choice, float_list, int_list, names,
+)
 
 __all__ = ["ExperimentDef", "EXPERIMENTS", "get_experiment"]
 
@@ -34,65 +36,6 @@ class ExperimentDef:
     help: str
     specs: tuple[ParamSpec, ...]
     run: RunnerFn
-
-
-# ---------------------------------------------------------------------------
-# Value coercion: flags arrive as strings, config files as JSON values
-# ---------------------------------------------------------------------------
-
-def _as_int(raw: Any) -> int:
-    if isinstance(raw, bool):
-        raise ConfigError(f"expected an integer, got {raw!r}")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, float):
-        if raw != int(raw):
-            raise ConfigError(f"expected an integer, got {raw!r}")
-        return int(raw)
-    try:
-        return int(str(raw).strip())
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}") from None
-
-
-def _as_float(raw: Any) -> float:
-    if isinstance(raw, bool):
-        raise ConfigError(f"expected a number, got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    try:
-        return float(str(raw).strip())
-    except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}") from None
-
-
-def _as_bool(raw: Any) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _as_float_list(raw: Any) -> list[float]:
-    if isinstance(raw, (list, tuple)):
-        return [_as_float(v) for v in raw]
-    return parse_range(str(raw))
-
-
-def _as_int_list(raw: Any) -> list[int]:
-    if isinstance(raw, (list, tuple)):
-        return [_as_int(v) for v in raw]
-    return parse_int_list(str(raw))
-
-
-def _as_str_list(raw: Any) -> list[str]:
-    if isinstance(raw, (list, tuple)):
-        return [str(v) for v in raw]
-    return parse_str_list(str(raw))
 
 
 def _py(value: Any) -> Any:
@@ -137,14 +80,6 @@ def _splitter_strategy(token: str) -> attacks.PnsStrategy:
     )
 
 
-def _parse_strategy_tokens(raw: Any) -> list[str]:
-    tokens = _as_str_list(raw)
-    labels = [_splitter_strategy(t).label() for t in tokens]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("duplicate splitting strategies in list")
-    return tokens
-
-
 def _trojan_policy(token: str) -> attacks.TrojanPolicy:
     if token == "no-shift":
         return attacks.TrojanPolicy.no_shift()
@@ -164,15 +99,6 @@ def _trojan_policy(token: str) -> attacks.TrojanPolicy:
     )
 
 
-def _parse_policy_tokens(raw: Any) -> list[str]:
-    tokens = _as_str_list(raw)
-    for t in tokens:
-        _trojan_policy(t)
-    if len(set(tokens)) != len(tokens):
-        raise ConfigError("duplicate probing policies in list")
-    return tokens
-
-
 def _optional_splitter(raw: Any) -> str:
     token = str(raw).strip()
     if token != "none":
@@ -180,31 +106,20 @@ def _optional_splitter(raw: Any) -> str:
     return token
 
 
-def _choice(name: str, options: Sequence[str]) -> Callable[[Any], str]:
-    def parse(raw: Any) -> str:
-        token = str(raw).strip()
-        if token not in options:
-            listed = ", ".join(options)
-            raise ConfigError(f"unknown {name} {token!r}; expected one of {listed}")
-        return token
-
-    return parse
-
-
 # ---------------------------------------------------------------------------
 # Photon-number splitting
 # ---------------------------------------------------------------------------
 
 _PNS_SPECS = (
-    ParamSpec("mu", _as_float, 5.0, "mean photons per weak coherent pulse"),
-    ParamSpec("pulses", _as_int, 100_000, "pulses per strategy"),
+    ParamSpec("mu", as_float, 5.0, "mean photons per weak coherent pulse"),
+    ParamSpec("pulses", as_int, 100_000, "pulses per strategy"),
     ParamSpec(
         "strategies",
-        _parse_strategy_tokens,
+        names("splitting strategies", _splitter_strategy, attacks.PnsStrategy.label),
         ["no-eve", "random-0.5", "always-minus-one"],
         "comma-separated splitting strategies to compare",
     ),
-    ParamSpec("max_bin", _as_int, 20, "last histogram bin (aggregates the tail)"),
+    ParamSpec("max_bin", as_int, 20, "last histogram bin (aggregates the tail)"),
 )
 
 
@@ -238,10 +153,10 @@ def _run_pns(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
 # ---------------------------------------------------------------------------
 
 _TROJAN_SPECS = (
-    ParamSpec("photons", _as_int, 100_000, "probe photons per policy"),
+    ParamSpec("photons", as_int, 100_000, "probe photons per policy"),
     ParamSpec(
         "policies",
-        _parse_policy_tokens,
+        names("probing policies", _trojan_policy),
         ["no-shift", "fixed-half-pi", "random-shift"],
         "comma-separated phase-shift policies to compare",
     ),
@@ -273,25 +188,25 @@ def _run_trojan(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Su
 # ---------------------------------------------------------------------------
 
 _BB84_SPECS = (
-    ParamSpec("rounds", _as_int, 2000, "qubits sent"),
+    ParamSpec("rounds", as_int, 2000, "qubits sent"),
     ParamSpec(
         "attack",
-        _choice("attack", ("none", "intercept-resend")),
+        choice("attack", ("none", "intercept-resend")),
         "none",
         "in-flight attack on the quantum channel",
     ),
     ParamSpec(
         "source",
-        _choice("source", ("single-photon", "weak-coherent")),
+        choice("source", ("single-photon", "weak-coherent")),
         "single-photon",
         "photon source model",
     ),
-    ParamSpec("mu", _as_float, 0.5, "mean photons per pulse (weak-coherent only)"),
-    ParamSpec("transmittance", _as_float, 1.0, "channel transmittance"),
-    ParamSpec("efficiency", _as_float, 1.0, "detector efficiency"),
-    ParamSpec("dark", _as_float, 0.0, "detector dark-count probability"),
-    ParamSpec("disclosed_fraction", _as_float, 0.1, "sifted fraction disclosed for error estimation"),
-    ParamSpec("abort_threshold", _as_float, 0.11, "error rate above which the session aborts"),
+    ParamSpec("mu", as_float, 0.5, "mean photons per pulse (weak-coherent only)"),
+    ParamSpec("transmittance", as_float, 1.0, "channel transmittance"),
+    ParamSpec("efficiency", as_float, 1.0, "detector efficiency"),
+    ParamSpec("dark", as_float, 0.0, "detector dark-count probability"),
+    ParamSpec("disclosed_fraction", as_float, 0.1, "sifted fraction disclosed for error estimation"),
+    ParamSpec("abort_threshold", as_float, 0.11, "error rate above which the session aborts"),
 )
 
 
@@ -353,17 +268,17 @@ def _run_bb84(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summ
 # ---------------------------------------------------------------------------
 
 _E91_SPECS = (
-    ParamSpec("rounds", _as_int, 2000, "entangled pairs consumed"),
+    ParamSpec("rounds", as_int, 2000, "entangled pairs consumed"),
     ParamSpec(
         "attack",
-        _choice("attack", ("none", "probe")),
+        choice("attack", ("none", "probe")),
         "none",
         "pair-source attack (probe entangles an ancilla with every pair)",
     ),
-    ParamSpec("chsh_fraction", _as_float, 0.25, "fraction of rounds spent on the correlation test"),
-    ParamSpec("detection_margin", _as_float, 0.1, "required margin above the classical bound"),
-    ParamSpec("disclosed_fraction", _as_float, 0.1, "sifted fraction disclosed for error estimation"),
-    ParamSpec("abort_threshold", _as_float, 0.11, "error rate above which the session aborts"),
+    ParamSpec("chsh_fraction", as_float, 0.25, "fraction of rounds spent on the correlation test"),
+    ParamSpec("detection_margin", as_float, 0.1, "required margin above the classical bound"),
+    ParamSpec("disclosed_fraction", as_float, 0.1, "sifted fraction disclosed for error estimation"),
+    ParamSpec("abort_threshold", as_float, 0.11, "error rate above which the session aborts"),
 )
 
 
@@ -407,8 +322,8 @@ def _run_e91(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
 # ---------------------------------------------------------------------------
 
 _RELAY_SPECS = (
-    ParamSpec("key_bits", _as_int, 128, "end-to-end key length"),
-    ParamSpec("relays", _as_int, 4, "intermediate relay count"),
+    ParamSpec("key_bits", as_int, 128, "end-to-end key length"),
+    ParamSpec("relays", as_int, 4, "intermediate relay count"),
 )
 
 
@@ -442,20 +357,20 @@ def _run_relay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
 # ---------------------------------------------------------------------------
 
 _DECOY_SPECS = (
-    ParamSpec("signal_mu", _as_float, 0.5, "signal intensity"),
-    ParamSpec("decoy_mus", _as_float_list, [0.1], "decoy intensities"),
-    ParamSpec("vacuum", _as_bool, True, "include a vacuum intensity class"),
-    ParamSpec("pulses", _as_int, 100_000, "pulses per intensity class"),
-    ParamSpec("transmittance", _as_float, 0.5, "channel transmittance"),
-    ParamSpec("efficiency", _as_float, 0.9, "detector efficiency"),
-    ParamSpec("dark", _as_float, 1e-5, "detector dark-count probability"),
+    ParamSpec("signal_mu", as_float, 0.5, "signal intensity"),
+    ParamSpec("decoy_mus", float_list, [0.1], "decoy intensities"),
+    ParamSpec("vacuum", as_bool, True, "include a vacuum intensity class"),
+    ParamSpec("pulses", as_int, 100_000, "pulses per intensity class"),
+    ParamSpec("transmittance", as_float, 0.5, "channel transmittance"),
+    ParamSpec("efficiency", as_float, 0.9, "detector efficiency"),
+    ParamSpec("dark", as_float, 1e-5, "detector dark-count probability"),
     ParamSpec(
         "attack",
         _optional_splitter,
         "none",
         "splitting attack, or none (same tokens as the pns scenario)",
     ),
-    ParamSpec("threshold", _as_float, 0.1, "relative gain deviation that raises the alarm"),
+    ParamSpec("threshold", as_float, 0.1, "relative gain deviation that raises the alarm"),
 )
 
 
@@ -509,19 +424,12 @@ def _run_decoy(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
 _QEC_MODES = ("iid", "burst-2")
 
 
-def _parse_modes(raw: Any) -> list[str]:
-    modes = [_choice("noise mode", _QEC_MODES)(token) for token in _as_str_list(raw)]
-    if len(set(modes)) != len(modes):
-        raise ConfigError("duplicate noise modes in list")
-    return modes
-
-
 _QEC_SPECS = (
-    ParamSpec("flip_probs", _as_float_list, [0.05, 0.1, 0.2, 0.3], "physical flip probabilities"),
-    ParamSpec("blocks", _as_int, 20_000, "code blocks per (mode, probability) cell"),
+    ParamSpec("flip_probs", float_list, [0.05, 0.1, 0.2, 0.3], "physical flip probabilities"),
+    ParamSpec("blocks", as_int, 20_000, "code blocks per (mode, probability) cell"),
     ParamSpec(
         "modes",
-        _parse_modes,
+        names("noise modes", choice("noise mode", _QEC_MODES)),
         list(_QEC_MODES),
         "noise modes: independent flips, or correlated adjacent-pair bursts",
     ),
@@ -554,8 +462,8 @@ def _run_qec(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
 # ---------------------------------------------------------------------------
 
 _INTERLOCK_SPECS = (
-    ParamSpec("message_bits", _as_int_list, [2, 8, 16], "message lengths to test (even)"),
-    ParamSpec("trials", _as_int, 10_000, "exchanges per message length"),
+    ParamSpec("message_bits", int_list, [2, 8, 16], "message lengths to test (even)"),
+    ParamSpec("trials", as_int, 10_000, "exchanges per message length"),
 )
 
 
@@ -580,29 +488,25 @@ def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
 _ALL_KINDS = [k.value for k in network.TopologyKind]
 
 
+_KIND_NAMES = names("topology kinds", choice("topology kind", _ALL_KINDS))
+
+
 def _parse_kinds(raw: Any) -> list[str]:
-    tokens = _as_str_list(raw)
-    if tokens == ["all"]:
+    if raw == ["all"] or str(raw).strip() == "all":
         return list(_ALL_KINDS)
-    for t in tokens:
-        if t not in _ALL_KINDS:
-            listed = ", ".join(_ALL_KINDS)
-            raise ConfigError(f"unknown topology kind {t!r}; expected one of {listed}")
-    if len(set(tokens)) != len(tokens):
-        raise ConfigError("duplicate topology kinds in list")
-    return tokens
+    return _KIND_NAMES(raw)
 
 
 _DECAY_SPECS = (
     ParamSpec("kinds", _parse_kinds, list(_ALL_KINDS), "topology families, or 'all'"),
     ParamSpec(
         "fractions",
-        _as_float_list,
+        float_list,
         [round(0.1 * i, 10) for i in range(9)],
         "compromised-node fractions (range syntax start:stop:step)",
     ),
-    ParamSpec("trials", _as_int, 20, "independent topology draws per family"),
-    ParamSpec("pairs", _as_int, 20, "endpoint pairs per trial"),
+    ParamSpec("trials", as_int, 20, "independent topology draws per family"),
+    ParamSpec("pairs", as_int, 20, "endpoint pairs per trial"),
 )
 
 
@@ -630,32 +534,25 @@ def _run_decay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
 # Route diversion via falsified quality advertisements
 # ---------------------------------------------------------------------------
 
-def _as_float_pair(raw: Any) -> tuple[float, float]:
-    values = _as_float_list(raw)
+def _as_float_pair(raw: Any) -> list[float]:
+    values = float_list(raw)
     if len(values) != 2 or values[0] > values[1]:
         raise ConfigError(f"expected 'lo,hi' with lo <= hi, got {raw!r}")
-    return (values[0], values[1])
+    return values
 
 
 _DIVERSION_SPECS = (
-    ParamSpec("kind", _choice("topology kind", _ALL_KINDS), "grid", "topology family"),
-    ParamSpec("pairs", _as_int, 200, "endpoint pairs routed"),
-    ParamSpec("hijacker", _as_int, -1, "advertising node id, or -1 for the middle node"),
-    ParamSpec(
-        "error_rate_range",
-        _as_float_pair,
-        (0.0, 0.05),
-        "per-node error-rate draw range",
-        echo=list,
-    ),
+    ParamSpec("kind", choice("topology kind", _ALL_KINDS), "grid", "topology family"),
+    ParamSpec("pairs", as_int, 200, "endpoint pairs routed"),
+    ParamSpec("hijacker", as_int, -1, "advertising node id, or -1 for the middle node"),
+    ParamSpec("error_rate_range", _as_float_pair, [0.0, 0.05], "per-node error-rate draw range"),
     ParamSpec(
         "response_time_range",
         _as_float_pair,
-        (10.0, 50.0),
+        [10.0, 50.0],
         "per-node response-time draw range (ms)",
-        echo=list,
     ),
-    ParamSpec("response_time_scale", _as_float, 100.0, "ms of response time worth one error-rate unit"),
+    ParamSpec("response_time_scale", as_float, 100.0, "ms of response time worth one error-rate unit"),
 )
 
 
@@ -702,24 +599,24 @@ def _run_diversion(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
 # ---------------------------------------------------------------------------
 
 _DOS_SPECS = (
-    ParamSpec("duration", _as_float, 30_000.0, "simulated span in ms"),
-    ParamSpec("legit_rate", _as_float, 5.0, "aggregate legitimate request rate per second"),
-    ParamSpec("attack_rate", _as_float, 50.0, "aggregate attack request rate per second"),
-    ParamSpec("servers", _as_int, 10, "concurrent handshake slots"),
+    ParamSpec("duration", as_float, 30_000.0, "simulated span in ms"),
+    ParamSpec("legit_rate", as_float, 5.0, "aggregate legitimate request rate per second"),
+    ParamSpec("attack_rate", as_float, 50.0, "aggregate attack request rate per second"),
+    ParamSpec("servers", as_int, 10, "concurrent handshake slots"),
     ParamSpec(
         "mitigation",
-        _choice("mitigation", ("none", "rate-limit", "embryonic-cap", "suspicion-scheduler")),
+        choice("mitigation", ("none", "rate-limit", "embryonic-cap", "suspicion-scheduler")),
         "none",
         "admission policy at the receiver",
     ),
-    ParamSpec("rate", _as_float, 0.5, "rate-limit: tokens per second per source"),
-    ParamSpec("burst", _as_int, 2, "rate-limit: bucket depth per source"),
-    ParamSpec("cap", _as_int, 8, "embryonic-cap: max half-open handshakes per source"),
-    ParamSpec("legit_sources", _as_int, 10, "distinct legitimate sources"),
-    ParamSpec("attack_sources", _as_int, 1, "distinct attack sources"),
-    ParamSpec("service", _as_float, 500.0, "mean handshake service time in ms"),
-    ParamSpec("embryonic_timeout", _as_float, 10_000.0, "half-open hold time before reclaim (ms)"),
-    ParamSpec("patience", _as_float, 3_000.0, "legitimate clients abandon after this wait (ms)"),
+    ParamSpec("rate", as_float, 0.5, "rate-limit: tokens per second per source"),
+    ParamSpec("burst", as_int, 2, "rate-limit: bucket depth per source"),
+    ParamSpec("cap", as_int, 8, "embryonic-cap: max half-open handshakes per source"),
+    ParamSpec("legit_sources", as_int, 10, "distinct legitimate sources"),
+    ParamSpec("attack_sources", as_int, 1, "distinct attack sources"),
+    ParamSpec("service", as_float, 500.0, "mean handshake service time in ms"),
+    ParamSpec("embryonic_timeout", as_float, 10_000.0, "half-open hold time before reclaim (ms)"),
+    ParamSpec("patience", as_float, 3_000.0, "legitimate clients abandon after this wait (ms)"),
 )
 
 

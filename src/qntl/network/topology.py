@@ -105,10 +105,6 @@ class Topology:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
 
 def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
     sizes = ("branching", "height") if kind is TopologyKind.TREE else ("rows", "cols")

@@ -212,19 +212,12 @@ class Histogram:
         counts = np.bincount(clipped, minlength=max_bin + 1)
         return cls(counts=counts, total=int(arr.size), overflow=overflow)
 
-    def frequencies(self) -> np.ndarray:
-        if self.total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / self.total
-
 
 @dataclass(frozen=True, eq=False)
 class ZScoreSeries:
     """Per-bin pooled two-proportion z statistics for two aligned histograms."""
 
     z: np.ndarray
-    n_a: int
-    n_b: int
 
     def __post_init__(self) -> None:
         z = np.asarray(self.z, dtype=float)
@@ -255,7 +248,7 @@ def zscore_compare(a: Histogram, b: Histogram) -> ZScoreSeries:
     diff = ca / na - cb / nb
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(var > 0.0, diff / np.sqrt(var), 0.0)
-    return ZScoreSeries(z=z, n_a=a.total, n_b=b.total)
+    return ZScoreSeries(z=z)
 
 
 def chsh_estimate(

@@ -1,10 +1,17 @@
-"""Histogram helpers that only the tests use: tail rebinning and a CSV round
-trip for ``qntl.stats.Histogram``."""
+"""Histogram helpers that only the tests use: frequencies, tail rebinning and
+a CSV round trip for ``qntl.stats.Histogram``."""
 from __future__ import annotations
 
 import numpy as np
 
 from qntl.stats import Histogram
+
+
+def frequencies(hist: Histogram) -> np.ndarray:
+    """Each bin's share of the total; all zero for an empty histogram."""
+    if hist.total == 0:
+        return np.zeros_like(hist.counts, dtype=float)
+    return hist.counts / hist.total
 
 
 def rebin(hist: Histogram, max_bin: int) -> Histogram:

@@ -10,9 +10,12 @@ import pytest
 
 import qntl
 from qntl.cli.catalog import catalog_sha256, filter_catalog, load_catalog
-from qntl.cli.config import ConfigError, parse_int_list, parse_range, parse_str_list
+from qntl.cli.config import (
+    ConfigError, choice, int_list, names, parse_range, resolve_config,
+)
 from qntl.cli.main import main
 from qntl.cli.report import ExperimentReport, format_cell, rows_to_csv
+from qntl.cli.runners import EXPERIMENTS
 
 PINNED_SHA = Path(__file__).parent / "data" / "catalog.sha256"
 
@@ -33,11 +36,15 @@ def _source_env():
 
 
 def test_import_loads_no_scipy_or_networkx():
-    # What every `qntl run` imports, in a fresh interpreter.
+    # What every `qntl run` imports, in a fresh interpreter.  The registry
+    # alone also needs none of the command line's parser, reports or plots.
     probe = (
         "import sys, qntl\n"
         "from qntl.cli.runners import EXPERIMENTS\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
+        "unwanted = ('scipy', 'networkx', 'argparse', 'qntl.cli.main', 'qntl.cli.plotdata',\n"
+        "            'qntl.cli.svg', 'qntl.cli.catalog', 'qntl.cli.report')\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if any(m == u or m.startswith(u + '.') for u in unwanted)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True,
@@ -69,7 +76,7 @@ def test_parse_range_forms():
 
 
 def test_parse_range_rejections():
-    for bad in ("", "1:2", "a:b:c", "0:1:0", "0:1:-0.1", "2:1:0.5", "1:1:1", "x,y"):
+    for bad in ("", ",", "1:2", "a:b:c", "0:1:0", "0:1:-0.1", "2:1:0.5", "1:1:1", "x,y"):
         with pytest.raises(ConfigError):
             parse_range(bad)
 
@@ -85,17 +92,39 @@ def test_parse_range_size_limit():
             parse_range(huge)
 
 
-def test_parse_int_list():
-    assert parse_int_list("2:8:2") == [2, 4, 6]
-    assert parse_int_list("1,2") == [1, 2]
-    with pytest.raises(ConfigError):
-        parse_int_list("0.5")
+def test_int_list():
+    assert int_list("2:8:2") == [2, 4, 6]
+    assert int_list("1,2") == [1, 2]
+    assert int_list([2.0, 8]) == [2, 8]
+    for bad in ("0.5", [0.5], [], [float("inf")]):
+        with pytest.raises(ConfigError):
+            int_list(bad)
 
 
-def test_parse_str_list():
-    assert parse_str_list("grid, tree") == ["grid", "tree"]
-    with pytest.raises(ConfigError):
-        parse_str_list(" , ")
+def test_names():
+    kinds = names("kinds", choice("kind", ("grid", "tree")))
+    assert kinds("grid, tree") == ["grid", "tree"]
+    assert kinds([" tree", "grid"]) == ["tree", "grid"]
+    for bad in (" , ", [], "grid,ring", "grid,grid"):
+        with pytest.raises(ConfigError):
+            kinds(bad)
+    # with a key, tokens that differ as text can still clash
+    numbers = names("numbers", float, key=lambda value: value)
+    assert numbers("1,2") == ["1", "2"]
+    with pytest.raises(ConfigError, match="duplicate numbers"):
+        numbers("1,1.0")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_echoed_config_resolves_to_the_same_params(name):
+    # A report's config block is re-runnable: fed back as a scenario file's
+    # params and seed, it resolves to the same params and the same JSON.
+    specs = EXPERIMENTS[name].specs
+    config = resolve_config(name, specs, {}, None, None, None, "csv", None)
+    echoed = json.loads(json.dumps(config.echo()))
+    again = resolve_config(name, specs, {}, echoed["params"], None, echoed["seed"], "csv", None)
+    assert again.params == config.params
+    assert json.dumps(again.echo()) == json.dumps(config.echo())
 
 
 # ---------------------------------------------------------------- reports
@@ -179,9 +208,23 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
         (["qec", "--modes", "iid,bogus"], "modes"),
         (["qec", "--modes", "iid,iid"], "modes"),
         (["diversion", "--kind", "all"], "kind"),
+        (["interlock", "--message-bits", ","], "message_bits"),
+        (["interlock", "--message-bits", "inf"], "message_bits"),
+        (["qec", "--flip-probs", ","], "flip_probs"),
+        (["topology-decay", "--fractions", ","], "fractions"),
+        (["decoy", "--decoy-mus", ","], "decoy_mus"),
+        # a dict stands for a scenario file's params block
+        (["pns", {"strategies": []}], "strategies"),
+        (["pns", {"pulses": 1e999}], "pulses"),
+        (["decoy", {"decoy_mus": []}], "decoy_mus"),
+        (["qec", {"modes": []}], "modes"),
     ],
 )
-def test_bad_value_diagnostic_names_the_key(argv, key, capsys):
+def test_bad_value_diagnostic_names_the_key(argv, key, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"params": argv[-1]}))
+        argv = [*argv[:-1], "--config", str(cfg)]
     assert main(["run", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"qntl: bad value for '{key}': ")

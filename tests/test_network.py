@@ -54,14 +54,14 @@ def test_grid_dimensions():
     topo = generate_topology("grid", 0)
     assert topo.n_nodes == 100
     # a rows x cols lattice has rows*(cols-1) + (rows-1)*cols edges
-    assert topo.n_edges == 10 * 9 + 9 * 10
+    assert len(topo.edges) == 10 * 9 + 9 * 10
 
 
 def test_tree_dimensions():
     topo = generate_topology("tree", 0)
     # height-4 branching-3 balanced tree: (3^5 - 1) / 2 nodes
     assert topo.n_nodes == (3**5 - 1) // 2
-    assert topo.n_edges == topo.n_nodes - 1
+    assert len(topo.edges) == topo.n_nodes - 1
 
 
 def test_erdos_renyi_edge_count():
@@ -70,7 +70,7 @@ def test_erdos_renyi_edge_count():
     sigma = math.sqrt(n_pairs * 0.2 * 0.8)
     for seed in range(5):
         topo = generate_topology("erdos-renyi", seed)
-        assert abs(topo.n_edges - mean) < 3 * sigma
+        assert abs(len(topo.edges) - mean) < 3 * sigma
 
 
 def test_barabasi_albert_edge_count():
@@ -78,7 +78,7 @@ def test_barabasi_albert_edge_count():
     topo = generate_topology("barabasi-albert", 3)
     k, n = 3, 100
     assert topo.n_nodes == n
-    assert topo.n_edges == math.comb(k + 1, 2) + k * (n - k - 1)
+    assert len(topo.edges) == math.comb(k + 1, 2) + k * (n - k - 1)
 
 
 def test_generation_is_deterministic():
