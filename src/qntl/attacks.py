@@ -1,12 +1,12 @@
 """Attack models: photon-number splitting, Trojan-horse probing, entangling
 probes, interlock spoofing, intercept-resend, and code-aware noise.
 
-Intercept-resend is a hook that a protocol calls on one flying qubit at a
-time; the entangling probe is a map that a protocol applies once to its pair
-state.  The splitting and interlock models draw a whole experiment's
-per-pulse or per-exchange variates as arrays; the Trojan-horse and
-repetition-code models draw the counts they report, one draw per block of
-photons or per cell.
+Intercept-resend is a hook that a protocol calls once on the state ids of
+all its flying qubits; the entangling probe is a map that a protocol applies
+once to its pair state.  The splitting and interlock models draw a whole
+experiment's per-pulse or per-exchange variates as arrays; the Trojan-horse
+and repetition-code models draw the counts they report, one draw per block
+of photons or per cell.
 """
 from __future__ import annotations
 
@@ -18,15 +18,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .quantum import (
-    Basis,
-    MeasurementOutcome,
-    PureState,
-    apply_cnot,
-    basis_state,
-    encoded_qubit,
-    measure_qubit,
-)
+from .quantum import PureState, apply_cnot, basis_state, measure_qubit
+# encoded_qubit has no caller here: bench/tracing.py patches qntl.attacks:encoded_qubit.
+from .quantum import encoded_qubit  # noqa: F401
 from .stats import Histogram, ZScoreSeries, poisson_sample_array, zscore_compare
 
 __all__ = [
@@ -351,14 +345,19 @@ def interlock_detection_rate(message_bits: int) -> float:
 # Intercept-resend
 # ---------------------------------------------------------------------------
 
-def intercept_resend() -> Callable[[PureState, Basis, np.random.Generator], PureState]:
-    """Build an in-flight qubit hook that measures each pulse in a uniformly
-    guessed basis and re-prepares the bit it read in that basis."""
+def intercept_resend() -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
+    """Build an in-flight hook that measures each flying qubit in a uniformly
+    guessed basis and resends the bit it read, encoded in that basis.
 
-    def hook(state: PureState, sender_basis: Basis, rng: np.random.Generator) -> PureState:
-        guess = Basis.RECTILINEAR if rng.integers(0, 2) == 0 else Basis.DIAGONAL
-        outcome: MeasurementOutcome = measure_qubit(state, 0, guess, rng)
-        return encoded_qubit(outcome.bit, guess)
+    The hook maps state ids to state ids (see
+    :func:`~qntl.quantum.measure_qubit`): it draws one array of basis
+    guesses, then measures every qubit through one batched call, whose
+    post-state ids are the resent states.
+    """
+
+    def hook(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        guesses = rng.integers(0, 2, size=states.size, dtype=np.int8)
+        return measure_qubit(states, guesses, rng)[1]
 
     return hook
 

@@ -156,7 +156,7 @@ _TROJAN_SPECS = (
     ParamSpec("photons", as_int, 100_000, "probe photons per policy"),
     ParamSpec(
         "policies",
-        names("probing policies", _trojan_policy),
+        names("probing policies", _trojan_policy, attacks.TrojanPolicy.label),
         ["no-shift", "fixed-half-pi", "random-shift"],
         "comma-separated phase-shift policies to compare",
     ),

@@ -90,7 +90,7 @@ def count_viable_paths(
     bound = None if hop_bound is None else int(hop_bound)
     if bound is not None and bound < 0:
         raise ValueError(f"hop bound must be >= 0, got {bound}")
-    blocked = set(map(int, compromised))
+    blocked = set(compromised)
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
     adjacency = graph.adjacency

@@ -87,13 +87,16 @@ def transmit(photons: int, channel: LossChannel, rng: np.random.Generator) -> in
     """Photons that survive a loss channel.
 
     Each photon survives independently with probability equal to the
-    channel transmittance (one uniform per photon), so the survivor count is
+    channel transmittance (one scalar uniform per photon, the same draws as
+    one array of ``photons`` uniforms), so the survivor count is
     Binomial(photons, eta) and Poisson inputs stay Poisson with mean scaled
     by eta.
     """
-    if photons == 0:
-        return 0
-    return int(np.count_nonzero(rng.random(photons) < channel.transmittance))
+    eta = channel.transmittance
+    survivors = 0
+    for _ in range(photons):
+        survivors += rng.random() < eta
+    return survivors
 
 
 def detect(photons: int, detector: Detector, rng: np.random.Generator) -> bool:

@@ -5,9 +5,12 @@ with a CHSH self-test (E91-style), trusted-relay key forwarding, and the
 decoy-intensity consistency test against photon-number-splitting taps.
 
 Protocols accept attack hooks so the same code path produces both honest and
-adversarial runs: an in-flight hook rewrites each flying qubit, a pair hook
-rewrites the one state every distributed pair shares.  All randomness flows
-through an explicit generator; see :mod:`qntl.stats` for stream construction.
+adversarial runs.  An in-flight hook takes the state ids of every flying
+qubit that the receiver registers, ``2 * basis + bit`` as in
+:func:`~qntl.quantum.measure_qubit`, and returns the ids of the qubits it
+passes on, drawing from the session's generator; a pair hook rewrites the
+one state every distributed pair shares.  All randomness flows through an
+explicit generator; see :mod:`qntl.stats` for stream construction.
 """
 from __future__ import annotations
 
@@ -19,9 +22,12 @@ import numpy as np
 
 from .attacks import PnsStrategy, PnsVariant, pns_transform_counts
 from .photonics import Detector, LossChannel, detect, emit_pulse, transmit
-from .quantum import CHSH_OPTIMAL_ANGLES, Basis, PureState, bell_pair, encoded_qubit
+from .quantum import CHSH_OPTIMAL_ANGLES, Basis, PureState, bell_pair
+from .quantum import joint_probabilities, measure_qubit
+# encoded_qubit has no caller here: bench/tracing.py patches qntl.qkd:encoded_qubit.
+from .quantum import encoded_qubit  # noqa: F401
 # measure_rotated has no caller here: bench/tracing.py patches qntl.qkd:measure_rotated.
-from .quantum import joint_probabilities, measure_qubit, measure_rotated  # noqa: F401
+from .quantum import measure_rotated  # noqa: F401
 from .stats import chsh_estimate, poisson_pmf, stream
 # poisson_sample_array has no caller here: bench/tracing.py patches
 # qntl.qkd:poisson_sample_array.
@@ -74,11 +80,10 @@ CHSH_DETECTION_MARGIN = 0.1
 ALICE_TEST_ANGLES = CHSH_OPTIMAL_ANGLES[:2]
 BOB_TEST_ANGLES = CHSH_OPTIMAL_ANGLES[2:]
 
-InFlightHook = Callable[[PureState, Basis, np.random.Generator], PureState]
+InFlightHook = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 PairHook = Callable[[PureState], PureState]
 
-_BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
-_KEY_ANGLES = tuple(basis.analyzer_angle for basis in _BASES)
+_KEY_ANGLES = tuple(basis.analyzer_angle for basis in Basis)
 
 # Analyzer angles (Alice, Bob) of the eight E91 settings, indexed by
 # 4 * is_test + 2 * alice_index + bob_index.
@@ -286,24 +291,23 @@ def _bb84_rounds(
     channel: LossChannel | None, detector: Detector, eavesdropper: InFlightHook | None,
 ) -> tuple[np.ndarray, ...]:
     """Per-round arrays in :func:`sift_keys` order: Alice's bits and basis
-    indices, Bob's bits (0 where no click) and basis indices, the clicks."""
+    indices, Bob's bits (0 where no click) and basis indices, the clicks.
+    Only the photon gate runs round by round; the clicked rounds' qubits
+    go through the hook and Bob's measurement as state-id arrays."""
     bits, a_bases, b_bases = rng.integers(0, 2, size=(3, n_rounds), dtype=np.int8)
     clicks: list[bool] = []
-    bob_bits: list[int] = []
-    for bit, a_idx, b_idx in zip(bits.tolist(), a_bases.tolist(), b_bases.tolist()):
+    for _ in range(n_rounds):
         photons = emit_pulse(mean_photons, rng)
         if channel is not None:
             photons = transmit(photons, channel, rng)
-        click = detect(photons, detector, rng)
-        clicks.append(click)
-        if not click:
-            bob_bits.append(0)
-            continue
-        state = encoded_qubit(bit, _BASES[a_idx])
-        if eavesdropper is not None:
-            state = eavesdropper(state, _BASES[a_idx], rng)
-        bob_bits.append(measure_qubit(state, 0, _BASES[b_idx], rng).bit)
-    return bits, a_bases, np.array(bob_bits, np.int8), b_bases, np.array(clicks, bool)
+        clicks.append(detect(photons, detector, rng))
+    clicked = np.array(clicks, dtype=bool)
+    states = 2 * a_bases[clicked] + bits[clicked]
+    if eavesdropper is not None:
+        states = eavesdropper(states, rng)
+    bob_bits = np.zeros(n_rounds, dtype=np.int8)
+    bob_bits[clicked] = measure_qubit(states, b_bases[clicked], rng)[0]
+    return bits, a_bases, bob_bits, b_bases, clicked
 
 
 def run_bb84(
@@ -321,15 +325,16 @@ def run_bb84(
 
     The sender encodes a fresh random bit in a random basis each round; the
     receiver measures in an independently random basis.  ``eavesdropper``
-    (if any) rewrites the flying qubit given (state, sender basis, rng).
-    With an ideal single-photon source, no channel, and no eavesdropper the
-    sifted error rate is exactly zero.
+    (if any) maps the state ids of the registered qubits to the ids it
+    passes on (see the module docstring).  With an ideal single-photon
+    source, no channel, and no eavesdropper the sifted error rate is exactly
+    zero.
 
     Each round's pulse is a photon count: Poisson(``mean_photons``) from a
     weak-coherent source, or exactly one photon from the ideal single-photon
     source when ``mean_photons`` is None.  Losses in ``channel`` and the
     ``detector`` then gate which rounds the receiver registers; the qubit
-    degree of freedom itself is tracked exactly once per registered pulse.
+    itself is tracked, as a state id, for the registered pulses only.
     Splitting attacks that exploit multi-photon pulses are treated by the
     decoy-intensity machinery, not here.  An invalid ``mean_photons`` raises
     ``ValueError`` from the first Poisson draw.
@@ -337,8 +342,10 @@ def run_bb84(
     Draw order: every round's bit, sender basis and receiver basis first, as
     one (3, ``n_rounds``) array; then per round the photon-number uniform
     (weak-coherent source with a positive mean only), one channel uniform
-    per photon, the click uniform and, for a click, the eavesdropper's draws
-    and the measurement uniform; then the disclosure sample.
+    per photon and the click uniform; then the eavesdropper's draws over
+    the clicked rounds (intercept-resend: one guess array, then one
+    measurement uniform per clicked round); then the receiver's array of
+    one measurement uniform per clicked round; then the disclosure sample.
     """
     if n_rounds <= 0:
         raise ValueError("need at least one round")

@@ -10,6 +10,7 @@ input, and the prepared states (:func:`encoded_qubit`, :func:`bell_pair`)
 are module constants shared by every caller, so states can be shared freely
 across threads.  Measurement outcomes are memoised by value and shared the
 same way; each measurement still draws one uniform variate.
+:func:`measure_qubit` measures arrays of the four BB84 states, named by id.
 """
 from __future__ import annotations
 
@@ -231,16 +232,35 @@ def _project(
 
 
 def measure_qubit(
-    state: PureState,
-    qubit_index: int,
-    basis: Basis,
-    rng: np.random.Generator,
-) -> MeasurementOutcome:
-    """Measure one qubit in the rectilinear or diagonal basis.
+    states: np.ndarray, bases: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure an array of encoded qubits, each in its own basis.
 
-    Bit 0 maps to |0> (rectilinear) or |+> (diagonal).
+    ``states`` holds state ids ``2 * basis + bit``, the qubit that
+    :func:`encoded_qubit` prepares for ``bit`` in basis index ``basis`` (0
+    rectilinear, 1 diagonal); ``bases`` holds the measurement basis
+    indices.  One array of uniforms, one per qubit, is compared with the
+    exact Born split of each (state, basis) pair, the threshold of
+    :func:`measure_rotated`, so bit 0 reads |0> or |+>.  Returns the bits
+    and the post-state ids ``2 * bases + bits``: the collapsed qubit is the
+    encoded state of the bit read in the measurement basis, up to a global
+    phase.
     """
-    return measure_rotated(state, qubit_index, basis.analyzer_angle, rng)
+    bits = (rng.random(bases.size) >= _born_thresholds()[states, bases]).astype(np.int8)
+    return bits, 2 * bases + bits
+
+
+@functools.cache
+def _born_thresholds() -> np.ndarray:
+    """(4, 2) table of :func:`measure_qubit`: entry [s, b] is the bound a
+    uniform must fall below for outcome 0 when state id s is measured in
+    basis index b, taken from :func:`_split`."""
+    bases = tuple(Basis)
+    return np.array([
+        [_split(encoded_qubit(s & 1, bases[s >> 1]).amplitudes.tobytes(), 1, 0,
+                basis.analyzer_angle)[0] for basis in bases]
+        for s in range(4)
+    ])
 
 
 def apply_cnot(state: PureState, control: int, target: int) -> PureState:

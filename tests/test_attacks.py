@@ -27,7 +27,7 @@ from qntl.attacks import (
     trojan_gain_experiment,
 )
 from qntl.cli.runners import get_experiment
-from qntl.quantum import Basis, basis_state, bell_pair, encoded_qubit, measure_qubit
+from qntl.quantum import Basis, basis_state, bell_pair, encoded_qubit, measure_rotated
 from qntl.stats import Histogram, poisson_sample_array, stream
 
 from distcheck import chi_square_gof, same_distribution_p
@@ -441,8 +441,8 @@ def test_probe_duplicates_receiver_bit():
     for trial in range(200):
         rng = stream(11, "probe-dup", trial)
         state = probe_infiltrate(bell_pair())
-        bob = measure_qubit(state, 1, Basis.RECTILINEAR, rng)
-        eve = measure_qubit(bob.post_state, 2, Basis.RECTILINEAR, rng)
+        bob = measure_rotated(state, 1, Basis.RECTILINEAR.analyzer_angle, rng)
+        eve = measure_rotated(bob.post_state, 2, Basis.RECTILINEAR.analyzer_angle, rng)
         assert eve.bit == bob.bit
 
 

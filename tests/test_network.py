@@ -300,6 +300,23 @@ def test_cut_disconnects_count():
     assert count_viable_paths(topo, 0, 99, cut) == 0
 
 
+def test_numpy_integer_compromised_nodes_count_like_python_ints():
+    # The compromised set is used as given, so numpy integer nodes must hash
+    # and compare like the topology's Python int node ids.
+    topo = generate_topology("grid", 0)
+    rng = stream(8, "numpy-blocked")
+    pairs = [(0, 99), (44, 45), (3, 67), (12, 88)]
+    for _ in range(20):
+        drawn = rng.choice(100, size=30, replace=False)
+        for source, target in pairs:
+            blocked = [n for n in drawn if n not in (source, target)]
+            as_numpy = {np.int64(n) for n in blocked}
+            as_int = {int(n) for n in blocked}
+            for bound in (None, 18):
+                expected = count_viable_paths(topo, source, target, as_int, bound)
+                assert count_viable_paths(topo, source, target, as_numpy, bound) == expected
+
+
 def test_hop_bound_excludes_detours():
     topo = tiny_path_topology()
     assert count_viable_paths(topo, 0, 2) == 1

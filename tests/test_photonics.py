@@ -96,6 +96,27 @@ def test_loss_monotonicity():
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
+def reference_transmit(photons, channel, rng):
+    """The earlier loss kernel: one array of ``photons`` uniforms."""
+    if photons == 0:
+        return 0
+    return int(np.count_nonzero(rng.random(photons) < channel.transmittance))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_transmit_matches_array_reference(eta):
+    # n scalar uniforms are the same draws as one array of n, so the
+    # survivors and the generator state both match the array kernel.
+    channel = LossChannel(eta)
+    for seed in range(20):
+        rng, ref_rng = stream(seed, "transmit-ref"), stream(seed, "transmit-ref")
+        for photons in range(8):
+            survivors = transmit(photons, channel, rng)
+            assert type(survivors) is int
+            assert survivors == reference_transmit(photons, channel, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_transmit_is_deterministic():
     def run():
         rng = stream(5, "det-loss")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson as sp_poisson
 
+from qntl import attacks, qkd
 from qntl.attacks import (
     PnsStrategy,
     PnsVariant,
@@ -241,25 +242,22 @@ def test_bb84_intercept_resend_qber():
 
 def test_bb84_oracle_intercept_modes():
     # Oracle hooks that pin the interceptor's guess relative to the sender's
-    # basis: always right leaves no errors, always wrong errs half the time.
+    # basis, read off each state id 2 * basis + bit: always right leaves no
+    # errors, always wrong errs half the time.
     def intercept(guess_of):
-        def hook(state, sender_basis, rng):
-            guess = guess_of(sender_basis)
-            return encoded_qubit(measure_qubit(state, 0, guess, rng).bit, guess)
+        def hook(states, rng):
+            return measure_qubit(states, guess_of(states >> 1), rng)[1]
 
         return hook
 
-    def other(basis):
-        return Basis.DIAGONAL if basis is Basis.RECTILINEAR else Basis.RECTILINEAR
-
     correct = run_bb84(
-        20_000, stream(7, "bb84-oracle-c"), eavesdropper=intercept(lambda basis: basis)
+        20_000, stream(7, "bb84-oracle-c"), eavesdropper=intercept(lambda bases: bases)
     )
     assert correct.qber_estimate == 0.0
     wrong = run_bb84(
         10**5,
         stream(7, "bb84-oracle-w"),
-        eavesdropper=intercept(other),
+        eavesdropper=intercept(lambda bases: 1 - bases),
         disclosed_fraction=0.5,
     )
     assert abs(wrong.qber_estimate - 0.5) < 0.01
@@ -307,10 +305,20 @@ def test_bb84_attack_never_lowers_qber():
         assert attacked.qber_estimate >= honest.qber_estimate
 
 
-def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, eavesdropper):
+def reference_intercept_resend(state, sender_basis, rng):
+    """The per-state intercept-resend hook as it ran before hooks mapped
+    state-id arrays: a scalar basis guess, one measurement, re-preparation."""
+    guess = Basis.RECTILINEAR if rng.integers(0, 2) == 0 else Basis.DIAGONAL
+    bit = measure_rotated(state, 0, guess.analyzer_angle, rng).bit
+    return encoded_qubit(bit, guess)
+
+
+def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attacked):
     """BB84 rounds as they ran before the settings were drawn as one array:
     per round its bit, both basis indices, the photon, channel and click
-    draws, then the measurement.  Returns the arrays of ``_bb84_rounds``."""
+    draws, then, for a click, the per-state hook (``attacked``:
+    :func:`reference_intercept_resend`) and the measurement of one state.
+    Returns the arrays of ``_bb84_rounds``."""
     bases = (Basis.RECTILINEAR, Basis.DIAGONAL)
     alice_bits = np.zeros(n_rounds, dtype=np.int8)
     alice_bases = np.zeros(n_rounds, dtype=np.int8)
@@ -329,9 +337,9 @@ def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, eavesd
         if not click:
             continue
         state = encoded_qubit(bit, bases[a_idx])
-        if eavesdropper is not None:
-            state = eavesdropper(state, bases[a_idx], rng)
-        bob_bits[i] = measure_qubit(state, 0, bases[b_idx], rng).bit
+        if attacked:
+            state = reference_intercept_resend(state, bases[a_idx], rng)
+        bob_bits[i] = measure_rotated(state, 0, bases[b_idx].analyzer_angle, rng).bit
     return alice_bits, alice_bases, bob_bits, bob_bases, detected
 
 
@@ -342,15 +350,14 @@ def bb84_cell_counts(rounds):
     return np.bincount(cell, minlength=8)
 
 
+# (photon gate, attacked): the reference runs the per-state hook, the
+# candidate the array hook of intercept_resend().
 BB84_DIST_CASES = {
-    "honest": dict(mean_photons=None, channel=None, detector=Detector(), eavesdropper=None),
-    "intercept-resend": dict(
-        mean_photons=None, channel=None, detector=Detector(),
-        eavesdropper=intercept_resend(),
-    ),
-    "weak-coherent": dict(
-        mean_photons=0.5, channel=LossChannel(0.5), detector=Detector(0.6, 0.01),
-        eavesdropper=None,
+    "honest": (dict(mean_photons=None, channel=None, detector=Detector()), False),
+    "intercept-resend": (dict(mean_photons=None, channel=None, detector=Detector()), True),
+    "weak-coherent": (
+        dict(mean_photons=0.5, channel=LossChannel(0.5), detector=Detector(0.6, 0.01)),
+        False,
     ),
 }
 
@@ -359,16 +366,36 @@ BB84_DIST_CASES = {
 def test_bb84_rounds_match_per_round_reference(case):
     # Family-wise alpha 0.01 over the three cases, so each p > 0.01 / 3;
     # twenty seeds of 2,000 rounds a side.
-    alpha, seeds, n, kwargs = 0.01 / 3, range(20), 2000, BB84_DIST_CASES[case]
+    alpha, seeds, n = 0.01 / 3, range(20), 2000
+    gate, attacked = BB84_DIST_CASES[case]
 
     def reference(rng):
-        return bb84_cell_counts(reference_bb84_rounds(n, rng, **kwargs))
+        return bb84_cell_counts(reference_bb84_rounds(n, rng, **gate, attacked=attacked))
 
     def candidate(rng):
-        return bb84_cell_counts(_bb84_rounds(n, rng, **kwargs))
+        hook = intercept_resend() if attacked else None
+        return bb84_cell_counts(_bb84_rounds(n, rng, **gate, eavesdropper=hook))
 
     p = same_distribution_p(reference, candidate, seeds, f"bb84-{case}")
     assert p > alpha, f"{case}: p={p:.3g}"
+
+
+@pytest.mark.parametrize("attacked", [False, True], ids=["honest", "intercept-resend"])
+def test_bb84_measures_in_batches_not_per_round(attacked, monkeypatch):
+    # A session measures through one batched call for the receiver, plus one
+    # inside the intercept-resend hook, whatever its number of rounds.
+    calls = []
+    for module in (qkd, attacks):
+        def counted(*args, _module=module.__name__, _measure=module.measure_qubit):
+            calls.append(_module)
+            return _measure(*args)
+
+        monkeypatch.setattr(module, "measure_qubit", counted)
+    hook = intercept_resend() if attacked else None
+    for rounds in (1, 300):
+        calls.clear()
+        run_bb84(rounds, stream(rounds, "bb84-batch-calls"), eavesdropper=hook)
+        assert calls == ["qntl.attacks"] * attacked + ["qntl.qkd"]
 
 
 # ---------------------------------------------------------------- e91
@@ -425,8 +452,8 @@ def reference_e91_counts(n_rounds, chsh_fraction, probed, rng):
             first = measure_rotated(state, 0, ALICE_TEST_ANGLES[a_idx], rng)
             second = measure_rotated(first.post_state, 1, BOB_TEST_ANGLES[b_idx], rng)
         else:
-            first = measure_qubit(state, 0, bases[a_idx], rng)
-            second = measure_qubit(first.post_state, 1, bases[b_idx], rng)
+            first = measure_rotated(state, 0, bases[a_idx].analyzer_angle, rng)
+            second = measure_rotated(first.post_state, 1, bases[b_idx].analyzer_angle, rng)
         setting = 4 * is_test + 2 * a_idx + b_idx
         counts[4 * setting + 2 * first.bit + second.bit] += 1
     return counts

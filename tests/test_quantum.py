@@ -23,6 +23,7 @@ from qntl.quantum import (
     joint_probabilities,
     measure_qubit,
     measure_rotated,
+    _born_thresholds,
     _split,
 )
 from qntl.stats import stream
@@ -80,26 +81,27 @@ def test_tensor_orders_amplitudes():
 
 def test_eigenstate_measurement_is_certain():
     rng = stream(0, "meas-eigen")
-    out = measure_qubit(basis_state("0"), 0, Basis.RECTILINEAR, rng)
+    out = measure_rotated(basis_state("0"), 0, Basis.RECTILINEAR.analyzer_angle, rng)
     assert out.bit == 0
-    out = measure_qubit(encoded_qubit(1, Basis.DIAGONAL), 0, Basis.DIAGONAL, rng)
+    out = measure_rotated(
+        encoded_qubit(1, Basis.DIAGONAL), 0, Basis.DIAGONAL.analyzer_angle, rng
+    )
     assert out.bit == 1
 
 
 def test_plus_state_rectilinear_frequency():
     rng = stream(42, "meas-plus")
     plus = encoded_qubit(0, Basis.DIAGONAL)
-    zeros = sum(
-        measure_qubit(plus, 0, Basis.RECTILINEAR, rng).bit == 0 for _ in range(10**4)
-    )
+    rect = Basis.RECTILINEAR.analyzer_angle
+    zeros = sum(measure_rotated(plus, 0, rect, rng).bit == 0 for _ in range(10**4))
     assert abs(zeros / 10**4 - 0.5) < 0.01
 
 
 def test_bell_measurements_are_correlated():
     rng = stream(7, "meas-bell")
     for _ in range(200):
-        first = measure_qubit(bell_pair(), 0, Basis.RECTILINEAR, rng)
-        second = measure_qubit(first.post_state, 1, Basis.RECTILINEAR, rng)
+        first = measure_rotated(bell_pair(), 0, Basis.RECTILINEAR.analyzer_angle, rng)
+        second = measure_rotated(first.post_state, 1, Basis.RECTILINEAR.analyzer_angle, rng)
         assert first.bit == second.bit
 
 
@@ -114,9 +116,46 @@ def test_measurement_is_idempotent():
 
 def test_measurement_is_seed_deterministic():
     plus = encoded_qubit(0, Basis.DIAGONAL)
-    bits_a = [measure_qubit(plus, 0, Basis.RECTILINEAR, stream(9, "det", t)).bit for t in range(64)]
-    bits_b = [measure_qubit(plus, 0, Basis.RECTILINEAR, stream(9, "det", t)).bit for t in range(64)]
+    rect = Basis.RECTILINEAR.analyzer_angle
+    bits_a = [measure_rotated(plus, 0, rect, stream(9, "det", t)).bit for t in range(64)]
+    bits_b = [measure_rotated(plus, 0, rect, stream(9, "det", t)).bit for t in range(64)]
     assert bits_a == bits_b
+
+
+def test_born_table_matches_split_for_every_state_and_basis():
+    # State id 2 * basis + bit is encoded_qubit(bit, basis); the table holds
+    # _split's threshold, and the post-state id 2 * basis + bit names the
+    # collapsed state up to a global phase.
+    bases = tuple(Basis)
+    for state_id in range(4):
+        state = encoded_qubit(state_id & 1, bases[state_id >> 1])
+        for b, basis in enumerate(bases):
+            split = _split(state.amplitudes.tobytes(), 1, 0, basis.analyzer_angle)
+            assert _born_thresholds()[state_id, b] == split[0]
+            for bit, outcome in enumerate(split[1:]):
+                if outcome is None:
+                    continue
+                resent = encoded_qubit(bit, bases[b])
+                overlap = np.vdot(resent.amplitudes, outcome.post_state.amplitudes)
+                assert abs(abs(overlap) - 1.0) <= 1e-12
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(0, 64))
+@settings(max_examples=50, deadline=None)
+def test_batched_measure_reads_one_uniform_per_qubit(seed, n):
+    # bit = u >= threshold[state, basis] on one array of n uniforms, and the
+    # generator ends where one draw of n uniforms leaves it.
+    rng, ref_rng = stream(seed, "batch-measure"), stream(seed, "batch-measure")
+    states, bases = rng.integers(0, [[4], [2]], size=(2, n)).astype(np.int8)
+    ref_rng.integers(0, [[4], [2]], size=(2, n))
+    bits, post = measure_qubit(states, bases, rng)
+    expected = (ref_rng.random(n) >= _born_thresholds()[states, bases]).astype(np.int8)
+    assert np.array_equal(bits, expected)
+    assert np.array_equal(post, 2 * bases + expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # Measuring in the preparation basis is certain.
+    same = bases == states >> 1
+    assert np.array_equal(bits[same], states[same] & 1)
 
 
 def reference_split(state, qubit_index, angle):
@@ -259,14 +298,14 @@ SESSIONS = {
 
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_sessions_repeat_from_cold_and_warm_cache(name):
-    _split.cache_clear()
+    _born_thresholds.cache_clear()
     runs = []
     for _ in ("cold", "warm"):
         rng = stream(5, f"memo-session-{name}")
         session = SESSIONS[name](rng)
         runs.append((session, rng.bit_generator.state))
     (cold, cold_rng), (warm, warm_rng) = runs
-    assert _split.cache_info().hits > 0
+    assert _born_thresholds.cache_info().hits > 0
     for field in ("sifted_alice", "sifted_bob", "final_key"):
         assert np.array_equal(getattr(cold, field), getattr(warm, field))
     assert (cold.qber_estimate, cold.chsh_estimate) == (warm.qber_estimate, warm.chsh_estimate)
@@ -293,7 +332,7 @@ def test_measurement_outcomes_are_shared_and_read_only():
     plus = encoded_qubit(0, Basis.DIAGONAL)
     outcomes = {}
     while len(outcomes) < 2:
-        out = measure_qubit(plus, 0, Basis.RECTILINEAR, rng)
+        out = measure_rotated(plus, 0, Basis.RECTILINEAR.analyzer_angle, rng)
         assert outcomes.setdefault(out.bit, out) is out
     for out in outcomes.values():
         assert not out.post_state.amplitudes.flags.writeable
@@ -323,7 +362,7 @@ def test_prepared_states_are_shared_constants():
 def test_measurement_index_errors():
     rng = stream(0, "meas-err")
     with pytest.raises(IndexError):
-        measure_qubit(bell_pair(), 2, Basis.RECTILINEAR, rng)
+        measure_rotated(bell_pair(), 2, Basis.RECTILINEAR.analyzer_angle, rng)
 
 
 # ---------------------------------------------------------------- gates
