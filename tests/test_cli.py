@@ -204,8 +204,6 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
         (["pns", "--pulses", "abc"], "pulses"),
         (["pns", "--strategies", "random-1.5"], "strategies"),
         (["trojan", "--policies", "fixed-7"], "policies"),
-        # two spellings of one phase share the label that keys the rows
-        (["trojan", "--policies", "fixed-0.5,fixed-.5"], "policies"),
         (["decoy", "--attack", "random-2"], "attack"),
         (["qec", "--modes", "iid,bogus"], "modes"),
         (["qec", "--modes", "iid,iid"], "modes"),
@@ -220,6 +218,8 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
         (["pns", {"pulses": 1e999}], "pulses"),
         (["decoy", {"decoy_mus": []}], "decoy_mus"),
         (["qec", {"modes": []}], "modes"),
+        # two spellings of one phase share the label that keys the rows
+        (["trojan", "--policies", "fixed-0.5,fixed-.5"], "policies"),
     ],
 )
 def test_bad_value_diagnostic_names_the_key(argv, key, tmp_path, capsys):
