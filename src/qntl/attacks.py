@@ -4,9 +4,11 @@ probes, interlock spoofing, intercept-resend, and code-aware noise.
 Intercept-resend is a hook that a protocol calls once on the state ids of
 all its flying qubits; the entangling probe is a map that a protocol applies
 once to its pair state.  The splitting and interlock models draw a whole
-experiment's per-pulse or per-exchange variates as arrays; the Trojan-horse
-and repetition-code models draw the counts they report, one draw per block
-of photons or per cell.
+experiment's per-pulse or per-exchange variates as arrays, and a splitting
+strategy maps emitted photon counts to the counts it forwards.  The
+Trojan-horse and repetition-code models draw the counts they report, one
+draw per block of photons or per cell; the repetition-code experiment
+returns its logical-error count alone.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 from .quantum import PureState, apply_cnot, basis_state, measure_qubit
 # encoded_qubit has no caller here: bench/tracing.py patches qntl.attacks:encoded_qubit.
 from .quantum import encoded_qubit  # noqa: F401
-from .stats import Histogram, ZScoreSeries, poisson_sample_array, zscore_compare
+from .stats import Histogram, poisson_sample_array, zscore_compare
 
 __all__ = [
     "PnsVariant",
@@ -37,7 +39,6 @@ __all__ = [
     "interlock_exchange",
     "interlock_detection_rate",
     "intercept_resend",
-    "QecResult",
     "qec_bitflip_experiment",
     "iid_logical_error_rate",
 ]
@@ -95,26 +96,21 @@ class PnsStrategy:
         return self.variant.value
 
 
-def pns_transform_counts(
-    counts: np.ndarray,
-    strategy: PnsStrategy,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized semantics of the strategies that act on the emitted count.
+def pns_transform_counts(counts: np.ndarray, strategy: PnsStrategy) -> np.ndarray:
+    """Vectorized semantics of the strategies that act on the emitted count:
+    the photon counts forwarded from ``counts``.
 
-    Returns (taken, forwarded) arrays with taken + forwarded == counts.
     Random intercept is not such a map: it skims each photon independently,
     so its forwarded counts are drawn directly as Poisson(mu * (1 - q)).
     """
     counts = np.asarray(counts, dtype=np.int64)
     if strategy.variant is PnsVariant.NO_EVE:
-        taken = np.zeros_like(counts)
-    elif strategy.variant is PnsVariant.ALWAYS_MINUS_ONE:
-        taken = np.minimum(counts, 1)
-    elif strategy.variant is PnsVariant.BLOCK_SINGLES:
-        taken = np.where(counts < 2, counts, counts - 1)
-    else:
-        raise ValueError("random intercept thins each photon; draw Poisson(mu * (1 - q)) instead")
-    return taken, counts - taken
+        return counts
+    if strategy.variant is PnsVariant.ALWAYS_MINUS_ONE:
+        return np.maximum(counts - 1, 0)
+    if strategy.variant is PnsVariant.BLOCK_SINGLES:
+        return (counts >= 2).astype(np.int64)
+    raise ValueError("random intercept thins each photon; draw Poisson(mu * (1 - q)) instead")
 
 
 @dataclass(frozen=True)
@@ -122,14 +118,12 @@ class PnsExperimentResult:
     """Received-count distributions per strategy, with per-bin z-scores
     against an independently seeded no-eavesdropper baseline."""
 
-    mean_photons: float
-    n_pulses: int
     baseline: Histogram
     histograms: Mapping[str, Histogram]
-    zscores: Mapping[str, ZScoreSeries]
+    zscores: Mapping[str, np.ndarray]
 
     def max_abs_z(self, label: str) -> float:
-        return self.zscores[label].max_abs
+        return float(np.abs(self.zscores[label]).max())
 
 
 # Pulses per chunk of a pns series: 2**15 uniforms (256 KiB) stay in cache.
@@ -150,7 +144,7 @@ def _series_histogram(
     for start in range(0, n_pulses, _PNS_CHUNK):
         forwarded = poisson_sample_array(mean, rng, min(_PNS_CHUNK, n_pulses - start))
         if strategy.variant in (PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES):
-            _, forwarded = pns_transform_counts(forwarded, strategy)
+            forwarded = pns_transform_counts(forwarded, strategy)
         counts += Histogram.from_samples(forwarded, max_bin=max_bin).counts
     return Histogram(counts=counts, total=n_pulses)
 
@@ -179,7 +173,7 @@ def pns_experiment(
     children = rng.spawn(len(strategies) + 1)
     baseline = _series_histogram(mean_photons, PnsStrategy.no_eve(), children[0], n_pulses, max_bin)
     histograms: dict[str, Histogram] = {}
-    zscores: dict[str, ZScoreSeries] = {}
+    zscores: dict[str, np.ndarray] = {}
     for strategy, label, child in zip(strategies, labels, children[1:]):
         mean = mean_photons
         if strategy.variant is PnsVariant.RANDOM_INTERCEPT:
@@ -189,13 +183,7 @@ def pns_experiment(
         hist = _series_histogram(mean, strategy, child, n_pulses, max_bin)
         histograms[label] = hist
         zscores[label] = zscore_compare(hist, baseline)
-    return PnsExperimentResult(
-        mean_photons=float(mean_photons),
-        n_pulses=int(n_pulses),
-        baseline=baseline,
-        histograms=histograms,
-        zscores=zscores,
-    )
+    return PnsExperimentResult(baseline=baseline, histograms=histograms, zscores=zscores)
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +359,6 @@ def iid_logical_error_rate(p: float) -> float:
     return 3.0 * p * p - 2.0 * p**3
 
 
-@dataclass(frozen=True)
-class QecResult:
-    """Outcome of a repetition-code run."""
-
-    mode: str
-    flip_probability: float
-    n_blocks: int
-    logical_errors: int
-    logical_error_rate: float
-    iid_analytic_rate: float
-
-
 def _block_failure_probability(p: float, mode: str) -> float:
     """Probability that majority decoding of one block fails.
 
@@ -404,8 +380,9 @@ def qec_bitflip_experiment(
     flip_probability: float,
     mode: str,
     rng: np.random.Generator,
-) -> QecResult:
-    """Count the logical errors of the three-bit repetition code.
+) -> int:
+    """Count the logical errors of the three-bit repetition code in
+    ``n_blocks`` blocks.
 
     Modes: "iid" flips each physical bit independently with probability p;
     "burst-2" flips one randomly chosen adjacent pair with probability p,
@@ -421,12 +398,4 @@ def qec_bitflip_experiment(
         raise ValueError(f"flip probability must lie in [0, 1], got {p}")
     if mode not in ("iid", "burst-2"):
         raise ValueError(f"unknown noise mode {mode!r}")
-    errors = int(rng.binomial(n_blocks, _block_failure_probability(p, mode)))
-    return QecResult(
-        mode=mode,
-        flip_probability=p,
-        n_blocks=int(n_blocks),
-        logical_errors=errors,
-        logical_error_rate=errors / n_blocks,
-        iid_analytic_rate=iid_logical_error_rate(p),
-    )
+    return int(rng.binomial(n_blocks, _block_failure_probability(p, mode)))

@@ -8,6 +8,7 @@ warning, so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -102,14 +103,17 @@ def as_int(raw: Any) -> int:
 
 
 def as_float(raw: Any) -> float:
+    """A number; +-inf pass (``--patience inf`` means no abandonment), NaN,
+    which no range check can refuse, does not."""
     if isinstance(raw, bool):
         raise ConfigError(f"expected a number, got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return float(raw)
     try:
-        return float(str(raw).strip())
+        value = float(raw if isinstance(raw, (int, float)) else str(raw).strip())
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if math.isnan(value):
+        raise ConfigError(f"expected a number, got {raw!r}")
+    return value
 
 
 def as_bool(raw: Any) -> bool:

@@ -4,8 +4,10 @@ Each entry binds a parameter schema to a runner function.  Runners take the
 resolved parameter mapping plus the seed and return ``(columns, rows,
 summary)``; all randomness flows through a stream labeled with the
 experiment name, so a fixed (seed, params) pair reproduces rows byte for
-byte.  Rows and summaries hold plain Python scalars only, never numpy
-types, because both the CSV and JSON writers rely on builtin formatting.
+byte.  Rows are plain tuples, and rows and summaries hold builtin scalars
+only, never numpy types, because both the CSV and JSON writers rely on
+builtin formatting: runners convert arrays with ``tolist()`` where they read
+them.
 """
 from __future__ import annotations
 
@@ -36,21 +38,6 @@ class ExperimentDef:
     help: str
     specs: tuple[ParamSpec, ...]
     run: RunnerFn
-
-
-def _py(value: Any) -> Any:
-    """Collapse numpy scalars to builtins; row cells must stay plain."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
-def _row(*cells: Any) -> tuple:
-    return tuple(_py(c) for c in cells)
 
 
 def _key_digest(bits: np.ndarray) -> str:
@@ -130,20 +117,17 @@ def _run_pns(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
         params["pulses"], params["mu"], strategies, rng, max_bin=params["max_bin"]
     )
     columns = ("series", "record", "bin", "value")
-    rows: Rows = []
-    for b, count in zip(result.baseline.bins, result.baseline.counts):
-        rows.append(_row("baseline", "count", b, count))
+    baseline = result.baseline.counts.tolist()
+    rows: Rows = [("baseline", "count", b, c) for b, c in enumerate(baseline)]
     for strategy in strategies:
         label = strategy.label()
-        hist = result.histograms[label]
-        for b, count in zip(hist.bins, hist.counts):
-            rows.append(_row(label, "count", b, count))
-        for b, z in zip(hist.bins, result.zscores[label].z):
-            rows.append(_row(label, "zscore", b, z))
+        counts = result.histograms[label].counts.tolist()
+        rows.extend((label, "count", b, c) for b, c in enumerate(counts))
+        rows.extend((label, "zscore", b, z) for b, z in enumerate(result.zscores[label].tolist()))
     summary: Summary = {
         "mean_photons": params["mu"],
         "n_pulses": params["pulses"],
-        "max_abs_z": {s.label(): _py(result.max_abs_z(s.label())) for s in strategies},
+        "max_abs_z": {s.label(): result.max_abs_z(s.label()) for s in strategies},
     }
     return columns, rows, summary
 
@@ -175,10 +159,10 @@ def _run_trojan(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Su
     rng = stream(seed, "trojan")
     for token in params["policies"]:
         policy = _trojan_policy(token)
-        series = attacks.trojan_gain_experiment(checkpoints, policy, rng)
         label = policy.label()
-        rows.extend(_row(label, k, gain) for k, gain in zip(checkpoints, series))
-        gain_per_photon[label] = float(series[-1]) / n
+        series = attacks.trojan_gain_experiment(checkpoints, policy, rng).tolist()
+        rows.extend((label, k, gain) for k, gain in zip(checkpoints, series))
+        gain_per_photon[label] = series[-1] / n
     summary: Summary = {"n_photons": n, "gain_per_photon": gain_per_photon}
     return columns, rows, summary
 
@@ -186,6 +170,14 @@ def _run_trojan(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Su
 # ---------------------------------------------------------------------------
 # Prepare-and-measure key exchange
 # ---------------------------------------------------------------------------
+
+# Post-processing parameters that both key exchanges share.
+_KEY_SPECS = (
+    ParamSpec("disclosed_fraction", as_float, qkd.DEFAULT_DISCLOSED_FRACTION,
+              "sifted fraction disclosed for error estimation"),
+    ParamSpec("abort_threshold", as_float, qkd.DEFAULT_ABORT_THRESHOLD,
+              "error rate above which the session aborts"),
+)
 
 _BB84_SPECS = (
     ParamSpec("rounds", as_int, 2000, "qubits sent"),
@@ -205,13 +197,12 @@ _BB84_SPECS = (
     ParamSpec("transmittance", as_float, 1.0, "channel transmittance"),
     ParamSpec("efficiency", as_float, 1.0, "detector efficiency"),
     ParamSpec("dark", as_float, 0.0, "detector dark-count probability"),
-    ParamSpec("disclosed_fraction", as_float, 0.1, "sifted fraction disclosed for error estimation"),
-    ParamSpec("abort_threshold", as_float, 0.11, "error rate above which the session aborts"),
+    *_KEY_SPECS,
 )
 
 
 def _session_row(session: qkd.QkdSession) -> tuple:
-    return _row(
+    return (
         session.n_rounds,
         session.sifted_count,
         session.disclosed_count,
@@ -228,7 +219,7 @@ def _session_summary(session: qkd.QkdSession) -> Summary:
     return {
         "aborted": session.aborted,
         "abort_reason": session.abort_reason,
-        "qber": _py(session.qber_estimate),
+        "qber": session.qber_estimate,
         "final_bits": session.final_key_bits,
         "eavesdrop_detected": session.eavesdrop_detected,
     }
@@ -275,10 +266,11 @@ _E91_SPECS = (
         "none",
         "pair-source attack (probe entangles an ancilla with every pair)",
     ),
-    ParamSpec("chsh_fraction", as_float, 0.25, "fraction of rounds spent on the correlation test"),
-    ParamSpec("detection_margin", as_float, 0.1, "required margin above the classical bound"),
-    ParamSpec("disclosed_fraction", as_float, 0.1, "sifted fraction disclosed for error estimation"),
-    ParamSpec("abort_threshold", as_float, 0.11, "error rate above which the session aborts"),
+    ParamSpec("chsh_fraction", as_float, qkd.CHSH_TEST_FRACTION,
+              "fraction of rounds spent on the correlation test"),
+    ParamSpec("detection_margin", as_float, qkd.CHSH_DETECTION_MARGIN,
+              "required margin above the classical bound"),
+    *_KEY_SPECS,
 )
 
 
@@ -299,7 +291,7 @@ def _run_e91(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
         "leaked", "final_bits", "aborted", "eavesdrop_detected", "key_sha256",
     )
     chsh = session.chsh_estimate if session.chsh_estimate is not None else float("nan")
-    row = _row(
+    row = (
         session.n_rounds,
         session.chsh_rounds,
         chsh,
@@ -313,7 +305,7 @@ def _run_e91(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
         _key_digest(session.final_key),
     )
     summary = _session_summary(session)
-    summary["chsh"] = _py(chsh)
+    summary["chsh"] = chsh
     return columns, [row], summary
 
 
@@ -332,21 +324,14 @@ def _run_relay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
     key = rng.integers(0, 2, size=params["key_bits"], dtype=np.int8)
     result = qkd.run_relay_chain(key, params["relays"], rng)
     columns = ("relay_index", "cleartext_matches_key", "wire_differs_from_key")
-    rows: Rows = []
-    for exposure in result.exposures:
-        wire = result.wire_ciphertexts[exposure.relay_index - 1]
-        rows.append(
-            _row(
-                exposure.relay_index,
-                bool(np.array_equal(exposure.cleartext, key)),
-                not np.array_equal(wire, key),
-            )
-        )
+    matches = (result.cleartexts == key).all(axis=1).tolist()
+    differs = (result.wire[:-1] != key).any(axis=1).tolist()
+    rows: Rows = list(zip(range(1, result.n_relays + 1), matches, differs))
     summary: Summary = {
         "n_relays": result.n_relays,
-        "n_hops": result.n_hops,
+        "n_hops": result.n_relays + 1,
         "recovered_ok": result.recovered_ok,
-        "exposures": len(result.exposures),
+        "exposures": len(result.cleartexts),
         "key_sha256": _key_digest(key),
     }
     return columns, rows, summary
@@ -391,27 +376,25 @@ def _run_decoy(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
     attacker = None
     if params["attack"] != "none":
         attacker = _splitter_strategy(params["attack"])
-    tallies = qkd.simulate_decoy_transmissions(
+    detected = qkd.simulate_decoy_transmissions(
         intensities, channel, detector, rng, attacker=attacker
     )
     analysis = qkd.decoy_state_analysis(
-        tallies, channel, detector, deviation_threshold=params["threshold"]
+        intensities, detected, channel, detector, deviation_threshold=params["threshold"]
     )
     columns = (
         "label", "mean_photons", "sent", "detected", "gain", "model_gain",
         "relative_deviation",
     )
     rows = [
-        _row(a.label, a.mean_photons, a.sent, a.detected, a.gain, a.model_gain,
-             a.relative_deviation)
+        (a.label, a.mean_photons, a.sent, a.detected, a.gain, a.model_gain, a.relative_deviation)
         for a in analysis.assessments
     ]
-    y1 = analysis.single_photon_yield_lower_bound
     summary: Summary = {
         "eavesdrop_detected": analysis.eavesdrop_detected,
-        "max_relative_deviation": _py(analysis.max_relative_deviation),
-        "vacuum_yield": _py(analysis.vacuum_yield),
-        "single_photon_yield_lower_bound": _py(y1) if y1 is not None else None,
+        "max_relative_deviation": analysis.max_relative_deviation,
+        "vacuum_yield": analysis.vacuum_yield,
+        "single_photon_yield_lower_bound": analysis.single_photon_yield_lower_bound,
         "deviation_threshold": params["threshold"],
     }
     return columns, rows, summary
@@ -443,12 +426,12 @@ def _run_qec(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
         "iid_analytic_rate",
     )
     rows: Rows = []
+    blocks = params["blocks"]
     for mode in params["modes"]:
         for p in params["flip_probs"]:
-            result = attacks.qec_bitflip_experiment(params["blocks"], p, mode=mode, rng=rng)
+            errors = attacks.qec_bitflip_experiment(blocks, p, mode=mode, rng=rng)
             rows.append(
-                _row(mode, p, result.n_blocks, result.logical_errors,
-                     result.logical_error_rate, result.iid_analytic_rate)
+                (mode, p, blocks, errors, errors / blocks, attacks.iid_logical_error_rate(p))
             )
     summary: Summary = {
         "majority_crossover_probability": 0.5,
@@ -474,9 +457,7 @@ def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
     rows: Rows = []
     for k in params["message_bits"]:
         detected = attacks.interlock_exchange(k, trials, rng)
-        rows.append(
-            _row(k, trials, detected, detected / trials, attacks.interlock_detection_rate(k))
-        )
+        rows.append((k, trials, detected, detected / trials, attacks.interlock_detection_rate(k)))
     summary: Summary = {"trials": trials}
     return columns, rows, summary
 
@@ -517,14 +498,14 @@ def _run_decay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
     )
     columns = ("kind", "fraction", "distance", "mean_count", "std_count", "samples")
     rows = [
-        _row(r.kind, r.fraction, r.distance, r.mean_count, r.std_count, r.samples)
+        (r.kind, r.fraction, r.distance, r.mean_count, r.std_count, r.samples)
         for r in table.rows
     ]
     base = params["fractions"][0]
     summary: Summary = {
         "kinds": list(params["kinds"]),
         "baseline_mean": {
-            kind: _py(table.aggregate(kind, base).mean_count) for kind in params["kinds"]
+            kind: table.aggregate(kind, base).mean_count for kind in params["kinds"]
         },
     }
     return columns, rows, summary
@@ -581,15 +562,15 @@ def _run_diversion(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
         "honest_via_hijacker", "diverted_via_hijacker",
     )
     rows = [
-        _row(p.source, p.target, len(p.honest_path) - 1, len(p.diverted_path) - 1,
-             p.honest_via_hijacker, p.diverted_via_hijacker)
+        (p.source, p.target, len(p.honest_path) - 1, len(p.diverted_path) - 1,
+         p.honest_via_hijacker, p.diverted_via_hijacker)
         for p in result.pairs
     ]
     summary: Summary = {
         "hijacker": hijacker,
-        "baseline_fraction": _py(result.baseline_fraction),
-        "diverted_fraction": _py(result.diverted_fraction),
-        "mean_hop_stretch": _py(result.mean_hop_stretch),
+        "baseline_fraction": result.baseline_fraction,
+        "diverted_fraction": result.diverted_fraction,
+        "mean_hop_stretch": result.mean_hop_stretch,
     }
     return columns, rows, summary
 
@@ -653,7 +634,7 @@ def _run_dos(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
         "legit_still_queued", "attack_still_queued", "mean_legit_wait_ms",
         "legit_served_fraction", "attack_served_fraction", "conservation_ok",
     )
-    row = _row(
+    row = (
         result.mitigation, result.duration_ms, result.n_servers,
         result.legit_arrivals, result.attack_arrivals, result.legit_served,
         result.attack_served, result.legit_dropped, result.attack_dropped,
@@ -664,9 +645,9 @@ def _run_dos(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
     )
     summary: Summary = {
         "mitigation": result.mitigation,
-        "legit_served_fraction": _py(result.legit_served_fraction),
-        "attack_served_fraction": _py(result.attack_served_fraction),
-        "mean_legit_wait_ms": _py(result.mean_legit_wait_ms),
+        "legit_served_fraction": result.legit_served_fraction,
+        "attack_served_fraction": result.attack_served_fraction,
+        "mean_legit_wait_ms": result.mean_legit_wait_ms,
         "conservation_ok": result.conservation_ok(),
     }
     return columns, [row], summary

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,15 +66,15 @@ def untrusted_node_experiment(
     trials: int,
     pairs_per_trial: int,
     rng: np.random.Generator,
-    params: Mapping[str, Mapping[str, float | int]] | None = None,
 ) -> DecayTable:
     """Measure viable-path decay as nodes become untrusted.
 
-    Per trial: generate the family's topology from a fresh seed (random
-    families thus resample their graph each trial), draw one random node
-    permutation and ``pairs_per_trial`` endpoint pairs, then for every
-    fraction f compromise the first floor(f * n) permutation entries.  A pair
-    whose endpoint is compromised contributes zero; otherwise it contributes
+    Per trial: generate the family's topology, with its default parameters,
+    from a fresh seed (random families thus resample their graph each
+    trial), draw one random permutation of its nodes 0..n-1 and
+    ``pairs_per_trial`` endpoint pairs, then for every fraction f compromise
+    the first floor(f * n) permutation entries.  A pair whose endpoint is
+    compromised contributes zero; otherwise it contributes
     the number of minimum-hop paths avoiding the compromised set, within the
     pair's intact hop distance.  Pairs disconnected even intact contribute
     zero throughout and appear only in the aggregate rows.
@@ -93,7 +93,6 @@ def untrusted_node_experiment(
     if trials <= 0 or pairs_per_trial <= 0:
         raise ValueError("trials and pairs per trial must be positive")
 
-    params = params or {}
     rows: list[DecayRow] = []
     for kind in (TopologyKind(k) for k in kinds):
         # One row of per-fraction counts per sampled pair, and the rows of the
@@ -102,19 +101,16 @@ def untrusted_node_experiment(
         by_distance: dict[int, list[list[int]]] = {}
         for _ in range(trials):
             topo_seed = int(rng.integers(0, 2**63))
-            topology = generate_topology(kind, topo_seed, params.get(kind.value))
+            topology = generate_topology(kind, topo_seed)
             n = topology.n_nodes
-            node_ids = sorted(topology.nodes)
-            shuffled = [node_ids[i] for i in rng.permutation(n).tolist()]
+            shuffled = rng.permutation(n).tolist()
             rank = dict(zip(shuffled, range(n)))
             cuts = [math.floor(f * n) for f in fracs]
             compromised_sets = [frozenset(shuffled[:cut]) for cut in cuts]
             pair_index = rng.integers(0, n, size=(pairs_per_trial, 2)).tolist()
-            for raw_u, raw_v in pair_index:
-                u = node_ids[raw_u]
-                v = node_ids[raw_v]
+            for u, v in pair_index:
                 if u == v:
-                    v = node_ids[(raw_v + 1) % n]
+                    v = (v + 1) % n
                 intact_distance = hop_distance(topology, u, v)
                 pair_counts = [0] * len(fracs)
                 if intact_distance >= 0:
@@ -190,7 +186,6 @@ class DiversionResult:
     1.0 meaning no inflation) averaged over all routed pairs.
     """
 
-    hijackers: frozenset[int]
     pairs: tuple[DiversionPair, ...]
     baseline_fraction: float
     diverted_fraction: float
@@ -248,7 +243,6 @@ def diversion_experiment(
     diverted_frac = sum(p.diverted_via_hijacker for p in pairs) / n
     mean_stretch = float(np.mean([p.stretch_ratio for p in pairs]))
     return DiversionResult(
-        hijackers=hijacked,
         pairs=tuple(pairs),
         baseline_fraction=baseline,
         diverted_fraction=diverted_frac,

@@ -56,9 +56,9 @@ DEFAULT_PARAMS: dict[TopologyKind, dict[str, float | int]] = {
 @dataclass(frozen=True)
 class NodeInfo:
     """Per-node bookkeeping: trust flag plus the two link-quality figures the
-    trust-weighted router consumes."""
+    trust-weighted router consumes.  A node's id is its key in
+    :attr:`Topology.nodes`."""
 
-    node_id: int
     trusted: bool = True
     error_rate: float = 0.0
     response_time_ms: float = 0.0
@@ -195,12 +195,6 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
     return edges
 
 
-@functools.lru_cache(maxsize=8)
-def _default_nodes(n: int) -> tuple[NodeInfo, ...]:
-    """Default nodes 0..n-1, shared: ``NodeInfo`` is frozen, ``Topology`` copies its map."""
-    return tuple(NodeInfo(node_id=i) for i in range(n))
-
-
 def generate_topology(
     kind: TopologyKind | str,
     seed: int,
@@ -249,10 +243,10 @@ def generate_topology(
             raise ValueError("response time range must satisfy 0 <= lo <= hi")
         response_times = rng.uniform(lo, hi, size=n).tolist()
 
-    records = _default_nodes(n)
+    records = [NodeInfo()] * n  # frozen, so one default record serves every node
     if error_rate_range is not None or response_time_range is not None:
-        records = [NodeInfo(i, True, error_rate, response_time)
-                   for i, error_rate, response_time in zip(range(n), error_rates, response_times)]
+        records = [NodeInfo(True, error_rate, response_time)
+                   for error_rate, response_time in zip(error_rates, response_times)]
     return Topology(kind=kind, seed=int(seed), nodes=dict(enumerate(records)), edges=tuple(edges))
 
 
@@ -298,7 +292,6 @@ def import_topology(text: str) -> Topology:
             if node_id in nodes:
                 raise ValueError(f"duplicate node {node_id}")
             nodes[node_id] = NodeInfo(
-                node_id=node_id,
                 trusted=bool(int(parts[3])),
                 error_rate=float(parts[5]),
                 response_time_ms=float(parts[7]),

@@ -2,7 +2,11 @@
 
 Covers prepare-and-measure exchange (BB84-style), entanglement-based exchange
 with a CHSH self-test (E91-style), trusted-relay key forwarding, and the
-decoy-intensity consistency test against photon-number-splitting taps.
+decoy-intensity consistency test against photon-number-splitting taps.  A
+relay chain returns the key as each relay decrypted it and as each hop
+carried it, one array row per relay or hop; the decoy test draws one click
+count per intensity class and assesses the counts against the
+honest-channel model.
 
 Protocols accept attack hooks so the same code path produces both honest and
 adversarial runs.  An in-flight hook takes the state ids of every flying
@@ -49,13 +53,10 @@ __all__ = [
     "privacy_amplify",
     "run_bb84",
     "run_e91",
-    "RelayExposure",
     "RelayChainResult",
     "relay_forward_key",
-    "relay_recover_key",
     "run_relay_chain",
     "DecoyIntensity",
-    "DecoyTally",
     "DecoyAssessment",
     "DecoyAnalysis",
     "simulate_decoy_transmissions",
@@ -104,7 +105,6 @@ class QkdSession:
     prepare-and-measure runs leave them at None/0.
     """
 
-    protocol: str
     n_rounds: int
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
@@ -224,7 +224,6 @@ def privacy_amplify(bits: np.ndarray, leaked_bits: int) -> np.ndarray:
 
 
 def _finalize_keys(
-    protocol: str,
     n_rounds: int,
     sifted_a: np.ndarray,
     sifted_b: np.ndarray,
@@ -236,45 +235,27 @@ def _finalize_keys(
     chsh_failed: bool = False,
 ) -> QkdSession:
     """Shared post-processing tail: disclosure, abort decision, amplification."""
-    empty = np.zeros(0, dtype=np.int8)
+    leaked, final = 0, np.zeros(0, dtype=np.int8)
     if sifted_a.size == 0:
-        return QkdSession(
-            protocol=protocol,
-            n_rounds=n_rounds,
-            sifted_alice=empty,
-            sifted_bob=empty,
-            disclosed_count=0,
-            qber_estimate=float("nan"),
-            leaked_bits=0,
-            final_key=empty,
-            aborted=True,
-            abort_reason="no sifted bits",
-            eavesdrop_detected=chsh_failed,
-            chsh_estimate=chsh,
-            chsh_rounds=chsh_rounds,
-        )
-    qber, disclosed_idx = estimate_qber(sifted_a, sifted_b, disclosed_fraction, rng)
-    keep = np.ones(sifted_a.size, dtype=bool)
-    keep[disclosed_idx] = False
-    remainder_a = sifted_a[keep]
-    if chsh_failed:
-        aborted, reason, detected = True, "entanglement verification failed", True
-    elif qber > abort_threshold:
-        aborted, reason, detected = True, "error rate above abort threshold", True
+        qber, disclosed = float("nan"), 0
+        aborted, reason, detected = True, "no sifted bits", chsh_failed
     else:
-        aborted, reason, detected = False, None, False
-    if aborted:
-        leaked = 0
-        final = empty
-    else:
-        leaked = math.ceil(qber * remainder_a.size)
-        final = privacy_amplify(remainder_a, leaked)
+        qber, disclosed_idx = estimate_qber(sifted_a, sifted_b, disclosed_fraction, rng)
+        disclosed = int(disclosed_idx.size)
+        if chsh_failed:
+            aborted, reason, detected = True, "entanglement verification failed", True
+        elif qber > abort_threshold:
+            aborted, reason, detected = True, "error rate above abort threshold", True
+        else:
+            aborted, reason, detected = False, None, False
+            remainder_a = np.delete(sifted_a, disclosed_idx)
+            leaked = math.ceil(qber * remainder_a.size)
+            final = privacy_amplify(remainder_a, leaked)
     return QkdSession(
-        protocol=protocol,
         n_rounds=n_rounds,
         sifted_alice=sifted_a,
         sifted_bob=sifted_b,
-        disclosed_count=int(disclosed_idx.size),
+        disclosed_count=disclosed,
         qber_estimate=qber,
         leaked_bits=leaked,
         final_key=final,
@@ -354,7 +335,7 @@ def run_bb84(
     detector = Detector() if detector is None else detector
     rounds = _bb84_rounds(n_rounds, rng, mean_photons, channel, detector, eavesdropper)
     return _finalize_keys(
-        "bb84", n_rounds, *sift_keys(*rounds), disclosed_fraction, abort_threshold, rng
+        n_rounds, *sift_keys(*rounds), disclosed_fraction, abort_threshold, rng
     )
 
 
@@ -422,7 +403,7 @@ def run_e91(
     key = ~is_test
     sifted_a, sifted_b = sift_keys(a_bits[key], a_idx[key], b_bits[key], b_idx[key])
     return _finalize_keys(
-        "e91", n_rounds, sifted_a, sifted_b, disclosed_fraction, abort_threshold, rng,
+        n_rounds, sifted_a, sifted_b, disclosed_fraction, abort_threshold, rng,
         chsh=s_value, chsh_rounds=int(products.size), chsh_failed=chsh_failed,
     )
 
@@ -432,37 +413,24 @@ def run_e91(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class RelayExposure:
-    """Cleartext sighting of the end-to-end key inside one relay."""
-
-    relay_index: int
-    cleartext: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(np.asarray(self.cleartext, dtype=np.int8), copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "cleartext", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class RelayChainResult:
     """Trace of an end-to-end key hopping across trusted relays.
 
-    ``exposures`` has one entry per relay; relays are confidentiality
-    boundaries, so each entry's cleartext equals the original key whenever
-    ``recovered_ok`` holds.
+    ``cleartexts`` (n_relays x k) holds the key as each relay decrypts it;
+    relays are confidentiality boundaries, so every row equals the original
+    key whenever ``recovered_ok`` holds.  ``wire`` ((n_relays + 1) x k)
+    holds the one-time-padded key on each hop.  Both are read-only.
     """
 
     n_relays: int
-    key: np.ndarray
     delivered: np.ndarray
     recovered_ok: bool
-    exposures: tuple[RelayExposure, ...]
-    wire_ciphertexts: tuple[np.ndarray, ...]
+    cleartexts: np.ndarray
+    wire: np.ndarray
 
-    @property
-    def n_hops(self) -> int:
-        return self.n_relays + 1
+    def __post_init__(self) -> None:
+        for name in ("cleartexts", "wire"):
+            getattr(self, name).setflags(write=False)
 
 
 def _check_bits(arr: np.ndarray, what: str) -> np.ndarray:
@@ -475,16 +443,13 @@ def _check_bits(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def relay_forward_key(cleartext: np.ndarray, hop_key: np.ndarray) -> np.ndarray:
-    """One-time-pad the key for the next hop."""
+    """One-time-pad the key for the next hop; applied to a ciphertext with
+    the same hop key, it strips the pad again."""
     c = _check_bits(cleartext, "cleartext")
     h = _check_bits(hop_key, "hop key")
     if c.size != h.size:
         raise ValueError("hop key length must match the key")
     return c ^ h
-
-def relay_recover_key(ciphertext: np.ndarray, hop_key: np.ndarray) -> np.ndarray:
-    """Strip a hop's one-time pad: the inverse of :func:`relay_forward_key`."""
-    return relay_forward_key(ciphertext, hop_key)
 
 
 def run_relay_chain(
@@ -504,23 +469,18 @@ def run_relay_chain(
     if n < 1:
         raise ValueError("need at least one relay")
     hop_keys = [rng.integers(0, 2, size=k.size, dtype=np.int8) for _ in range(n + 1)]
-    exposures: list[RelayExposure] = []
-    wire: list[np.ndarray] = []
-    ciphertext = relay_forward_key(k, hop_keys[0])
-    wire.append(ciphertext)
-    for relay_index in range(1, n + 1):
-        cleartext = relay_recover_key(ciphertext, hop_keys[relay_index - 1])
-        exposures.append(RelayExposure(relay_index=relay_index, cleartext=cleartext))
-        ciphertext = relay_forward_key(cleartext, hop_keys[relay_index])
-        wire.append(ciphertext)
-    delivered = relay_recover_key(ciphertext, hop_keys[n])
+    cleartexts: list[np.ndarray] = []
+    wire = [relay_forward_key(k, hop_keys[0])]
+    for hop_key, next_key in zip(hop_keys, hop_keys[1:]):
+        cleartexts.append(relay_forward_key(wire[-1], hop_key))
+        wire.append(relay_forward_key(cleartexts[-1], next_key))
+    delivered = relay_forward_key(wire[-1], hop_keys[n])
     return RelayChainResult(
         n_relays=n,
-        key=k,
         delivered=delivered,
         recovered_ok=bool(np.array_equal(delivered, k)),
-        exposures=tuple(exposures),
-        wire_ciphertexts=tuple(wire),
+        cleartexts=np.array(cleartexts),
+        wire=np.array(wire),
     )
 
 
@@ -541,20 +501,6 @@ class DecoyIntensity:
             raise ValueError("mean photon number must be >= 0")
         if int(self.n_pulses) <= 0:
             raise ValueError("pulse count must be positive")
-
-
-@dataclass(frozen=True)
-class DecoyTally:
-    """Raw click bookkeeping for one intensity class."""
-
-    label: str
-    mean_photons: float
-    sent: int
-    detected: int
-
-    @property
-    def gain(self) -> float:
-        return self.detected / self.sent
 
 
 @dataclass(frozen=True)
@@ -583,7 +529,6 @@ class DecoyAnalysis:
     """
 
     assessments: tuple[DecoyAssessment, ...]
-    deviation_threshold: float
     max_relative_deviation: float
     eavesdrop_detected: bool
     vacuum_yield: float
@@ -596,8 +541,9 @@ def simulate_decoy_transmissions(
     detector: Detector,
     rng: np.random.Generator,
     attacker: PnsStrategy | None = None,
-) -> list[DecoyTally]:
-    """Send each intensity class and tally receiver clicks.
+) -> list[int]:
+    """Send each intensity class and return its receiver click count, in
+    order.
 
     Pulses are independent, so a class of n pulses clicks Binomial(n, Q)
     times, with Q = sum over k of P(k photons arrive) times the detector's
@@ -619,18 +565,11 @@ def simulate_decoy_transmissions(
     labels = [item.label for item in intensities]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate intensity labels: {labels}")
-    tallies: list[DecoyTally] = []
+    clicks = []
     for item in intensities:
         q = _click_probability(item.mean_photons, channel, detector, attacker)
-        tallies.append(
-            DecoyTally(
-                label=item.label,
-                mean_photons=float(item.mean_photons),
-                sent=int(item.n_pulses),
-                detected=int(rng.binomial(item.n_pulses, q)),
-            )
-        )
-    return tallies
+        clicks.append(int(rng.binomial(item.n_pulses, q)))
+    return clicks
 
 
 def _click_probability(
@@ -644,7 +583,7 @@ def _click_probability(
         arriving = poisson_pmf(mu * (1.0 - attacker.intercept_probability))
     else:
         emitted = poisson_pmf(mu)
-        _, forwarded = pns_transform_counts(np.arange(emitted.size), attacker)
+        forwarded = pns_transform_counts(np.arange(emitted.size), attacker)
         arriving = np.bincount(forwarded, weights=emitted)
     q = float(arriving @ detector.click_probability(np.arange(arriving.size)))
     return min(q, 1.0)  # the masses may sum past 1 by a few ulps
@@ -657,12 +596,14 @@ def _model_gain(mu: float, channel: LossChannel, detector: Detector) -> float:
 
 
 def decoy_state_analysis(
-    tallies: Sequence[DecoyTally],
+    intensities: Sequence[DecoyIntensity],
+    detected: Sequence[int],
     channel: LossChannel,
     detector: Detector,
     deviation_threshold: float = 0.1,
 ) -> DecoyAnalysis:
-    """Compare measured gains with the honest-channel model.
+    """Compare the measured gains, ``detected`` clicks per intensity class,
+    with the honest-channel model.
 
     Requires at least two intensity classes with at least 10^3 pulses each;
     fewer classes cannot separate single-photon from multi-photon behavior
@@ -673,30 +614,24 @@ def decoy_state_analysis(
     noise can lift it above the true yield (6 of 20 seeds did at 10^6 pulses
     per class; see README).
     """
-    if len(tallies) < 2:
+    if len(intensities) < 2:
         raise ValueError("decoy analysis needs at least two intensity classes")
-    for tally in tallies:
-        if tally.sent < 1000:
+    for item in intensities:
+        if item.n_pulses < 1000:
             raise ValueError(
-                f"intensity {tally.label!r} has only {tally.sent} pulses; need at least 1000"
+                f"intensity {item.label!r} has only {item.n_pulses} pulses; need at least 1000"
             )
     assessments = []
-    for tally in tallies:
-        model = _model_gain(tally.mean_photons, channel, detector)
+    for item, clicks in zip(intensities, detected, strict=True):
+        mu, sent = float(item.mean_photons), int(item.n_pulses)
+        gain = clicks / sent
+        model = _model_gain(mu, channel, detector)
         if model > 0.0:
-            deviation = abs(tally.gain - model) / model
+            deviation = abs(gain - model) / model
         else:
-            deviation = 0.0 if tally.gain == 0.0 else float("inf")
+            deviation = 0.0 if gain == 0.0 else float("inf")
         assessments.append(
-            DecoyAssessment(
-                label=tally.label,
-                mean_photons=tally.mean_photons,
-                sent=tally.sent,
-                detected=tally.detected,
-                gain=tally.gain,
-                model_gain=model,
-                relative_deviation=deviation,
-            )
+            DecoyAssessment(item.label, mu, sent, clicks, gain, model, deviation)
         )
     # Vacuum classes estimate background only: their model gain is the dark
     # probability, so the relative scale is shot-noise dominated at any
@@ -704,11 +639,11 @@ def decoy_state_analysis(
     alarmed = [a for a in assessments if a.mean_photons > 0.0]
     worst = max((item.relative_deviation for item in alarmed), default=0.0)
 
-    vacuum = [t for t in tallies if t.mean_photons == 0.0]
+    vacuum = [a for a in assessments if a.mean_photons == 0.0]
     y0 = vacuum[0].gain if vacuum else float(detector.dark_count_prob)
 
     y1_bound: float | None = None
-    positive = sorted((t for t in tallies if t.mean_photons > 0.0), key=lambda t: t.mean_photons)
+    positive = sorted(alarmed, key=lambda a: a.mean_photons)
     if len(positive) >= 2 and positive[-1].mean_photons > positive[0].mean_photons:
         nu, mu = positive[0], positive[-1]
         v, u = nu.mean_photons, mu.mean_photons
@@ -723,7 +658,6 @@ def decoy_state_analysis(
 
     return DecoyAnalysis(
         assessments=tuple(assessments),
-        deviation_threshold=float(deviation_threshold),
         max_relative_deviation=worst,
         eavesdrop_detected=worst > deviation_threshold,
         vacuum_yield=y0,

@@ -8,9 +8,9 @@ amplitude index: for a two-qubit register, index 2 = 0b10 is |10> with
 qubit 0 equal to 1.  States are immutable: operations never mutate their
 input, and the prepared states (:func:`encoded_qubit`, :func:`bell_pair`)
 are module constants shared by every caller, so states can be shared freely
-across threads.  Measurement outcomes are memoised by value and shared the
-same way; each measurement still draws one uniform variate.
-:func:`measure_qubit` measures arrays of the four BB84 states, named by id.
+across threads.  :func:`measure_rotated` computes each Born split afresh and
+draws one uniform variate.  :func:`measure_qubit` measures arrays of the four
+BB84 states, named by id, on a table of their splits built once.
 """
 from __future__ import annotations
 
@@ -173,26 +173,22 @@ def measure_rotated(
     The outcome-0 eigenvector is cos(angle)|0> + sin(angle)|1>; angle 0 is the
     rectilinear basis and pi/4 the diagonal one.  The returned post-state is
     the renormalized projection, so repeating the same measurement reproduces
-    the same bit with certainty.  Both outcomes are memoised by (amplitudes,
-    qubit, angle) value and returned as shared immutable objects; one uniform
-    variate is still consumed per call, making results deterministic for a
-    fixed generator state.  Angles compare with ``==``: -0.0 shares the entry
-    of 0.0, so its post-state may differ from an unmemoised one in the sign
-    of a zero amplitude.
+    the same bit with certainty.  One uniform variate is consumed per call,
+    making results deterministic for a fixed generator state.
     """
     q = _check_qubit(state, qubit_index)
-    threshold, out0, out1 = _split(state.amplitudes.tobytes(), state.num_qubits, q, float(angle))
+    threshold, out0, out1 = _split(state, q, float(angle))
     return out0 if rng.random() < threshold else out1
 
 
-@functools.lru_cache(maxsize=1024)
 def _split(
-    amplitudes: bytes, n: int, q: int, angle: float
+    state: PureState, q: int, angle: float
 ) -> tuple[float, MeasurementOutcome | None, MeasurementOutcome | None]:
-    """Born split of qubit ``q`` of the complex128 ``amplitudes``: the bound a
-    uniform must fall below for outcome 0 (+-inf guard the float gap between
-    p0 and 1), and both outcomes, ``None`` where the probability is 0."""
-    comps = _project(np.frombuffer(amplitudes, dtype=np.complex128), n, (q,), (angle,))
+    """Born split of qubit ``q`` of ``state``: the bound a uniform must fall
+    below for outcome 0 (+-inf guard the float gap between p0 and 1), and
+    both outcomes, ``None`` where the probability is 0."""
+    n = state.num_qubits
+    comps = _project(state.amplitudes, n, (q,), (angle,))
     p0, p1 = (np.abs(comps) ** 2).sum(axis=1).tolist()
     threshold = math.inf if p1 == 0.0 else -math.inf if p0 == 0.0 else p0
     outcomes = [None, None]
@@ -257,8 +253,8 @@ def _born_thresholds() -> np.ndarray:
     basis index b, taken from :func:`_split`."""
     bases = tuple(Basis)
     return np.array([
-        [_split(encoded_qubit(s & 1, bases[s >> 1]).amplitudes.tobytes(), 1, 0,
-                basis.analyzer_angle)[0] for basis in bases]
+        [_split(encoded_qubit(s & 1, bases[s >> 1]), 0, basis.analyzer_angle)[0]
+         for basis in bases]
         for s in range(4)
     ])
 

@@ -28,7 +28,6 @@ __all__ = [
     "poisson_sample_array",
     "poisson_pmf",
     "Histogram",
-    "ZScoreSeries",
     "zscore_compare",
     "chsh_estimate",
 ]
@@ -192,10 +191,6 @@ class Histogram:
     def max_bin(self) -> int:
         return self.counts.size - 1
 
-    @property
-    def bins(self) -> np.ndarray:
-        return np.arange(self.counts.size)
-
     @classmethod
     def from_samples(cls, values: Sequence[int], max_bin: int = 20, overflow: bool = True) -> "Histogram":
         arr = np.asarray(values, dtype=np.int64)
@@ -213,24 +208,9 @@ class Histogram:
         return cls(counts=counts, total=int(arr.size), overflow=overflow)
 
 
-@dataclass(frozen=True, eq=False)
-class ZScoreSeries:
-    """Per-bin pooled two-proportion z statistics for two aligned histograms."""
-
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.z))) if self.z.size else 0.0
-
-
-def zscore_compare(a: Histogram, b: Histogram) -> ZScoreSeries:
-    """Per-bin z-scores of histogram ``a`` against histogram ``b``.
+def zscore_compare(a: Histogram, b: Histogram) -> np.ndarray:
+    """Per-bin z-scores of histogram ``a`` against histogram ``b``, as a
+    read-only float array.
 
     Uses the pooled two-proportion statistic
     z = (p_a - p_b) / sqrt(p(1-p)(1/n_a + 1/n_b)); bins that are empty in
@@ -248,7 +228,8 @@ def zscore_compare(a: Histogram, b: Histogram) -> ZScoreSeries:
     diff = ca / na - cb / nb
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(var > 0.0, diff / np.sqrt(var), 0.0)
-    return ZScoreSeries(z=z)
+    z.setflags(write=False)
+    return z
 
 
 def chsh_estimate(
@@ -278,4 +259,4 @@ def chsh_estimate(
             if not mask.any():
                 raise ValueError(f"no samples for setting pair ({x}, {y})")
             corr[x, y] = float(ps[mask].mean())
-    return abs(corr[0, 0] - corr[0, 1] + corr[1, 0] + corr[1, 1])
+    return float(abs(corr[0, 0] - corr[0, 1] + corr[1, 0] + corr[1, 1]))

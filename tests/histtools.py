@@ -26,7 +26,7 @@ def rebin(hist: Histogram, max_bin: int) -> Histogram:
 
 def to_csv(hist: Histogram) -> str:
     lines = ["bin,count"]
-    lines.extend(f"{b},{c}" for b, c in zip(hist.bins, hist.counts))
+    lines.extend(f"{b},{c}" for b, c in enumerate(hist.counts))
     return "\n".join(lines) + "\n"
 
 

@@ -241,10 +241,10 @@ def test_criterion_06_repetition_code_rates(check):
         ok = ok and abs(expected - (3 * p**2 - 2 * p**3)) < 1e-12
         iid = attacks.qec_bitflip_experiment(n, p, "iid", stream(7, f"acc-qec-{p}"))
         tol = 3.0 * math.sqrt(expected * (1.0 - expected) / n)
-        iid_ok = abs(iid.logical_error_rate - expected) <= tol
+        iid_ok = abs(iid / n - expected) <= tol
         burst = attacks.qec_bitflip_experiment(n, p, "burst-2", stream(7, f"acc-burst-{p}"))
         burst_tol = 3.0 * math.sqrt(p * (1.0 - p) / n)
-        burst_ok = abs(burst.logical_error_rate - p) <= burst_tol
+        burst_ok = abs(burst / n - p) <= burst_tol
         if not (iid_ok and burst_ok):
             worst = f" (failed at p={p})"
         ok = ok and iid_ok and burst_ok
@@ -278,8 +278,8 @@ def test_criterion_08_relay_chain_recovery(check):
         key = rng.integers(0, 2, size=int(rng.integers(8, 129)), dtype=np.int8)
         result = qkd.run_relay_chain(key, n_relays, rng)
         ok = ok and result.recovered_ok and np.array_equal(result.delivered, key)
-        ok = ok and len(result.exposures) == n_relays
-        ok = ok and all(np.array_equal(e.cleartext, key) for e in result.exposures)
+        ok = ok and len(result.cleartexts) == n_relays
+        ok = ok and all(np.array_equal(cleartext, key) for cleartext in result.cleartexts)
         if not ok:
             break
     check(8, ok, "10^3 random keys, 1-5 relays: exact recovery, all exposures logged")

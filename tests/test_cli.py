@@ -1,5 +1,6 @@
 """Tests for the command-line layer: config parsing, reports, catalog, plots."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import qntl
 from qntl.cli.catalog import catalog_sha256, filter_catalog, load_catalog
 from qntl.cli.config import (
-    ConfigError, choice, int_list, names, parse_range, resolve_config,
+    ConfigError, as_float, choice, float_list, int_list, names, parse_range, resolve_config,
 )
 from qntl.cli.main import main
 from qntl.cli.report import ExperimentReport, format_cell, rows_to_csv
@@ -220,6 +221,14 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
         (["qec", {"modes": []}], "modes"),
         # two spellings of one phase share the label that keys the rows
         (["trojan", "--policies", "fixed-0.5,fixed-.5"], "policies"),
+        # NaN slips through every range check of the form x <= 0
+        (["bb84", "--abort-threshold", "nan"], "abort_threshold"),
+        (["e91", "--detection-margin", "nan"], "detection_margin"),
+        (["decoy", "--threshold", "nan"], "threshold"),
+        (["dos", "--patience", "nan"], "patience"),
+        (["diversion", "--response-time-scale", "nan"], "response_time_scale"),
+        (["decoy", "--decoy-mus", "0.1,nan"], "decoy_mus"),
+        (["dos", {"patience": float("nan")}], "patience"),
     ],
 )
 def test_bad_value_diagnostic_names_the_key(argv, key, tmp_path, capsys):
@@ -231,6 +240,14 @@ def test_bad_value_diagnostic_names_the_key(argv, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"qntl: bad value for '{key}': ")
     assert len(err.splitlines()) == 1
+
+
+def test_infinite_float_values_still_parse(capsys):
+    assert as_float("inf") == math.inf and as_float("-inf") == -math.inf
+    assert float_list("0.1,inf") == [0.1, math.inf]
+    argv = ["run", "dos", "--duration", "2000", "--patience", "inf", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["legit_dropped"] == 0
 
 
 def test_run_runtime_failure_is_exit_3(tmp_path, capsys):

@@ -9,6 +9,8 @@ version (see ``qntl.stats``).
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from qntl.cli.config import resolve_config
 from qntl.cli.report import rows_to_csv
 from qntl.cli.runners import EXPERIMENTS, get_experiment
@@ -140,6 +142,31 @@ def read_pins() -> dict[str, str]:
 
 def test_every_experiment_is_pinned():
     assert set(EXPERIMENT_PARAMS) == set(EXPERIMENTS)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_PARAMS))
+def test_rows_and_summaries_hold_only_builtins(name):
+    # The CSV and JSON writers format builtin scalars only; a numpy scalar
+    # would pass json.dumps as a float subclass or fail it as an integer.
+    exp = get_experiment(name)
+    params = EXPERIMENT_PARAMS[name]
+    config = resolve_config(name, exp.specs, params, None, EXPERIMENT_SEED, None, "csv", None)
+    _, rows, summary = exp.run(config.params, config.seed)
+    cells = [cell for row in rows for cell in row]
+    assert all(type(row) is tuple for row in rows)
+    for value in cells + list(_leaves(summary)):
+        assert value is None or type(value) in (int, float, bool, str), (name, value)
 
 
 def test_rows_match_golden_pins():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import t as t_dist
 
 from qntl.network import (
     DecayRow,
@@ -42,7 +43,7 @@ def with_untrusted(topology, node_ids):
 
 def tiny_path_topology():
     """0 - 1 - 2 chain used by the cut-vertex cases."""
-    nodes = {i: NodeInfo(node_id=i) for i in range(3)}
+    nodes = {i: NodeInfo() for i in range(3)}
     return Topology(
         kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (1, 2))
     )
@@ -207,7 +208,7 @@ def test_generation_quality_ranges():
 
 
 def test_topology_validation():
-    nodes = {i: NodeInfo(node_id=i) for i in range(2)}
+    nodes = {i: NodeInfo() for i in range(2)}
     with pytest.raises(ValueError, match="self-loop on node 0"):
         Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 0)))
     with pytest.raises(ValueError, match=r"edge \(0, 3\) references an unknown node"):
@@ -219,7 +220,7 @@ def test_topology_validation():
 def test_topology_normalises_unsorted_reversed_edges():
     # The adjacency tuples come out sorted with no per-node sort: they are
     # filled from the normalised, sorted edge list.
-    nodes = {i: NodeInfo(node_id=i) for i in range(6)}
+    nodes = {i: NodeInfo() for i in range(6)}
     edges = ((5, 0), (3, 1), (0, 2), (4, 3), (2, 1), (5, 3), (1, 0), (4, 0))
     topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
     assert topo.edges == tuple(sorted((min(e), max(e)) for e in edges))
@@ -238,7 +239,6 @@ def test_generated_topologies_share_no_node_map():
     later = generate_topology("grid", 2)
     for topo in (first, second, later):
         assert all(info.trusted for info in topo.nodes.values())
-        assert all(node_id == info.node_id for node_id, info in topo.nodes.items())
 
 
 def test_export_import_round_trip():
@@ -404,7 +404,7 @@ def _networkx_count(topo, source, target, compromised=frozenset()):
 def test_counts_and_distances_match_networkx(case):
     # Oracle: networkx on the subgraph with the compromised nodes removed.
     n, edges, source, target, compromised, hop_bound = case
-    nodes = {i: NodeInfo(node_id=i) for i in range(n)}
+    nodes = {i: NodeInfo() for i in range(n)}
     topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
     safe_edges = tuple(e for e in edges if compromised.isdisjoint(e))
     survivors = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=safe_edges)
@@ -424,7 +424,7 @@ def test_hop_distance():
     lonely = Topology(
         kind=TopologyKind.GRID,
         seed=0,
-        nodes={i: NodeInfo(node_id=i) for i in range(3)},
+        nodes={i: NodeInfo() for i in range(3)},
         edges=((0, 1),),
     )
     assert hop_distance(lonely, 0, 2) == -1
@@ -502,7 +502,7 @@ def test_route_matches_brute_force_over_simple_paths():
         edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         errors = rng.choice([0.0, 0.25, 0.5], size=n).tolist()
         times = rng.choice([0.0, 25.0], size=n).tolist()
-        nodes = {i: NodeInfo(i, True, errors[i], times[i]) for i in range(n)}
+        nodes = {i: NodeInfo(True, errors[i], times[i]) for i in range(n)}
         topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
         lie = {i: 0.0 for i in range(n) if rng.random() < 1 / 3}
         weights = {i: lie.get(i, errors[i] + times[i] / 50.0) for i in range(n)}
@@ -516,10 +516,10 @@ def test_route_matches_brute_force_over_simple_paths():
 def test_route_avoids_bad_intermediate():
     # square 0-1-3, 0-2-3 with node 1 advertising certain failure
     nodes = {
-        0: NodeInfo(node_id=0),
-        1: NodeInfo(node_id=1, error_rate=1.0),
-        2: NodeInfo(node_id=2),
-        3: NodeInfo(node_id=3),
+        0: NodeInfo(),
+        1: NodeInfo(error_rate=1.0),
+        2: NodeInfo(),
+        3: NodeInfo(),
     }
     topo = Topology(
         kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3))
@@ -531,7 +531,7 @@ def test_route_none_when_disconnected():
     lonely = Topology(
         kind=TopologyKind.GRID,
         seed=0,
-        nodes={i: NodeInfo(node_id=i) for i in range(3)},
+        nodes={i: NodeInfo() for i in range(3)},
         edges=((0, 1),),
     )
     assert route(lonely, 0, 2) is None
@@ -555,10 +555,10 @@ def test_route_is_deterministic():
 
 def test_advertised_weights_override_only_listed_nodes():
     nodes = {
-        0: NodeInfo(node_id=0),
-        1: NodeInfo(node_id=1, error_rate=0.9),
-        2: NodeInfo(node_id=2, error_rate=0.1),
-        3: NodeInfo(node_id=3),
+        0: NodeInfo(),
+        1: NodeInfo(error_rate=0.9),
+        2: NodeInfo(error_rate=0.1),
+        3: NodeInfo(),
     }
     topo = Topology(
         kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3))
@@ -682,6 +682,79 @@ def test_decay_moments_match_per_row_calls(case):
     assert _moments(counts) == expected
 
 
+def decay_expectations(kind, fractions, trials, pairs_per_trial, rng):
+    """Exact expected decay counts, trial by trial, for the graphs and pairs
+    that ``untrusted_node_experiment`` draws from ``rng``: graph seed,
+    permutation, pairs.
+
+    Every viable path within the intact hop budget d is an intact geodesic
+    with d + 1 nodes, and the compromised set is m = floor(f * n) entries
+    of a uniform permutation, independent of the pair.  So a pair with N
+    geodesics expects N * C(n - d - 1, m) / C(n, m) paths, 0 when the pair
+    is disconnected; a compromised endpoint is one of the ways to lose a
+    path.  d comes from networkx's Floyd-Warshall and N from the walk
+    counts of its adjacency matrix: a walk of length d between nodes at
+    distance d is a geodesic.  Returns a (trials, fractions) array of
+    per-trial mean expectations.
+    """
+    tables = {}  # the lattices draw one graph for every trial
+    means = []
+    for _ in range(trials):
+        topology = generate_topology(kind, int(rng.integers(0, 2**63)))
+        n = topology.n_nodes
+        rng.permutation(n)
+        u, v = rng.integers(0, n, size=(pairs_per_trial, 2)).T
+        v = np.where(u == v, (v + 1) % n, v)
+        if topology.edges not in tables:
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(topology.edges)
+            dist = nx.floyd_warshall_numpy(graph, nodelist=range(n))
+            adjacency = nx.to_numpy_array(graph, nodelist=range(n))
+            connected = np.isfinite(dist)
+            hops = np.where(connected, dist, n).astype(np.int64)  # n: disconnected
+            geodesics = np.zeros((n, n))
+            walks = np.eye(n)
+            for k in range(int(hops[connected].max()) + 1):
+                geodesics[hops == k] = walks[hops == k]
+                walks = walks @ adjacency
+            tables[topology.edges] = hops, geodesics
+        hops, geodesics = tables[topology.edges]
+        # survive[j, k]: the chance that k + 1 given nodes avoid the compromised set
+        survive = np.array([
+            [math.comb(n - k - 1, math.floor(f * n)) / math.comb(n, math.floor(f * n))
+             for k in range(n)] + [0.0]
+            for f in fractions
+        ])
+        d = hops[u, v]
+        means.append((geodesics[u, v] * survive[:, d]).mean(axis=1))
+    return np.array(means)
+
+
+@pytest.mark.parametrize("kind", ["grid", "erdos-renyi"])
+def test_decay_means_match_exact_expectation(kind):
+    # 50 trials of 400 pairs.  Pairs of one trial share its permutation, so
+    # the trials, not the pairs, are the independent units: a t statistic
+    # over the 50 per-trial differences, two-sided at a share 0.01 / 10 of
+    # the family-wise alpha (two families times fractions 0.1-0.5).  At
+    # fraction 0 the count is N itself, so the means agree exactly.
+    fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    trials, pairs = 50, 400
+    rng = stream(1, f"decay-oracle-{kind}")
+    sampled = []
+    for _ in range(trials):
+        # One trial per call consumes the stream as one call of all trials.
+        table = untrusted_node_experiment([kind], fractions, 1, pairs, rng)
+        sampled.append([table.aggregate(kind, f).mean_count for f in fractions])
+    expected = decay_expectations(kind, fractions, trials, pairs, stream(1, f"decay-oracle-{kind}"))
+    diff = np.array(sampled) - expected
+    assert np.abs(diff[:, 0]).max() <= 1e-9 * expected[:, 0].max()
+    bound = t_dist.ppf(1.0 - 0.01 / 10 / 2, trials - 1)
+    for k, f in enumerate(fractions[1:], start=1):
+        t = diff[:, k].mean() / (diff[:, k].std(ddof=1) / math.sqrt(trials))
+        assert abs(t) < bound, f"{kind} at {f}: t = {t:.2f}, bound {bound:.2f}"
+
+
 def test_decay_validation():
     rng = stream(0, "decay-err")
     with pytest.raises(ValueError):
@@ -703,7 +776,6 @@ def test_diversion_without_hijackers_is_identity():
         "grid", 3, error_rate_range=(0.0, 0.05), response_time_range=(10.0, 50.0)
     )
     result = diversion_experiment(topo, [], 50, stream(3, "div-none"))
-    assert result.hijackers == frozenset()
     assert result.baseline_fraction == 0.0
     assert result.diverted_fraction == 0.0
     assert result.mean_hop_stretch == 1.0

@@ -1,4 +1,5 @@
 """Tests for key exchange, post-processing, relays, and decoy analysis."""
+import functools
 import math
 
 import numpy as np
@@ -22,12 +23,10 @@ from qntl.qkd import (
     BOB_TEST_ANGLES,
     DEFAULT_HASH_SEED,
     DecoyIntensity,
-    DecoyTally,
     decoy_state_analysis,
     estimate_qber,
     privacy_amplify,
     relay_forward_key,
-    relay_recover_key,
     run_bb84,
     run_e91,
     run_relay_chain,
@@ -37,7 +36,9 @@ from qntl.qkd import (
     _click_probability,
     _e91_rounds,
 )
-from qntl.quantum import Basis, bell_pair, encoded_qubit, measure_qubit, measure_rotated
+from qntl.quantum import (
+    Basis, PureState, bell_pair, encoded_qubit, measure_qubit, measure_rotated, _split,
+)
 from qntl.stats import poisson_sample_array, stream
 
 from distcheck import same_distribution_p
@@ -305,11 +306,39 @@ def test_bb84_attack_never_lowers_qber():
         assert attacked.qber_estimate >= honest.qber_estimate
 
 
+@functools.lru_cache(maxsize=None)
+def _split_by_value(amplitudes, n_qubits, qubit, angle):
+    return _split(PureState(np.frombuffer(amplitudes, dtype=complex), n_qubits), qubit, angle)
+
+
+def reference_measure(state, qubit, angle, rng):
+    """:func:`measure_rotated`, draw for draw, with each Born split worked
+    out once per (amplitudes, qubit, angle) value: the per-round references
+    below measure a few states many thousands of times."""
+    threshold, out0, out1 = _split_by_value(
+        state.amplitudes.tobytes(), state.num_qubits, qubit, float(angle)
+    )
+    return out0 if rng.random() < threshold else out1
+
+
+def test_reference_measure_matches_measure_rotated():
+    states = [encoded_qubit(1, Basis.DIAGONAL), bell_pair(), probe_infiltrate(bell_pair())]
+    for state in states:
+        for qubit in range(state.num_qubits):
+            for angle in (*ALICE_TEST_ANGLES, *BOB_TEST_ANGLES):
+                rng, ref_rng = stream(8, "ref-measure"), stream(8, "ref-measure")
+                for _ in range(20):
+                    out = measure_rotated(state, qubit, angle, rng)
+                    ref = reference_measure(state, qubit, angle, ref_rng)
+                    assert out.bit == ref.bit
+                    assert np.array_equal(out.post_state.amplitudes, ref.post_state.amplitudes)
+
+
 def reference_intercept_resend(state, sender_basis, rng):
     """The per-state intercept-resend hook as it ran before hooks mapped
     state-id arrays: a scalar basis guess, one measurement, re-preparation."""
     guess = Basis.RECTILINEAR if rng.integers(0, 2) == 0 else Basis.DIAGONAL
-    bit = measure_rotated(state, 0, guess.analyzer_angle, rng).bit
+    bit = reference_measure(state, 0, guess.analyzer_angle, rng).bit
     return encoded_qubit(bit, guess)
 
 
@@ -339,7 +368,7 @@ def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attack
         state = encoded_qubit(bit, bases[a_idx])
         if attacked:
             state = reference_intercept_resend(state, bases[a_idx], rng)
-        bob_bits[i] = measure_rotated(state, 0, bases[b_idx].analyzer_angle, rng).bit
+        bob_bits[i] = reference_measure(state, 0, bases[b_idx].analyzer_angle, rng).bit
     return alice_bits, alice_bases, bob_bits, bob_bases, detected
 
 
@@ -449,11 +478,11 @@ def reference_e91_counts(n_rounds, chsh_fraction, probed, rng):
         a_idx = int(rng.integers(0, 2))
         b_idx = int(rng.integers(0, 2))
         if is_test:
-            first = measure_rotated(state, 0, ALICE_TEST_ANGLES[a_idx], rng)
-            second = measure_rotated(first.post_state, 1, BOB_TEST_ANGLES[b_idx], rng)
+            first = reference_measure(state, 0, ALICE_TEST_ANGLES[a_idx], rng)
+            second = reference_measure(first.post_state, 1, BOB_TEST_ANGLES[b_idx], rng)
         else:
-            first = measure_rotated(state, 0, bases[a_idx].analyzer_angle, rng)
-            second = measure_rotated(first.post_state, 1, bases[b_idx].analyzer_angle, rng)
+            first = reference_measure(state, 0, bases[a_idx].analyzer_angle, rng)
+            second = reference_measure(first.post_state, 1, bases[b_idx].analyzer_angle, rng)
         setting = 4 * is_test + 2 * a_idx + b_idx
         counts[4 * setting + 2 * first.bit + second.bit] += 1
     return counts
@@ -485,7 +514,7 @@ def test_relay_xor_hand_case():
     key2 = np.array([1, 1, 0, 0], dtype=np.int8)
     cipher = relay_forward_key(key1, key2)
     assert list(cipher) == [0, 1, 1, 0]
-    assert np.array_equal(relay_recover_key(cipher, key2), key1)
+    assert np.array_equal(relay_forward_key(cipher, key2), key1)
     assert np.array_equal(relay_forward_key(key1, np.zeros(4, dtype=np.int8)), key1)
 
 
@@ -503,16 +532,18 @@ def test_relay_chain_of_three():
     result = run_relay_chain(key, 3, stream(9, "relay-hops"))
     assert result.recovered_ok
     assert np.array_equal(result.delivered, key)
-    assert result.n_hops == 4
-    assert len(result.exposures) == 3
-    assert len(result.wire_ciphertexts) == 4
+    assert result.n_relays == 3
+    assert len(result.cleartexts) == 3
+    assert len(result.wire) == 4
     # the trust assumption: every relay saw the end-to-end key in the clear
-    assert [e.relay_index for e in result.exposures] == [1, 2, 3]
-    for exposure in result.exposures:
-        assert np.array_equal(exposure.cleartext, key)
+    for cleartext in result.cleartexts:
+        assert np.array_equal(cleartext, key)
     # while nothing on the wire equals it
-    for ciphertext in result.wire_ciphertexts:
+    for ciphertext in result.wire:
         assert not np.array_equal(ciphertext, key)
+    for record in (result.cleartexts, result.wire):
+        with pytest.raises(ValueError):
+            record[0, 0] ^= 1
 
 
 def test_relay_chain_validation():
@@ -528,8 +559,8 @@ def test_relay_chain_validation():
 def test_relay_chain_always_recovers(key, n_relays, seed):
     result = run_relay_chain(key, n_relays, stream(seed, "relay-prop"))
     assert result.recovered_ok
-    assert len(result.exposures) == n_relays
-    assert all(np.array_equal(e.cleartext, key) for e in result.exposures)
+    assert len(result.cleartexts) == n_relays
+    assert all(np.array_equal(cleartext, key) for cleartext in result.cleartexts)
 
 
 # ---------------------------------------------------------------- decoy states
@@ -544,8 +575,10 @@ def decoy_run(attacker, n=10**5, mus=(0.5, 0.1), seed=42):
         DecoyIntensity(decoy_label(i), mu, n) for i, mu in enumerate(mus[1:])
     ]
     rng = stream(seed, "decoy-run")
-    tallies = simulate_decoy_transmissions(intensities, CHANNEL, IDEAL_DET, rng, attacker)
-    return decoy_state_analysis(tallies, CHANNEL, IDEAL_DET, deviation_threshold=0.05)
+    detected = simulate_decoy_transmissions(intensities, CHANNEL, IDEAL_DET, rng, attacker)
+    return decoy_state_analysis(
+        intensities, detected, CHANNEL, IDEAL_DET, deviation_threshold=0.05
+    )
 
 
 def test_decoy_honest_channel_passes():
@@ -585,13 +618,13 @@ def test_decoy_vacuum_class_gain_is_zero():
         DecoyIntensity(SIGNAL, 0.5, 2000),
         DecoyIntensity(decoy_label(0), 0.0, 2000),
     ]
-    tallies = simulate_decoy_transmissions(
+    detected = simulate_decoy_transmissions(
         intensities, CHANNEL, IDEAL_DET, stream(3, "decoy-vac")
     )
-    vacuum = [t for t in tallies if t.mean_photons == 0.0][0]
+    analysis = decoy_state_analysis(intensities, detected, CHANNEL, IDEAL_DET)
+    vacuum = [a for a in analysis.assessments if a.mean_photons == 0.0][0]
     assert vacuum.detected == 0
     assert vacuum.gain == 0.0
-    analysis = decoy_state_analysis(tallies, CHANNEL, IDEAL_DET)
     assert analysis.vacuum_yield == 0.0
 
 
@@ -618,14 +651,14 @@ def test_decoy_bound_on_exact_gains():
     assert yields[1] == pytest.approx(0.05095, rel=1e-12)
     sent = 10**15
 
-    def tally(label, mu):
-        gain = float((sp_poisson.pmf(n, mu) * yields).sum())
-        return DecoyTally(label, mu, sent, round(gain * sent))
+    def clicks(mu):
+        return round(float((sp_poisson.pmf(n, mu) * yields).sum()) * sent)
 
     gaps = []
     for nu in (0.3, 0.2, 0.1, 0.05, 0.01):
+        intensities = [DecoyIntensity("signal", 0.5, sent), DecoyIntensity("decoy-0", nu, sent)]
         analysis = decoy_state_analysis(
-            [tally("signal", 0.5), tally("decoy-0", nu)], channel, detector
+            intensities, [clicks(0.5), clicks(nu)], channel, detector
         )
         assert not analysis.eavesdrop_detected
         gaps.append(1.0 - analysis.single_photon_yield_lower_bound / yields[1])
@@ -646,7 +679,7 @@ def reference_decoy_clicks(intensities, channel, detector, rng, attacker):
         elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
             arriving = poisson_sample_array(mu * (1.0 - attacker.intercept_probability), rng, n)
         else:
-            _, arriving = pns_transform_counts(poisson_sample_array(mu, rng, n), attacker)
+            arriving = pns_transform_counts(poisson_sample_array(mu, rng, n), attacker)
         p_click = 1.0 - (1.0 - detector.dark_count_prob) * (
             (1.0 - detector.efficiency) ** arriving
         )
@@ -678,10 +711,10 @@ def test_decoy_clicks_match_per_pulse_reference():
                 return np.array([n - clicks, clicks])
 
             def candidate(rng):
-                [tally] = simulate_decoy_transmissions(
+                [clicks] = simulate_decoy_transmissions(
                     intensities, channel, detector, rng, attacker
                 )
-                return np.array([n - tally.detected, tally.detected])
+                return np.array([n - clicks, clicks])
 
             p = same_distribution_p(reference, candidate, seeds, f"decoy-ref-{name}-{mu}")
             assert p > alpha, f"{name} mu={mu}: p={p:.3g}"
@@ -735,10 +768,10 @@ def test_decoy_splitting_matches_binomial_thinning():
             return np.array([n - clicks, clicks])
 
         def candidate(rng):
-            [tally] = simulate_decoy_transmissions(
+            [clicks] = simulate_decoy_transmissions(
                 [DecoyIntensity(SIGNAL, mu, n)], CHANNEL, IDEAL_DET, rng
             )
-            return np.array([n - tally.detected, tally.detected])
+            return np.array([n - clicks, clicks])
 
         p = same_distribution_p(reference, candidate, seeds, f"decoy-split-{mu}")
         assert p > alpha, f"mu={mu}: p={p:.3g}"
@@ -755,16 +788,16 @@ def test_decoy_validation():
         DecoyIntensity(SIGNAL, -0.5, 1000)
     with pytest.raises(ValueError):
         DecoyIntensity(SIGNAL, 0.5, 0)
-    few = simulate_decoy_transmissions(
-        [DecoyIntensity(SIGNAL, 0.5, 1000)], CHANNEL, IDEAL_DET, rng
-    )
+    few = [DecoyIntensity(SIGNAL, 0.5, 1000)]
     with pytest.raises(ValueError):
-        decoy_state_analysis(few, CHANNEL, IDEAL_DET)
-    thin = simulate_decoy_transmissions(
-        [DecoyIntensity(SIGNAL, 0.5, 999), DecoyIntensity(decoy_label(0), 0.1, 1000)],
-        CHANNEL,
-        IDEAL_DET,
-        rng,
-    )
+        decoy_state_analysis(
+            few, simulate_decoy_transmissions(few, CHANNEL, IDEAL_DET, rng), CHANNEL, IDEAL_DET
+        )
+    thin = [DecoyIntensity(SIGNAL, 0.5, 999), DecoyIntensity(decoy_label(0), 0.1, 1000)]
     with pytest.raises(ValueError):
-        decoy_state_analysis(thin, CHANNEL, IDEAL_DET)
+        decoy_state_analysis(
+            thin, simulate_decoy_transmissions(thin, CHANNEL, IDEAL_DET, rng), CHANNEL, IDEAL_DET
+        )
+    pair = [DecoyIntensity(SIGNAL, 0.5, 1000), DecoyIntensity(decoy_label(0), 0.1, 1000)]
+    with pytest.raises(ValueError):
+        decoy_state_analysis(pair, [100], CHANNEL, IDEAL_DET)
