@@ -134,18 +134,30 @@ def _series_histogram(
     mean: float, strategy: PnsStrategy, rng: np.random.Generator, n_pulses: int, max_bin: int
 ) -> Histogram:
     """Histogram of the counts that ``strategy`` forwards from ``n_pulses``
-    Poisson(mean) pulses, drawn and counted ``_PNS_CHUNK`` pulses at a time.
+    Poisson(mean) pulses, drawn and counted ``_PNS_CHUNK`` pulses at a time
+    into one pair of buffers.
 
     Consecutive chunks consume the uniforms of one whole draw, in order, so
     neither the histogram nor the stream's final state depends on the chunk
     size.  Random intercept forwards the counts drawn at its thinned mean.
+    Always-minus-one and block-singles map the summed histogram of the
+    emitted counts, binned one past ``max_bin`` so that the counts the map
+    sends to ``max_bin - 1`` stay apart from those it sends to the overflow
+    bin; the counts are integers, so this equals mapping every pulse.
     """
-    counts = np.zeros(max_bin + 1, dtype=np.int64)
+    mapped = strategy.variant in (PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES)
+    top = max_bin + 1 if mapped else max_bin
+    size = min(_PNS_CHUNK, n_pulses)
+    uniforms, drawn = np.empty(size), np.empty(size, np.intp)
+    counts = np.zeros(top + 1, dtype=np.int64)
     for start in range(0, n_pulses, _PNS_CHUNK):
-        forwarded = poisson_sample_array(mean, rng, min(_PNS_CHUNK, n_pulses - start))
-        if strategy.variant in (PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES):
-            forwarded = pns_transform_counts(forwarded, strategy)
-        counts += Histogram.from_samples(forwarded, max_bin=max_bin).counts
+        k = min(_PNS_CHUNK, n_pulses - start)
+        emitted = poisson_sample_array(mean, rng, k, out=(uniforms[:k], drawn[:k]))
+        counts += Histogram.from_samples(emitted, max_bin=top).counts
+    if mapped:
+        forwarded = np.minimum(pns_transform_counts(np.arange(top + 1), strategy), max_bin)
+        emitted_counts, counts = counts, np.zeros(max_bin + 1, dtype=np.int64)
+        np.add.at(counts, forwarded, emitted_counts)
     return Histogram(counts=counts, total=n_pulses)
 
 
@@ -257,8 +269,16 @@ def trojan_gain_experiment(
     wrong, rect, diag = rng.multinomial(blocks, [0.5, 0.25, 0.25]).T
     diag_seen = np.cumsum(diag)
     if policy.variant is TrojanVariant.RANDOM_SHIFT:
-        phases = rng.random(int(diag_seen[-1])) * (2.0 * math.pi)
-        read = np.concatenate(([0.0], np.cumsum(np.cos(0.5 * phases) ** 2)))
+        # read[k] is the summed gain of the first k phases 2*pi*u, each
+        # cos^2(pi*u) worked out in place; u * pi is exactly half of
+        # u * (2 * pi), since scaling by 2 is exact.
+        read = np.zeros(int(diag_seen[-1]) + 1)
+        gains = read[1:]
+        rng.random(out=gains)
+        np.multiply(gains, math.pi, out=gains)
+        np.cos(gains, out=gains)
+        np.square(gains, out=gains)
+        np.cumsum(read, out=read)
         diag_gain = read[diag_seen]
     else:
         diag_gain = diag_seen * math.cos(0.5 * policy.shift) ** 2  # no-shift's shift is 0.0

@@ -58,6 +58,9 @@ def parse_range(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"non-numeric range component in {text!r}") from None
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ConfigError(f"range {name} must be finite, got {value} in {text!r}")
         if step <= 0.0:
             raise ConfigError(f"range step must be positive, got {step}")
         if stop < start:

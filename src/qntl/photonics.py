@@ -3,18 +3,23 @@
 A pulse is its photon count: the splitting attacks and the decoy analysis
 only ever ask how many photons a pulse carries, and a protocol tracks the
 encoded polarization itself, as a state vector at the point where it
-measures.  Weak coherent sources draw their photon number from an exact
-Poisson inversion, and loss acts as independent per-photon survival, so
-Poisson statistics are closed under transmission.  Intensity classes are
-announced by the labels ``"signal"`` and ``"decoy-<i>"``.
+measures.  The per-pulse functions read uniforms that the caller draws, so
+a protocol can draw a whole block of them in one call: a weak coherent
+source reads its photon number from an exact Poisson inversion of one
+uniform, loss reads one uniform per photon (independent per-photon
+survival, so Poisson statistics are closed under transmission), and the
+detector one per click.  Intensity classes are announced by the labels
+``"signal"`` and ``"decoy-<i>"``.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .stats import poisson_sample
+from .stats import poisson_cdf
 
 __all__ = [
     "SIGNAL",
@@ -70,35 +75,39 @@ class Detector:
         return 1.0 - (1.0 - self.dark_count_prob) * (1.0 - self.efficiency) ** photons
 
 
-def emit_pulse(mean_photons: float | None, rng: np.random.Generator) -> int:
+def emit_pulse(mean_photons: float | None, u: float | None) -> int:
     """Photon count of one pulse.
 
-    A weak coherent source (``mean_photons`` a float) draws it from
-    Poisson(mean_photons) by CDF inversion on one uniform; the ideal
-    single-photon source (``None``) always emits exactly one photon and
-    draws nothing.
+    A weak coherent source (``mean_photons`` a positive float) reads it from
+    the Poisson(mean_photons) CDF at the uniform ``u``
+    (:func:`~qntl.stats.poisson_cdf`).  A source of mean 0 emits nothing
+    and the ideal single-photon source (``None``) exactly one photon; both
+    read no uniform and take ``u=None``.
     """
     if mean_photons is None:
         return 1
-    return poisson_sample(mean_photons, rng)
+    if mean_photons == 0:
+        return 0
+    return bisect.bisect_left(poisson_cdf(mean_photons), u)
 
 
-def transmit(photons: int, channel: LossChannel, rng: np.random.Generator) -> int:
+def transmit(photons: int, channel: LossChannel, uniforms: Sequence[float]) -> int:
     """Photons that survive a loss channel.
 
-    Each photon survives independently with probability equal to the
-    channel transmittance (one scalar uniform per photon, the same draws as
-    one array of ``photons`` uniforms), so the survivor count is
+    Photon i survives when ``uniforms[i]`` (one uniform per photon) falls
+    below the channel transmittance, so the survivor count is
     Binomial(photons, eta) and Poisson inputs stay Poisson with mean scaled
     by eta.
     """
+    if len(uniforms) != photons:
+        raise ValueError(f"need one uniform per photon: {photons} photons, {len(uniforms)} uniforms")
     eta = channel.transmittance
     survivors = 0
-    for _ in range(photons):
-        survivors += rng.random() < eta
+    for u in uniforms:
+        survivors += u < eta
     return survivors
 
 
-def detect(photons: int, detector: Detector, rng: np.random.Generator) -> bool:
-    """Threshold click on ``photons`` arriving photons, from one uniform."""
-    return bool(rng.random() < detector.click_probability(photons))
+def detect(photons: int, detector: Detector, u: float) -> bool:
+    """Threshold click on ``photons`` arriving photons at the uniform ``u``."""
+    return u < detector.click_probability(photons)

@@ -267,6 +267,22 @@ def _finalize_keys(
     )
 
 
+# Most uniforms the photon gate holds at once.  A round needs at most the
+# largest photon count plus one (920 at the largest Poisson mean, 700), so
+# one refill always covers it.
+_GATE_BLOCK = 1 << 14
+
+
+def _refill(
+    rng: np.random.Generator, uniforms: list[float], used: int, certain: int
+) -> list[float]:
+    """The unread tail of ``uniforms`` followed by fresh draws, up to
+    ``certain`` uniforms (the fewest still certain to be read) or
+    ``_GATE_BLOCK``, whichever is smaller."""
+    tail = uniforms[used:]
+    return tail + rng.random(min(certain, _GATE_BLOCK) - len(tail)).tolist()
+
+
 def _bb84_rounds(
     n_rounds: int, rng: np.random.Generator, mean_photons: float | None,
     channel: LossChannel | None, detector: Detector, eavesdropper: InFlightHook | None,
@@ -274,14 +290,33 @@ def _bb84_rounds(
     """Per-round arrays in :func:`sift_keys` order: Alice's bits and basis
     indices, Bob's bits (0 where no click) and basis indices, the clicks.
     Only the photon gate runs round by round; the clicked rounds' qubits
-    go through the hook and Bob's measurement as state-id arrays."""
+    go through the hook and Bob's measurement as state-id arrays.
+
+    The gate reads its uniforms from a list drawn in blocks.  A block holds
+    only draws certain to be read (a photon-number draw when the source
+    takes one and a click draw for every round left, plus the channel
+    draws of the photons already emitted), so the gate never draws ahead
+    and leaves the generator where scalar draws would."""
     bits, a_bases, b_bases = rng.integers(0, 2, size=(3, n_rounds), dtype=np.int8)
+    # A source of mean 0 or None reads no uniform (emit_pulse).
+    emit_draws = int(mean_photons is not None and mean_photons > 0)
+    per_round = emit_draws + 1
+    uniforms: list[float] = []
+    used = 0
     clicks: list[bool] = []
-    for _ in range(n_rounds):
-        photons = emit_pulse(mean_photons, rng)
+    for left in range(n_rounds, 0, -1):
+        if len(uniforms) - used < per_round:
+            uniforms, used = _refill(rng, uniforms, used, left * per_round), 0
+        photons = emit_pulse(mean_photons, uniforms[used] if emit_draws else None)
+        used += emit_draws
         if channel is not None:
-            photons = transmit(photons, channel, rng)
-        clicks.append(detect(photons, detector, rng))
+            if len(uniforms) - used <= photons:
+                certain = photons + 1 + (left - 1) * per_round
+                uniforms, used = _refill(rng, uniforms, used, certain), 0
+            start, used = used, used + photons
+            photons = transmit(photons, channel, uniforms[start:used])
+        clicks.append(detect(photons, detector, uniforms[used]))
+        used += 1
     clicked = np.array(clicks, dtype=bool)
     states = 2 * a_bases[clicked] + bits[clicked]
     if eavesdropper is not None:
@@ -318,12 +353,13 @@ def run_bb84(
     itself is tracked, as a state id, for the registered pulses only.
     Splitting attacks that exploit multi-photon pulses are treated by the
     decoy-intensity machinery, not here.  An invalid ``mean_photons`` raises
-    ``ValueError`` from the first Poisson draw.
+    ``ValueError`` from the first round's photon count.
 
     Draw order: every round's bit, sender basis and receiver basis first, as
     one (3, ``n_rounds``) array; then per round the photon-number uniform
     (weak-coherent source with a positive mean only), one channel uniform
-    per photon and the click uniform; then the eavesdropper's draws over
+    per photon and the click uniform, drawn in array blocks that hold the
+    same doubles as one scalar draw each; then the eavesdropper's draws over
     the clicked rounds (intercept-resend: one guess array, then one
     measurement uniform per clicked round); then the receiver's array of
     one measurement uniform per clicked round; then the disclosure sample.

@@ -12,7 +12,6 @@ their draws and the rows built from them.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import math
@@ -24,7 +23,7 @@ import numpy as np
 __all__ = [
     "MAX_SEED",
     "stream",
-    "poisson_sample",
+    "poisson_cdf",
     "poisson_sample_array",
     "poisson_pmf",
     "Histogram",
@@ -83,12 +82,17 @@ def _check_mean(mu: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _poisson_table(mu: float) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """Poisson(mu) CDF steps, as a tuple and as an array, and their guide table.
+def poisson_cdf(mu: float) -> tuple[float, ...]:
+    """Poisson(mu) CDF steps, built once per mean: a uniform u inverts to the
+    count ``bisect.bisect_left(steps, u)``, the number of steps below u.
 
-    The steps stop where the CDF reaches 1.0 or a term underflows (a zero
-    term would repeat the last step), so a uniform above them reads len(cdf).
+    Inversion keeps each count an exact, platform-independent function of
+    its uniform, which vectorized library samplers do not guarantee.  The
+    steps stop where the CDF reaches 1.0 or a term underflows (a zero term
+    would repeat the last step), so a uniform above them reads len(steps).
+    The mean is checked when its steps are built.
     """
+    mu = _check_mean(mu)
     pmf = math.exp(-mu)
     steps = [pmf]
     while steps[-1] < 1.0:
@@ -96,34 +100,38 @@ def _poisson_table(mu: float) -> tuple[tuple[float, ...], np.ndarray, np.ndarray
         if pmf == 0.0:
             break
         steps.append(steps[-1] + pmf)
-    cdf = np.asarray(steps)
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=64)
+def _guide_table(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`poisson_cdf` as an array, and its guide table."""
+    cdf = np.asarray(poisson_cdf(mu))
     cut = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
     guide = np.where(cut[:-1] == cut[1:], cut[:-1], -1)
     cdf.setflags(write=False)
     guide.setflags(write=False)
-    return tuple(steps), cdf, guide
+    return cdf, guide
 
 
-def poisson_sample(mu: float, rng: np.random.Generator) -> int:
-    """Draw one Poisson(mu) variate by CDF inversion on a single uniform.
+def poisson_sample_array(
+    mu: float,
+    rng: np.random.Generator,
+    size: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Poisson(mu) counts of ``size`` draws by CDF inversion.
 
-    Inversion keeps the draw an exact, platform-independent function of the
-    uniform stream, which vectorized library samplers do not guarantee.
-    """
-    mu = _check_mean(mu)
-    if mu == 0.0:
-        return 0
-    return bisect.bisect_left(_poisson_table(mu)[0], rng.random())
+    Consumes exactly one uniform per draw, in order, and each count is the
+    one :func:`poisson_cdf` inverts that uniform to, so a scalar inversion
+    of the same stream reads the same counts.  At ``mu == 0`` the draws still
+    take ``size`` uniforms.  Calls of sizes a and b in a row equal one call
+    of size a + b, counts and stream state alike.
 
-
-def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized form of :func:`poisson_sample`.
-
-    Consumes exactly one uniform per draw, in order, and returns the same
-    counts the scalar routine would produce from the same stream.  At
-    ``mu == 0`` the stream positions part: this routine still draws ``size``
-    uniforms, while the scalar routine draws none.  Calls of sizes a and b in
-    a row equal one call of size a + b, counts and stream state alike.
+    ``out`` is an optional pair of length-``size`` buffers, float64 for the
+    uniforms and intp for the counts; the counts buffer is filled and
+    returned.  A caller drawing chunk after chunk passes the same pair (or
+    slices of it) each time instead of allocating two arrays per call.
 
     Each count is #(cdf < u), found by indexed search (a guide table, Chen
     and Asau 1974) in a table built once per mean and cached: the CDF steps,
@@ -133,13 +141,17 @@ def poisson_sample_array(mu: float, rng: np.random.Generator, size: int) -> np.n
     squeezed between those two.  Only draws in a bucket that holds a CDF
     step are binary-searched.
     """
-    mu = _check_mean(mu)
+    cdf, guide = _guide_table(mu)
     if size < 0:
         raise ValueError("size must be >= 0")
-    _, cdf, guide = _poisson_table(mu)
-    u = rng.random(size)
+    if out is None:
+        out = np.empty(size), np.empty(size, np.intp)
+    u, counts = out
+    rng.random(size, out=u)
     # Casting inside the multiply is several times faster than .astype here.
-    counts = guide[np.multiply(u, _GUIDE_BUCKETS, out=np.empty(size, np.intp), casting="unsafe")]
+    np.multiply(u, _GUIDE_BUCKETS, out=counts, casting="unsafe")
+    # Each bucket index is read before its slot receives the guide entry.
+    np.take(guide, counts, out=counts, mode="clip")
     ambiguous = np.flatnonzero(counts < 0)
     counts[ambiguous] = np.searchsorted(cdf, u[ambiguous], side="left")
     return counts
@@ -198,13 +210,11 @@ class Histogram:
             raise ValueError("max_bin must be >= 0")
         if arr.size and arr.min() < 0:
             raise ValueError("samples must be non-negative integers")
-        if overflow:
-            clipped = np.minimum(arr, max_bin)
-        else:
-            if arr.size and arr.max() > max_bin:
+        if arr.size and arr.max() > max_bin:
+            if not overflow:
                 raise ValueError("sample exceeds max_bin and overflow aggregation is off")
-            clipped = arr
-        counts = np.bincount(clipped, minlength=max_bin + 1)
+            arr = np.minimum(arr, max_bin)
+        counts = np.bincount(arr, minlength=max_bin + 1)
         return cls(counts=counts, total=int(arr.size), overflow=overflow)
 
 

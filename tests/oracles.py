@@ -1,14 +1,27 @@
-"""Analytic state-vector oracles that only the tests use.
+"""Oracles that only the tests use.
 
 The phase gate gives the Born probabilities the Trojan-horse kernel must
 match, and the correlator and CHSH combination are the analytic side of the
 entanglement checks (acceptance criterion 5).  Each works on a
-:class:`qntl.quantum.PureState` through the package's public calls.
+:class:`qntl.quantum.PureState` through the package's public calls.  The
+scalar Poisson sampler is the one-uniform-at-a-time reference for the
+array sampler and for the photon gate.
 """
+import bisect
 import cmath
 from typing import Iterable, Sequence
 
 from qntl.quantum import CHSH_OPTIMAL_ANGLES, PureState, joint_probabilities
+from qntl.stats import poisson_cdf
+
+
+def poisson_sample(mu, rng):
+    """One Poisson(mu) count by bisect on the CDF steps at one
+    ``rng.random()``; at mu == 0 it draws nothing and returns 0."""
+    steps = poisson_cdf(mu)  # checks the mean
+    if mu == 0.0:
+        return 0
+    return bisect.bisect_left(steps, rng.random())
 
 
 def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:

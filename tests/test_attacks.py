@@ -198,6 +198,26 @@ def test_pns_chunks_match_one_whole_draw(n):
         assert chunked.bit_generator.state == whole.bit_generator.state
 
 
+@pytest.mark.parametrize("max_bin", [0, 1, 2, 4, 20])
+def test_mapped_histograms_equal_the_per_pulse_transform_at_the_overflow_edge(max_bin):
+    # At mean 5 about 17% of pulses carry 5 photons and 38% more than 5, so
+    # small max_bin values put many pulses at max_bin and max_bin + 1, which
+    # always-minus-one sends to different bins.  Mapping each series' binned
+    # histogram must still equal mapping every pulse.
+    strategies = [
+        PnsStrategy.no_eve(),
+        PnsStrategy.random_intercept(0.25),
+        PnsStrategy.always_minus_one(),
+        PnsStrategy.block_singles(),
+    ]
+    n = _PNS_CHUNK + 7
+    want = reference_pns_histograms(n, 5.0, strategies, stream(8, "pns-edge"), max_bin)
+    result = pns_experiment(n, 5.0, strategies, stream(8, "pns-edge"), max_bin=max_bin)
+    got = [result.baseline, *(result.histograms[s.label()] for s in strategies)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.counts, w.counts)
+
+
 def test_pns_experiment_validation():
     rng = stream(0, "pns-exp-err")
     with pytest.raises(ValueError):
@@ -404,6 +424,18 @@ def test_trojan_matches_per_photon_reference():
 
         p = same_distribution_p(reference, candidate, seeds, f"trojan-{policy.label()}")
         assert p > alpha, f"{policy.label()}: p={p:.3g}"
+
+
+def test_random_shift_gains_are_the_phase_formula_bit_for_bit():
+    # The in-place phase block reads cos(0.5 * (u * 2 pi)) ** 2 exactly.
+    checkpoints = np.array([1, 7, 500, 20_000, 20_001])
+    got = trojan_gain_experiment(checkpoints, TrojanPolicy.random_shift(), stream(3, "phases"))
+    rng = stream(3, "phases")
+    wrong, rect, diag = rng.multinomial(np.diff(checkpoints, prepend=0), [0.5, 0.25, 0.25]).T
+    diag_seen = np.cumsum(diag)
+    phases = rng.random(int(diag_seen[-1])) * (2.0 * math.pi)
+    read = np.concatenate(([0.0], np.cumsum(np.cos(0.5 * phases) ** 2)))
+    assert np.array_equal(got, np.cumsum(0.5 * wrong + rect) + read[diag_seen])
 
 
 def test_trojan_policy_validation():

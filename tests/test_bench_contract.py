@@ -42,7 +42,7 @@ def test_detect_returns_a_python_bool():
     # The tracer's click counter adds bool(detect(...)) per call.
     rng = stream(0, "tracer-contract")
     for photons, detector in [(0, Detector()), (3, Detector()), (2, Detector(0.4, 0.1))]:
-        assert type(detect(photons, detector, rng)) is bool
+        assert type(detect(photons, detector, rng.random())) is bool
 
 
 class UnitReference:

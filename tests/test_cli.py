@@ -82,6 +82,16 @@ def test_parse_range_rejections():
             parse_range(bad)
 
 
+@pytest.mark.parametrize("text, part", [
+    ("0:nan:0.1", "stop"), ("nan:1:0.1", "start"), ("0:1:nan", "step"),
+    ("0:inf:1", "stop"), ("-inf:0:1", "start"), ("0:1:inf", "step"),
+])
+def test_parse_range_rejects_non_finite_parts(text, part):
+    # Checked before the expansion, which would otherwise run to its value cap.
+    with pytest.raises(ConfigError, match=f"range {part} must be finite"):
+        parse_range(text)
+
+
 def test_parse_range_size_limit():
     # The expansion stops at a fixed 10,000 values, before it can exhaust
     # memory: a range of exactly that many parses, a larger one fails at once.

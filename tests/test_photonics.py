@@ -16,11 +16,20 @@ from qntl.qkd import _model_gain, run_bb84
 from qntl.stats import Histogram, stream
 
 from distcheck import chi_square_gof
+from oracles import poisson_sample
 
 
 def emit_many(mean_photons, n, seed, label="photon-test"):
-    rng = stream(seed, label)
-    return [emit_pulse(mean_photons, rng) for _ in range(n)]
+    if mean_photons is None or mean_photons == 0.0:
+        return [emit_pulse(mean_photons, None) for _ in range(n)]
+    return [emit_pulse(mean_photons, u) for u in stream(seed, label).random(n).tolist()]
+
+
+def send(mean_photons, channel, rng):
+    """One pulse through ``channel``, drawing its photon-number uniform and
+    then one uniform per photon from ``rng``."""
+    photons = emit_pulse(mean_photons, rng.random())
+    return transmit(photons, channel, rng.random(photons).tolist())
 
 
 # ---------------------------------------------------------------- sources
@@ -40,10 +49,21 @@ def test_weak_coherent_mean_at_five():
     assert abs(sum(counts) / len(counts) - 5.0) < 0.05
 
 
+@pytest.mark.parametrize("mu", [1e-6, 0.5, 5.0, 700.0])
+def test_weak_coherent_count_is_the_scalar_inversion(mu):
+    # emit_pulse at each uniform reads what the scalar sampler reads from
+    # the same stream, one rng.random() per count.
+    uniforms = stream(4, "emit-inversion").random(2000).tolist()
+    ref_rng = stream(4, "emit-inversion")
+    assert [emit_pulse(mu, u) for u in uniforms] == [
+        poisson_sample(mu, ref_rng) for _ in uniforms
+    ]
+
+
 def test_source_validation():
-    for mu in (-0.1, float("inf")):
+    for mu in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            emit_pulse(mu, stream(0, "source-err"))
+            emit_pulse(mu, 0.5)
         with pytest.raises(ValueError):
             run_bb84(10, stream(0, "source-err"), mean_photons=mu)
 
@@ -58,13 +78,13 @@ def test_intensity_labels():
 # ---------------------------------------------------------------- loss
 
 def test_lossless_channel_preserves_pulse():
-    rng = stream(3, "lossless")
-    assert transmit(7, LossChannel(1.0), rng) == 7
+    uniforms = stream(3, "lossless").random(7).tolist()
+    assert transmit(7, LossChannel(1.0), uniforms) == 7
 
 
 def test_opaque_channel_absorbs_everything():
-    rng = stream(3, "opaque")
-    assert transmit(7, LossChannel(0.0), rng) == 0
+    uniforms = stream(3, "opaque").random(7).tolist()
+    assert transmit(7, LossChannel(0.0), uniforms) == 0
 
 
 def test_channel_validation():
@@ -78,7 +98,7 @@ def test_poisson_thinning_closure():
     # Poisson(5) through a 50% channel must look exactly like Poisson(2.5)
     chan = LossChannel(0.5)
     rng = stream(42, "thinning")
-    out = [transmit(emit_pulse(5.0, rng), chan, rng) for _ in range(10**5)]
+    out = [send(5.0, chan, rng) for _ in range(10**5)]
     h = Histogram.from_samples(out, max_bin=12)
     p = chi_square_gof(h, lambda k: sp_poisson.pmf(k, 2.5))
     assert p > 0.01
@@ -91,13 +111,13 @@ def test_loss_monotonicity():
         rng = stream(11, "loss-mono", trial=i)
         total = 0
         for _ in range(20000):
-            total += transmit(emit_pulse(4.0, rng), LossChannel(eta), rng)
+            total += send(4.0, LossChannel(eta), rng)
         means.append(total / 20000)
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
 def reference_transmit(photons, channel, rng):
-    """The earlier loss kernel: one array of ``photons`` uniforms."""
+    """The array loss kernel: one array of ``photons`` uniforms."""
     if photons == 0:
         return 0
     return int(np.count_nonzero(rng.random(photons) < channel.transmittance))
@@ -111,16 +131,21 @@ def test_transmit_matches_array_reference(eta):
     for seed in range(20):
         rng, ref_rng = stream(seed, "transmit-ref"), stream(seed, "transmit-ref")
         for photons in range(8):
-            survivors = transmit(photons, channel, rng)
+            survivors = transmit(photons, channel, [rng.random() for _ in range(photons)])
             assert type(survivors) is int
             assert survivors == reference_transmit(photons, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_transmit_needs_one_uniform_per_photon():
+    with pytest.raises(ValueError, match="one uniform per photon"):
+        transmit(3, LossChannel(0.5), [0.1, 0.2])
+
+
 def test_transmit_is_deterministic():
     def run():
         rng = stream(5, "det-loss")
-        return [transmit(50, LossChannel(0.3), rng) for _ in range(100)]
+        return [transmit(50, LossChannel(0.3), rng.random(50).tolist()) for _ in range(100)]
 
     assert run() == run()
 
@@ -128,22 +153,22 @@ def test_transmit_is_deterministic():
 # ---------------------------------------------------------------- detection
 
 def test_detect_corner_cases():
-    rng = stream(0, "detect")
+    uniforms = stream(0, "detect").random(100).tolist()
     ideal = Detector()
     # no photons, no dark counts: never clicks
-    assert not any(detect(0, ideal, rng) for _ in range(100))
+    assert not any(detect(0, ideal, u) for u in uniforms)
     # unit efficiency: always clicks on any photon
-    assert all(detect(3, ideal, rng) for _ in range(100))
+    assert all(detect(3, ideal, u) for u in uniforms)
     # dark counts only
     always_dark = Detector(efficiency=0.0, dark_count_prob=1.0)
-    assert detect(0, always_dark, rng)
+    assert all(detect(0, always_dark, u) for u in uniforms)
 
 
 def test_detect_click_probability():
     # click prob for count 2, eff 0.4, dark 0.1: 1 - 0.9 * 0.6^2 = 0.676
     det = Detector(efficiency=0.4, dark_count_prob=0.1)
-    rng = stream(21, "click-prob")
-    clicks = sum(detect(2, det, rng) for _ in range(10**5))
+    uniforms = stream(21, "click-prob").random(10**5).tolist()
+    clicks = sum(detect(2, det, u) for u in uniforms)
     expected = 1.0 - 0.9 * 0.6**2
     assert det.click_probability(2) == pytest.approx(expected, abs=1e-15)
     assert abs(clicks / 10**5 - expected) < 0.005

@@ -17,7 +17,7 @@ from qntl.attacks import (
     probe_hook,
     probe_infiltrate,
 )
-from qntl.photonics import Detector, LossChannel, SIGNAL, decoy_label, detect, emit_pulse, transmit
+from qntl.photonics import Detector, LossChannel, SIGNAL, decoy_label
 from qntl.qkd import (
     ALICE_TEST_ANGLES,
     BOB_TEST_ANGLES,
@@ -42,6 +42,7 @@ from qntl.quantum import (
 from qntl.stats import poisson_sample_array, stream
 
 from distcheck import same_distribution_p
+from oracles import poisson_sample
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=128).map(
     lambda xs: np.array(xs, dtype=np.int8)
@@ -342,12 +343,23 @@ def reference_intercept_resend(state, sender_basis, rng):
     return encoded_qubit(bit, guess)
 
 
+def reference_click(rng, mean_photons, channel, detector):
+    """One round of the photon gate on scalar draws: the photon count by
+    bisect on one ``rng.random()`` (weak-coherent source with a positive
+    mean only), one ``rng.random()`` per photon in the channel, one for
+    the click."""
+    photons = 1 if mean_photons is None else poisson_sample(mean_photons, rng)
+    if channel is not None:
+        photons = sum(rng.random() < channel.transmittance for _ in range(photons))
+    return rng.random() < detector.click_probability(photons)
+
+
 def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attacked):
     """BB84 rounds as they ran before the settings were drawn as one array:
     per round its bit, both basis indices, the photon, channel and click
-    draws, then, for a click, the per-state hook (``attacked``:
-    :func:`reference_intercept_resend`) and the measurement of one state.
-    Returns the arrays of ``_bb84_rounds``."""
+    draws (:func:`reference_click`), then, for a click, the per-state hook
+    (``attacked``: :func:`reference_intercept_resend`) and the measurement
+    of one state.  Returns the arrays of ``_bb84_rounds``."""
     bases = (Basis.RECTILINEAR, Basis.DIAGONAL)
     alice_bits = np.zeros(n_rounds, dtype=np.int8)
     alice_bases = np.zeros(n_rounds, dtype=np.int8)
@@ -358,10 +370,7 @@ def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attack
         bit = int(rng.integers(0, 2))
         a_idx = int(rng.integers(0, 2))
         b_idx = int(rng.integers(0, 2))
-        photons = emit_pulse(mean_photons, rng)
-        if channel is not None:
-            photons = transmit(photons, channel, rng)
-        click = detect(photons, detector, rng)
+        click = reference_click(rng, mean_photons, channel, detector)
         alice_bits[i], alice_bases[i], bob_bases[i], detected[i] = bit, a_idx, b_idx, click
         if not click:
             continue
@@ -407,6 +416,53 @@ def test_bb84_rounds_match_per_round_reference(case):
 
     p = same_distribution_p(reference, candidate, seeds, f"bb84-{case}")
     assert p > alpha, f"{case}: p={p:.3g}"
+
+
+# (rounds, mean_photons, channel, detector) of the exact-draw gate oracle.
+GATE_CASES = {
+    "single-photon": (3000, None, None, Detector()),
+    "weak-coherent": (3000, 0.5, LossChannel(0.5), Detector(0.6, 0.01)),
+    "zero-mean": (3000, 0.0, LossChannel(0.5), Detector(0.6, 0.01)),
+    # About 18 channel draws a round against two certain ones: most rounds
+    # need a refill between their photon count and their channel draws.
+    "mu-20": (3000, 20.0, LossChannel(0.9), Detector()),
+    "above-block": (qkd._GATE_BLOCK + 3001, 0.5, LossChannel(0.1), Detector()),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_photon_gate_matches_scalar_draws(case):
+    # The gate's blocks hold the doubles scalar draws give, and no more: the
+    # clicks, the receiver's bits and the final stream state all equal a
+    # run that draws the gate one rng.random() at a time.
+    n, mean_photons, channel, detector = GATE_CASES[case]
+    rng, ref_rng = stream(12, f"gate-{case}"), stream(12, f"gate-{case}")
+    got = _bb84_rounds(n, rng, mean_photons, channel, detector, None)
+    bits, a_bases, b_bases = ref_rng.integers(0, 2, size=(3, n), dtype=np.int8)
+    clicked = np.array([reference_click(ref_rng, mean_photons, channel, detector) for _ in range(n)])
+    bob_bits = np.zeros(n, dtype=np.int8)
+    states = 2 * a_bases[clicked] + bits[clicked]
+    bob_bits[clicked] = measure_qubit(states, b_bases[clicked], ref_rng)[0]
+    for g, w in zip(got, (bits, a_bases, bob_bits, b_bases, clicked)):
+        assert np.array_equal(g, w)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_photon_gate_blocks_stay_within_the_cap(monkeypatch):
+    sizes = []
+
+    def recorded(*args):
+        block = refill(*args)
+        sizes.append(len(block))
+        return block
+
+    refill = qkd._refill
+    monkeypatch.setattr(qkd, "_refill", recorded)
+    for mean_photons, channel in ((None, None), (0.5, LossChannel(0.1)), (20.0, LossChannel(0.9))):
+        sizes.clear()
+        _bb84_rounds(3 * qkd._GATE_BLOCK, stream(2, "gate-cap"), mean_photons, channel,
+                     Detector(), None)
+        assert max(sizes) == qkd._GATE_BLOCK
 
 
 @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "intercept-resend"])

@@ -11,7 +11,6 @@ from scipy.stats import poisson as sp_poisson
 from qntl.stats import (
     Histogram,
     chsh_estimate,
-    poisson_sample,
     poisson_pmf,
     poisson_sample_array,
     stream,
@@ -20,6 +19,7 @@ from qntl.stats import (
 
 from distcheck import chi_square_gof
 from histtools import frequencies, from_csv, rebin, to_csv
+from oracles import poisson_sample
 
 
 # ---------------------------------------------------------------- stream
@@ -105,21 +105,24 @@ def reference_poisson_array(mu, rng, size):
 
 
 class CraftedUniforms:
-    """Stands in for a generator whose ``random()`` and ``random(size)``
-    return fixed draws, in order."""
+    """Stands in for a generator whose ``random()`` and
+    ``random(size, out=None)`` return fixed draws, in order."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=float)
         self.calls = 0
         self.used = 0
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         n = 1 if size is None else size
         assert self.used + n <= self.draws.size
-        out = self.draws[self.used:self.used + n].copy()
+        draws = self.draws[self.used:self.used + n].copy()
         self.calls += 1
         self.used += n
-        return float(out[0]) if size is None else out
+        if out is not None:
+            out[...] = draws
+            return out
+        return float(draws[0]) if size is None else draws
 
 
 def crafted_draws(mu):
@@ -219,6 +222,25 @@ def test_poisson_array_matches_scalar_path_at_any_mean(mu, size, seed):
     scalar = [poisson_sample(mu, scalar_rng) for _ in range(size)]
     assert poisson_sample_array(mu, vector_rng, size).tolist() == scalar
     assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 5.0, 700.0])
+def test_poisson_array_into_buffers_matches_fresh_arrays(mu):
+    # Chunks drawn into one reused pair of buffers, the last chunk short and
+    # drawn into slices of them, read the counts fresh arrays read and leave
+    # the stream in the same state.
+    chunk, sizes = 1000, (1000, 1000, 337)
+    buffers = np.empty(chunk), np.empty(chunk, np.intp)
+    into_rng, fresh_rng = stream(6, "poisson-out"), stream(6, "poisson-out")
+    for size in sizes:
+        out = buffers[0][:size], buffers[1][:size]
+        got = poisson_sample_array(mu, into_rng, size, out=out)
+        assert got is out[1]
+        assert np.array_equal(got, poisson_sample_array(mu, fresh_rng, size))
+        assert into_rng.bit_generator.state == fresh_rng.bit_generator.state
+    for short in ((buffers[0][:10], buffers[1]), (buffers[0], buffers[1][:10])):
+        with pytest.raises(ValueError):
+            poisson_sample_array(mu, into_rng, chunk, out=short)
 
 
 def test_poisson_array_zero_mean_consumes_stream():
