@@ -423,7 +423,7 @@ GATE_CASES = {
     "single-photon": (3000, None, None, Detector()),
     "weak-coherent": (3000, 0.5, LossChannel(0.5), Detector(0.6, 0.01)),
     "zero-mean": (3000, 0.0, LossChannel(0.5), Detector(0.6, 0.01)),
-    # About 18 channel draws a round against two certain ones: most rounds
+    # About 20 channel draws a round against two certain ones: most rounds
     # need a refill between their photon count and their channel draws.
     "mu-20": (3000, 20.0, LossChannel(0.9), Detector()),
     "above-block": (qkd._GATE_BLOCK + 3001, 0.5, LossChannel(0.1), Detector()),
