@@ -50,10 +50,11 @@ DOS_MITIGATIONS = ("none", "rate-limit", "embryonic-cap", "suspicion-scheduler")
 DOS_SEEDS = range(5)
 
 # Protocol paths the default-config pins miss: the in-flight and pair-source
-# attack hooks, the weak-coherent source with a lossy channel, and a detector
-# below unit efficiency with dark counts.  Under attack half the sifted key is
-# disclosed, so the pinned error rate and CHSH estimate depend on most of the
-# receiver's measured bits.
+# attack hooks, the weak-coherent source with a lossy channel, a detector
+# below unit efficiency with dark counts (behind either source), and a BB84
+# session longer than one chunk of the photon gate.  Under attack half the
+# sifted key is disclosed, so the pinned error rate and CHSH estimate depend
+# on most of the receiver's measured bits.
 PROTOCOL_CASES = {
     "bb84/intercept-resend": (
         "bb84",
@@ -68,6 +69,14 @@ PROTOCOL_CASES = {
         "bb84",
         {"rounds": "4000", "source": "weak-coherent", "mu": "0.5", "transmittance": "0.5",
          "efficiency": "0.6", "dark": "0.01"},
+    ),
+    "bb84/single-photon-lossy": (
+        "bb84",
+        {"rounds": "4000", "transmittance": "0.5", "efficiency": "0.6", "dark": "0.01"},
+    ),
+    "bb84/multi-chunk": (
+        "bb84",
+        {"rounds": "20000", "source": "weak-coherent", "mu": "0.5", "transmittance": "0.1"},
     ),
     "e91/probe": ("e91", {"rounds": "1000", "attack": "probe", "disclosed_fraction": "0.5"}),
 }
