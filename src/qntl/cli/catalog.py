@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .config import ConfigError
@@ -91,14 +91,4 @@ def format_catalog_table(entries: tuple[CatalogEntry, ...]) -> str:
 
 
 def catalog_json(entries: tuple[CatalogEntry, ...]) -> str:
-    payload = [
-        {
-            "layer": e.layer,
-            "attack": e.attack,
-            "requirements": e.requirements,
-            "readiness": e.readiness,
-            "rationale": e.rationale,
-        }
-        for e in entries
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(e) for e in entries], indent=2) + "\n"

@@ -329,9 +329,7 @@ def _run_relay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
     rows: Rows = list(zip(range(1, result.n_relays + 1), matches, differs))
     summary: Summary = {
         "n_relays": result.n_relays,
-        "n_hops": result.n_relays + 1,
         "recovered_ok": result.recovered_ok,
-        "exposures": len(result.cleartexts),
         "key_sha256": _key_digest(key),
     }
     return columns, rows, summary
@@ -395,7 +393,6 @@ def _run_decoy(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
         "max_relative_deviation": analysis.max_relative_deviation,
         "vacuum_yield": analysis.vacuum_yield,
         "single_photon_yield_lower_bound": analysis.single_photon_yield_lower_bound,
-        "deviation_threshold": params["threshold"],
     }
     return columns, rows, summary
 
@@ -458,8 +455,7 @@ def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
     for k in params["message_bits"]:
         detected = attacks.interlock_exchange(k, trials, rng)
         rows.append((k, trials, detected, detected / trials, attacks.interlock_detection_rate(k)))
-    summary: Summary = {"trials": trials}
-    return columns, rows, summary
+    return columns, rows, {}
 
 
 # ---------------------------------------------------------------------------

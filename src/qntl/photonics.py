@@ -4,11 +4,11 @@ A pulse is its photon count: the splitting attacks and the decoy analysis
 only ever ask how many photons a pulse carries, and a protocol tracks the
 encoded polarization itself, as a state vector at the point where it
 measures.  The per-pulse functions read uniforms that the caller draws, so
-a protocol can draw a whole block of them in one call: a weak coherent
+a protocol can draw each kind for many pulses in one call: a weak coherent
 source reads its photon number from an exact Poisson inversion of one
 uniform, loss reads one uniform per photon (independent per-photon
 survival, so Poisson statistics are closed under transmission), and the
-detector one per click.  Intensity classes are announced by the labels
+detector one per pulse.  Intensity classes are announced by the labels
 ``"signal"`` and ``"decoy-<i>"``.
 """
 from __future__ import annotations

@@ -18,6 +18,7 @@ explicit generator; see :mod:`qntl.stats` for stream construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -267,20 +268,11 @@ def _finalize_keys(
     )
 
 
-# Most uniforms the photon gate holds at once.  A round needs at most the
-# largest photon count plus one (920 at the largest Poisson mean, 700), so
-# one refill always covers it.
-_GATE_BLOCK = 1 << 14
-
-
-def _refill(
-    rng: np.random.Generator, uniforms: list[float], used: int, certain: int
-) -> list[float]:
-    """The unread tail of ``uniforms`` followed by fresh draws, up to
-    ``certain`` uniforms (the fewest still certain to be read) or
-    ``_GATE_BLOCK``, whichever is smaller."""
-    tail = uniforms[used:]
-    return tail + rng.random(min(certain, _GATE_BLOCK) - len(tail)).tolist()
+# Most uniforms one stage of the photon gate draws, in expectation: a chunk
+# holds _GATE_UNIFORMS // ceil(mean) rounds of a weak-coherent source, so
+# its photon counts sum to at most _GATE_UNIFORMS on average, and
+# _GATE_UNIFORMS rounds of a single-photon or empty source.
+_GATE_UNIFORMS = 1 << 14
 
 
 def _bb84_rounds(
@@ -289,40 +281,49 @@ def _bb84_rounds(
 ) -> tuple[np.ndarray, ...]:
     """Per-round arrays in :func:`sift_keys` order: Alice's bits and basis
     indices, Bob's bits (0 where no click) and basis indices, the clicks.
-    Only the photon gate runs round by round; the clicked rounds' qubits
-    go through the hook and Bob's measurement as state-id arrays.
+    Only the photon gate runs round by round, drawing each chunk of rounds
+    in three stages: one array of photon-number uniforms (a weak-coherent
+    source with a positive mean only), one of channel uniforms, one per
+    emitted photon in round order, and one of click uniforms.
 
-    The gate reads its uniforms from a list drawn in blocks.  A block holds
-    only draws certain to be read (a photon-number draw when the source
-    takes one and a click draw for every round left, plus the channel
-    draws of the photons already emitted), so the gate never draws ahead
-    and leaves the generator where scalar draws would."""
+    A click whose uniform lies at or above the photon cut
+    1 - (1 - efficiency)^n is a dark count alone (e0 = 1/2 in Lo, Ma and
+    Chen, PRL 94, 230504, 2005): it carries no qubit, and Bob's bit is a
+    fair coin read from that same uniform.  The photon clicks' qubits go
+    through the hook and Bob's measurement as state-id arrays."""
     bits, a_bases, b_bases = rng.integers(0, 2, size=(3, n_rounds), dtype=np.int8)
-    # A source of mean 0 or None reads no uniform (emit_pulse).
-    emit_draws = int(mean_photons is not None and mean_photons > 0)
-    per_round = emit_draws + 1
-    uniforms: list[float] = []
-    used = 0
-    clicks: list[bool] = []
-    for left in range(n_rounds, 0, -1):
-        if len(uniforms) - used < per_round:
-            uniforms, used = _refill(rng, uniforms, used, left * per_round), 0
-        photons = emit_pulse(mean_photons, uniforms[used] if emit_draws else None)
-        used += emit_draws
+    # A source of mean 0 or None reads no uniform (emit_pulse).  The min
+    # keeps an infinite mean out of the chunk size, so that emit_pulse
+    # rejects it with its ValueError.
+    emits = mean_photons is not None and mean_photons > 0
+    chunk = _GATE_UNIFORMS
+    if emits:
+        chunk //= math.ceil(min(mean_photons, _GATE_UNIFORMS))
+    clicked = np.zeros(n_rounds, dtype=bool)
+    photon = np.zeros(n_rounds, dtype=bool)
+    bob_bits = np.zeros(n_rounds, dtype=np.int8)
+    for start in range(0, n_rounds, chunk):
+        rounds = slice(start, min(start + chunk, n_rounds))
+        size = rounds.stop - start
+        draws = rng.random(size).tolist() if emits else [None] * size
+        photons = [emit_pulse(mean_photons, u) for u in draws]
         if channel is not None:
-            if len(uniforms) - used <= photons:
-                certain = photons + 1 + (left - 1) * per_round
-                uniforms, used = _refill(rng, uniforms, used, certain), 0
-            start, used = used, used + photons
-            photons = transmit(photons, channel, uniforms[start:used])
-        clicks.append(detect(photons, detector, uniforms[used]))
-        used += 1
-    clicked = np.array(clicks, dtype=bool)
-    states = 2 * a_bases[clicked] + bits[clicked]
+            uniforms = rng.random(sum(photons)).tolist()
+            photons = [
+                transmit(n, channel, uniforms[end - n:end])
+                for n, end in zip(photons, itertools.accumulate(photons))
+            ]
+        u = rng.random(size)
+        clicked[rounds] = [detect(n, detector, x) for n, x in zip(photons, u.tolist())]
+        arrived = np.array(photons)
+        cut = 1.0 - (1.0 - detector.efficiency) ** arrived
+        photon[rounds] = clicked[rounds] & (u < cut)
+        # A dark-only click's coin reads 1 in the upper half of [cut, click).
+        bob_bits[rounds] = clicked[rounds] & (2 * u >= cut + detector.click_probability(arrived))
+    states = 2 * a_bases[photon] + bits[photon]
     if eavesdropper is not None:
         states = eavesdropper(states, rng)
-    bob_bits = np.zeros(n_rounds, dtype=np.int8)
-    bob_bits[clicked] = measure_qubit(states, b_bases[clicked], rng)[0]
+    bob_bits[photon] = measure_qubit(states, b_bases[photon], rng)[0]
     return bits, a_bases, bob_bits, b_bases, clicked
 
 
@@ -351,18 +352,20 @@ def run_bb84(
     source when ``mean_photons`` is None.  Losses in ``channel`` and the
     ``detector`` then gate which rounds the receiver registers; the qubit
     itself is tracked, as a state id, for the registered pulses only.
-    Splitting attacks that exploit multi-photon pulses are treated by the
-    decoy-intensity machinery, not here.  An invalid ``mean_photons`` raises
-    ``ValueError`` from the first round's photon count.
+    A click from a dark count alone carries no qubit, and the receiver's bit
+    is then a fair coin (see :func:`_bb84_rounds`).  Splitting attacks that
+    exploit multi-photon pulses are treated by the decoy-intensity
+    machinery, not here.  An invalid ``mean_photons`` raises ``ValueError``
+    from the first round's photon count.
 
     Draw order: every round's bit, sender basis and receiver basis first, as
-    one (3, ``n_rounds``) array; then per round the photon-number uniform
-    (weak-coherent source with a positive mean only), one channel uniform
-    per photon and the click uniform, drawn in array blocks that hold the
-    same doubles as one scalar draw each; then the eavesdropper's draws over
-    the clicked rounds (intercept-resend: one guess array, then one
-    measurement uniform per clicked round); then the receiver's array of
-    one measurement uniform per clicked round; then the disclosure sample.
+    one (3, ``n_rounds``) array; then the photon gate, per chunk of rounds,
+    as the photon-number uniforms (weak-coherent source with a positive mean
+    only), the channel uniforms (one per emitted photon) and the click
+    uniforms; then the eavesdropper's draws over the photon-clicked rounds
+    (intercept-resend: one guess array, then one measurement uniform per
+    round); then the receiver's array of one measurement uniform per
+    photon-clicked round; then the disclosure sample.
     """
     if n_rounds <= 0:
         raise ValueError("need at least one round")

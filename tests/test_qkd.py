@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 from scipy.stats import poisson as sp_poisson
 
 from qntl import attacks, qkd
@@ -343,23 +344,37 @@ def reference_intercept_resend(state, sender_basis, rng):
     return encoded_qubit(bit, guess)
 
 
+def reference_click_outcome(photons, detector, u):
+    """The click of one round at its uniform ``u``, as (clicked, coin).  A
+    click at or above the photon cut 1 - (1 - efficiency)^n is a dark count
+    alone, and ``coin`` is then the receiver's fair bit: 1 in the upper half
+    of the range between the cut and the click probability.  A photon click
+    or no click gives coin None."""
+    cut = 1.0 - (1.0 - detector.efficiency) ** photons
+    click = detector.click_probability(photons)
+    if cut <= u < click:
+        return True, int(u >= 0.5 * (cut + click))
+    return u < click, None
+
+
 def reference_click(rng, mean_photons, channel, detector):
-    """One round of the photon gate on scalar draws: the photon count by
-    bisect on one ``rng.random()`` (weak-coherent source with a positive
-    mean only), one ``rng.random()`` per photon in the channel, one for
-    the click."""
+    """One round of the photon gate on scalar draws in the interleaved
+    order: the photon count by bisect on one ``rng.random()`` (weak-coherent
+    source with a positive mean only), one ``rng.random()`` per photon in
+    the channel, one for the click (:func:`reference_click_outcome`)."""
     photons = 1 if mean_photons is None else poisson_sample(mean_photons, rng)
     if channel is not None:
         photons = sum(rng.random() < channel.transmittance for _ in range(photons))
-    return rng.random() < detector.click_probability(photons)
+    return reference_click_outcome(photons, detector, rng.random())
 
 
 def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attacked):
     """BB84 rounds as they ran before the settings were drawn as one array:
     per round its bit, both basis indices, the photon, channel and click
-    draws (:func:`reference_click`), then, for a click, the per-state hook
-    (``attacked``: :func:`reference_intercept_resend`) and the measurement
-    of one state.  Returns the arrays of ``_bb84_rounds``."""
+    draws (:func:`reference_click`), then, for a photon click, the
+    per-state hook (``attacked``: :func:`reference_intercept_resend`) and
+    the measurement of one state; a dark-only click takes the coin.
+    Returns the arrays of ``_bb84_rounds``."""
     bases = (Basis.RECTILINEAR, Basis.DIAGONAL)
     alice_bits = np.zeros(n_rounds, dtype=np.int8)
     alice_bases = np.zeros(n_rounds, dtype=np.int8)
@@ -370,9 +385,11 @@ def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attack
         bit = int(rng.integers(0, 2))
         a_idx = int(rng.integers(0, 2))
         b_idx = int(rng.integers(0, 2))
-        click = reference_click(rng, mean_photons, channel, detector)
+        click, coin = reference_click(rng, mean_photons, channel, detector)
         alice_bits[i], alice_bases[i], bob_bases[i], detected[i] = bit, a_idx, b_idx, click
-        if not click:
+        if coin is not None:
+            bob_bits[i] = coin
+        if not click or coin is not None:
             continue
         state = encoded_qubit(bit, bases[a_idx])
         if attacked:
@@ -418,51 +435,129 @@ def test_bb84_rounds_match_per_round_reference(case):
     assert p > alpha, f"{case}: p={p:.3g}"
 
 
+def reference_gate(n_rounds, rng, mean_photons, channel, detector):
+    """The photon gate on scalar draws, stage by stage per chunk: a chunk is
+    ``_GATE_UNIFORMS // ceil(mean)`` rounds of a weak-coherent source with a
+    positive mean, else ``_GATE_UNIFORMS``.  Per chunk every photon count by
+    bisect on one ``rng.random()`` (positive mean only), then one
+    ``rng.random()`` per emitted photon, then one per click.  Returns each
+    round's (clicked, coin) of :func:`reference_click_outcome`."""
+    emits = mean_photons is not None and mean_photons > 0
+    chunk = qkd._GATE_UNIFORMS // (math.ceil(mean_photons) if emits else 1)
+    outcomes = []
+    for start in range(0, n_rounds, chunk):
+        size = min(chunk, n_rounds - start)
+        if emits:
+            photons = [poisson_sample(mean_photons, rng) for _ in range(size)]
+        else:
+            photons = [1 if mean_photons is None else 0] * size
+        if channel is not None:
+            photons = [sum(rng.random() < channel.transmittance for _ in range(n)) for n in photons]
+        outcomes += [reference_click_outcome(n, detector, rng.random()) for n in photons]
+    return outcomes
+
+
 # (rounds, mean_photons, channel, detector) of the exact-draw gate oracle.
 GATE_CASES = {
     "single-photon": (3000, None, None, Detector()),
     "weak-coherent": (3000, 0.5, LossChannel(0.5), Detector(0.6, 0.01)),
     "zero-mean": (3000, 0.0, LossChannel(0.5), Detector(0.6, 0.01)),
-    # About 20 channel draws a round against two certain ones: most rounds
-    # need a refill between their photon count and their channel draws.
+    # About 20 channel draws a round, in chunks of 819 rounds.
     "mu-20": (3000, 20.0, LossChannel(0.9), Detector()),
-    "above-block": (qkd._GATE_BLOCK + 3001, 0.5, LossChannel(0.1), Detector()),
+    "above-chunk": (qkd._GATE_UNIFORMS + 3001, 0.5, LossChannel(0.1), Detector()),
 }
 
 
 @pytest.mark.parametrize("case", list(GATE_CASES))
 def test_photon_gate_matches_scalar_draws(case):
-    # The gate's blocks hold the doubles scalar draws give, and no more: the
-    # clicks, the receiver's bits and the final stream state all equal a
-    # run that draws the gate one rng.random() at a time.
+    # The gate's stage arrays hold the doubles that scalar draws give in
+    # stage order, and no more: the clicks, the receiver's bits and the
+    # final stream state all equal a run that draws the gate one
+    # rng.random() at a time.
     n, mean_photons, channel, detector = GATE_CASES[case]
     rng, ref_rng = stream(12, f"gate-{case}"), stream(12, f"gate-{case}")
     got = _bb84_rounds(n, rng, mean_photons, channel, detector, None)
     bits, a_bases, b_bases = ref_rng.integers(0, 2, size=(3, n), dtype=np.int8)
-    clicked = np.array([reference_click(ref_rng, mean_photons, channel, detector) for _ in range(n)])
-    bob_bits = np.zeros(n, dtype=np.int8)
-    states = 2 * a_bases[clicked] + bits[clicked]
-    bob_bits[clicked] = measure_qubit(states, b_bases[clicked], ref_rng)[0]
+    outcomes = reference_gate(n, ref_rng, mean_photons, channel, detector)
+    clicked = np.array([click for click, _ in outcomes])
+    photon = np.array([click and coin is None for click, coin in outcomes])
+    bob_bits = np.array([coin or 0 for _, coin in outcomes], dtype=np.int8)
+    states = 2 * a_bases[photon] + bits[photon]
+    bob_bits[photon] = measure_qubit(states, b_bases[photon], ref_rng)[0]
     for g, w in zip(got, (bits, a_bases, bob_bits, b_bases, clicked)):
         assert np.array_equal(g, w)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if case == "single-photon":
+        # With no channel and no photon-number draw, the stage order is the
+        # interleaved one.
+        interleaved = stream(12, f"gate-{case}")
+        interleaved.integers(0, 2, size=(3, n), dtype=np.int8)
+        assert outcomes == [
+            reference_click(interleaved, mean_photons, channel, detector) for _ in range(n)
+        ]
 
 
-def test_photon_gate_blocks_stay_within_the_cap(monkeypatch):
-    sizes = []
+class RecordingGenerator:
+    """A generator that records the size of every ``random`` call."""
 
-    def recorded(*args):
-        block = refill(*args)
-        sizes.append(len(block))
-        return block
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
 
-    refill = qkd._refill
-    monkeypatch.setattr(qkd, "_refill", recorded)
-    for mean_photons, channel in ((None, None), (0.5, LossChannel(0.1)), (20.0, LossChannel(0.9))):
-        sizes.clear()
-        _bb84_rounds(3 * qkd._GATE_BLOCK, stream(2, "gate-cap"), mean_photons, channel,
-                     Detector(), None)
-        assert max(sizes) == qkd._GATE_BLOCK
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mean_photons, n_rounds", [
+    (None, 3 * qkd._GATE_UNIFORMS), (0.5, 3 * qkd._GATE_UNIFORMS), (20.0, 3000), (700.0, 100),
+])
+def test_photon_gate_draws_stay_within_the_chunk_bound(mean_photons, n_rounds):
+    # A chunk's photon counts sum to at most _GATE_UNIFORMS in expectation,
+    # with a standard deviation of at most 128 (the root of that); 1024 is
+    # eight of them.  Every run spans several chunks.  The last draw is the
+    # receiver's measurement, one uniform per photon click.
+    rng = RecordingGenerator(stream(2, "gate-cap"))
+    clicked = _bb84_rounds(n_rounds, rng, mean_photons, LossChannel(0.9), Detector(), None)[4]
+    *gate, measured = rng.sizes
+    assert measured == np.count_nonzero(clicked)
+    assert len(gate) >= 2 * (2 if mean_photons is None else 3)
+    assert max(gate) <= qkd._GATE_UNIFORMS + 1024
+
+
+# (source mean or None for single photons, transmittance, efficiency, dark).
+DARK_QBER_CASES = {
+    "weak-coherent": (0.5, 0.1, 0.6, 0.01),
+    "single-photon": (None, 0.5, 0.6, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", list(DARK_QBER_CASES))
+def test_dark_only_clicks_give_the_closed_form_qber(case):
+    # A dark-only click carries no qubit, so its sifted bit errs with
+    # probability 1/2 and every photon click is error-free.  With
+    # t = eta * eta_d the chance that no arriving photon registers:
+    #   weak-coherent:  E = (1/2) Y0 e^(-mu t) / Q,  Q = 1 - (1 - Y0) e^(-mu t)
+    #   single-photon:  E = (1/2) Y0 (1 - t) / (1 - (1 - Y0)(1 - t))
+    # Sifted rounds are independent, so their errors are binomial at E;
+    # family-wise alpha 0.01 over the two cases.
+    mu, eta, efficiency, dark = DARK_QBER_CASES[case]
+    t = eta * efficiency
+    if mu is None:
+        expected = 0.5 * dark * (1 - t) / (1 - (1 - dark) * (1 - t))
+    else:
+        gain = 1 - (1 - dark) * math.exp(-mu * t)
+        expected = 0.5 * dark * math.exp(-mu * t) / gain
+    errors = sifted = 0
+    for seed in range(20):
+        rounds = _bb84_rounds(10_000, stream(seed, f"dark-qber-{case}"), mu,
+                              LossChannel(eta), Detector(efficiency, dark), None)
+        alice, bob = sift_keys(*rounds)
+        errors += int(np.count_nonzero(alice != bob))
+        sifted += alice.size
+    assert binomtest(errors, sifted, expected).pvalue > 0.01 / 2
 
 
 @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "intercept-resend"])
