@@ -387,9 +387,10 @@ def reference_bb84_rounds(n_rounds, rng, mean_photons, channel, detector, attack
         b_idx = int(rng.integers(0, 2))
         click, coin = reference_click(rng, mean_photons, channel, detector)
         alice_bits[i], alice_bases[i], bob_bases[i], detected[i] = bit, a_idx, b_idx, click
+        if not click:
+            continue
         if coin is not None:
             bob_bits[i] = coin
-        if not click or coin is not None:
             continue
         state = encoded_qubit(bit, bases[a_idx])
         if attacked:
@@ -513,7 +514,7 @@ class RecordingGenerator:
 
 @pytest.mark.parametrize("mean_photons, n_rounds", [
     (None, 3 * qkd._GATE_UNIFORMS), (0.5, 3 * qkd._GATE_UNIFORMS), (20.0, 3000), (700.0, 100),
-])
+], ids=["single-photon", "mu-0.5", "mu-20", "mu-700"])
 def test_photon_gate_draws_stay_within_the_chunk_bound(mean_photons, n_rounds):
     # A chunk's photon counts sum to at most _GATE_UNIFORMS in expectation,
     # with a standard deviation of at most 128 (the root of that); 1024 is
@@ -538,7 +539,7 @@ DARK_QBER_CASES = {
 def test_dark_only_clicks_give_the_closed_form_qber(case):
     # A dark-only click carries no qubit, so its sifted bit errs with
     # probability 1/2 and every photon click is error-free.  With
-    # t = eta * eta_d the chance that no arriving photon registers:
+    # t = eta * eta_d the chance that one sent photon registers:
     #   weak-coherent:  E = (1/2) Y0 e^(-mu t) / Q,  Q = 1 - (1 - Y0) e^(-mu t)
     #   single-photon:  E = (1/2) Y0 (1 - t) / (1 - (1 - Y0)(1 - t))
     # Sifted rounds are independent, so their errors are binomial at E;
