@@ -188,11 +188,23 @@ def dos_simulate(
     waiting requests.  A legitimate request abandons (dropped) when its
     service has not started within ``patience_ms``; an admitted attack
     request never completes and holds its server for ``embryonic_timeout_ms``.
+
+    Every rate and time must be >= 0, and the window and the rates finite.
     """
     if duration_ms <= 0.0 or n_servers < 1:
         raise ValueError("need a positive window and at least one server")
     if n_legit_sources < 1 or n_attack_sources < 1:
         raise ValueError("need at least one source per class")
+    for name, value, finite in (
+        ("duration_ms", duration_ms, True),
+        ("legit_rate_per_s", legit_rate_per_s, True),
+        ("attack_rate_per_s", attack_rate_per_s, True),
+        ("mean_service_ms", mean_service_ms, False),
+        ("embryonic_timeout_ms", embryonic_timeout_ms, False),
+        ("patience_ms", patience_ms, False),
+    ):
+        if not value >= 0.0 or (finite and math.isinf(value)):
+            raise ValueError(f"{name} must be >= 0{' and finite' if finite else ''}, got {value}")
 
     # Draw order: legitimate gaps, attack gaps, legitimate sources, attack
     # sources, legitimate service times.  Attack sources are numbered after

@@ -3,23 +3,22 @@
 A pulse is its photon count: the splitting attacks and the decoy analysis
 only ever ask how many photons a pulse carries, and a protocol tracks the
 encoded polarization itself, as a state vector at the point where it
-measures.  The per-pulse functions read uniforms that the caller draws, so
-a protocol can draw each kind for many pulses in one call: a weak coherent
-source reads its photon number from an exact Poisson inversion of one
-uniform, loss reads one uniform per photon (independent per-photon
-survival, so Poisson statistics are closed under transmission), and the
-detector one per pulse.  Intensity classes are announced by the labels
+measures.  The source and the loss channel act on an array of pulses and
+draw from the caller's generator: a weak coherent source inverts one
+uniform per pulse through the Poisson table that
+:func:`~qntl.stats.poisson_sample_array` uses, and loss reads one uniform
+per photon (independent per-photon survival, so Poisson statistics are
+closed under transmission).  The detector decides one pulse at a uniform
+the caller draws.  Intensity classes are announced by the labels
 ``"signal"`` and ``"decoy-<i>"``.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .stats import poisson_cdf
+from .stats import poisson_sample_array
 
 __all__ = [
     "SIGNAL",
@@ -75,39 +74,37 @@ class Detector:
         return 1.0 - (1.0 - self.dark_count_prob) * (1.0 - self.efficiency) ** photons
 
 
-def emit_pulse(mean_photons: float | None, u: float | None) -> int:
-    """Photon count of one pulse.
+def emit_pulse(mean_photons: float | None, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Photon counts of ``size`` pulses, as an integer array.
 
-    A weak coherent source (``mean_photons`` a positive float) reads it from
-    the Poisson(mean_photons) CDF at the uniform ``u``
-    (:func:`~qntl.stats.poisson_cdf`).  A source of mean 0 emits nothing
-    and the ideal single-photon source (``None``) exactly one photon; both
-    read no uniform and take ``u=None``.
+    A weak coherent source (``mean_photons`` a positive float) draws
+    Poisson(mean_photons) counts by :func:`~qntl.stats.poisson_sample_array`,
+    one uniform per pulse.  The ideal single-photon source (``None``) emits
+    exactly one photon a pulse and a source of mean 0 none; neither draws.
     """
     if mean_photons is None:
-        return 1
+        return np.ones(size, np.intp)
     if mean_photons == 0:
-        return 0
-    return bisect.bisect_left(poisson_cdf(mean_photons), u)
+        return np.zeros(size, np.intp)
+    return poisson_sample_array(mean_photons, rng, size)
 
 
-def transmit(photons: int, channel: LossChannel, uniforms: Sequence[float]) -> int:
-    """Photons that survive a loss channel.
+def transmit(photons: np.ndarray, channel: LossChannel, rng: np.random.Generator) -> np.ndarray:
+    """Photons of each pulse that survive a loss channel.
 
-    Photon i survives when ``uniforms[i]`` (one uniform per photon) falls
-    below the channel transmittance, so the survivor count is
-    Binomial(photons, eta) and Poisson inputs stay Poisson with mean scaled
-    by eta.
+    Draws one uniform per emitted photon, pulse after pulse; a photon
+    survives when its uniform falls below the channel transmittance, so each
+    pulse's survivor count is Binomial(photons, eta) and Poisson inputs stay
+    Poisson with mean scaled by eta.
     """
-    if len(uniforms) != photons:
-        raise ValueError(f"need one uniform per photon: {photons} photons, {len(uniforms)} uniforms")
-    eta = channel.transmittance
-    survivors = 0
-    for u in uniforms:
-        survivors += u < eta
-    return survivors
+    # Survivors among the first k photons, for k = 0, 1, ..., photons.sum().
+    survived = np.zeros(int(photons.sum()) + 1, np.intp)
+    np.cumsum(rng.random(survived.size - 1) < channel.transmittance, out=survived[1:])
+    return np.diff(survived[np.cumsum(photons)], prepend=0)
 
 
 def detect(photons: int, detector: Detector, u: float) -> bool:
-    """Threshold click on ``photons`` arriving photons at the uniform ``u``."""
+    """Threshold click on ``photons`` arriving photons at the uniform ``u``,
+    as a Python ``bool``: the bench tracer counts clicks by ``bool()`` of
+    each result, and ``tests/test_bench_contract.py`` pins the type."""
     return u < detector.click_probability(photons)

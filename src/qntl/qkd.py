@@ -18,7 +18,6 @@ explicit generator; see :mod:`qntl.stats` for stream construction.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -281,10 +280,12 @@ def _bb84_rounds(
 ) -> tuple[np.ndarray, ...]:
     """Per-round arrays in :func:`sift_keys` order: Alice's bits and basis
     indices, Bob's bits (0 where no click) and basis indices, the clicks.
-    Only the photon gate runs round by round, drawing each chunk of rounds
-    in three stages: one array of photon-number uniforms (a weak-coherent
-    source with a positive mean only), one of channel uniforms, one per
-    emitted photon in round order, and one of click uniforms.
+    The photon gate draws each chunk of rounds in three stages: the photon
+    counts (:func:`~qntl.photonics.emit_pulse`, one uniform a round from a
+    weak-coherent source with a positive mean only), the survivors
+    (:func:`~qntl.photonics.transmit`, one uniform per emitted photon in
+    round order), and one array of click uniforms, which
+    :func:`~qntl.photonics.detect` reads round by round.
 
     A click whose uniform lies at or above the photon cut
     1 - (1 - efficiency)^n is a dark count alone (e0 = 1/2 in Lo, Ma and
@@ -292,12 +293,10 @@ def _bb84_rounds(
     fair coin read from that same uniform.  The photon clicks' qubits go
     through the hook and Bob's measurement as state-id arrays."""
     bits, a_bases, b_bases = rng.integers(0, 2, size=(3, n_rounds), dtype=np.int8)
-    # A source of mean 0 or None reads no uniform (emit_pulse).  The min
-    # keeps an infinite mean out of the chunk size, so that emit_pulse
-    # rejects it with its ValueError.
-    emits = mean_photons is not None and mean_photons > 0
+    # The min keeps an infinite mean out of the chunk size, so that
+    # emit_pulse rejects it with its ValueError.
     chunk = _GATE_UNIFORMS
-    if emits:
+    if mean_photons is not None and mean_photons > 0:
         chunk //= math.ceil(min(mean_photons, _GATE_UNIFORMS))
     clicked = np.zeros(n_rounds, dtype=bool)
     photon = np.zeros(n_rounds, dtype=bool)
@@ -305,17 +304,11 @@ def _bb84_rounds(
     for start in range(0, n_rounds, chunk):
         rounds = slice(start, min(start + chunk, n_rounds))
         size = rounds.stop - start
-        draws = rng.random(size).tolist() if emits else [None] * size
-        photons = [emit_pulse(mean_photons, u) for u in draws]
+        arrived = emit_pulse(mean_photons, rng, size)
         if channel is not None:
-            uniforms = rng.random(sum(photons)).tolist()
-            photons = [
-                transmit(n, channel, uniforms[end - n:end])
-                for n, end in zip(photons, itertools.accumulate(photons))
-            ]
+            arrived = transmit(arrived, channel, rng)
         u = rng.random(size)
-        clicked[rounds] = [detect(n, detector, x) for n, x in zip(photons, u.tolist())]
-        arrived = np.array(photons)
+        clicked[rounds] = [detect(n, detector, x) for n, x in zip(arrived.tolist(), u.tolist())]
         cut = 1.0 - (1.0 - detector.efficiency) ** arrived
         photon[rounds] = clicked[rounds] & (u < cut)
         # A dark-only click's coin reads 1 in the upper half of [cut, click).
@@ -360,12 +353,13 @@ def run_bb84(
 
     Draw order: every round's bit, sender basis and receiver basis first, as
     one (3, ``n_rounds``) array; then the photon gate, per chunk of rounds,
-    as the photon-number uniforms (weak-coherent source with a positive mean
-    only), the channel uniforms (one per emitted photon) and the click
-    uniforms; then the eavesdropper's draws over the photon-clicked rounds
-    (intercept-resend: one guess array, then one measurement uniform per
-    round); then the receiver's array of one measurement uniform per
-    photon-clicked round; then the disclosure sample.
+    as one array each of photon-number uniforms (weak-coherent source with a
+    positive mean only, inverted through the Poisson table that pns uses),
+    channel uniforms (one per emitted photon) and click uniforms; then the
+    eavesdropper's draws over the photon-clicked rounds (intercept-resend:
+    one guess array, then one measurement uniform per round); then the
+    receiver's array of one measurement uniform per photon-clicked round;
+    then the disclosure sample.
     """
     if n_rounds <= 0:
         raise ValueError("need at least one round")

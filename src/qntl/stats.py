@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "MAX_SEED",
     "stream",
-    "poisson_cdf",
     "poisson_sample_array",
     "poisson_pmf",
     "Histogram",
@@ -82,15 +81,13 @@ def _check_mean(mu: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def poisson_cdf(mu: float) -> tuple[float, ...]:
-    """Poisson(mu) CDF steps, built once per mean: a uniform u inverts to the
-    count ``bisect.bisect_left(steps, u)``, the number of steps below u.
+def _guide_table(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(mu) CDF steps and their guide table, built once per mean.
 
-    Inversion keeps each count an exact, platform-independent function of
-    its uniform, which vectorized library samplers do not guarantee.  The
-    steps stop where the CDF reaches 1.0 or a term underflows (a zero term
-    would repeat the last step), so a uniform above them reads len(steps).
-    The mean is checked when its steps are built.
+    A uniform u inverts to the number of steps below it.  The steps stop
+    where the CDF reaches 1.0 or a term underflows (a zero term would repeat
+    the last step), so a uniform above them reads len(steps).  The mean is
+    checked when its table is built.
     """
     mu = _check_mean(mu)
     pmf = math.exp(-mu)
@@ -100,13 +97,7 @@ def poisson_cdf(mu: float) -> tuple[float, ...]:
         if pmf == 0.0:
             break
         steps.append(steps[-1] + pmf)
-    return tuple(steps)
-
-
-@functools.lru_cache(maxsize=64)
-def _guide_table(mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`poisson_cdf` as an array, and its guide table."""
-    cdf = np.asarray(poisson_cdf(mu))
+    cdf = np.asarray(steps)
     cut = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS, side="left")
     guide = np.where(cut[:-1] == cut[1:], cut[:-1], -1)
     cdf.setflags(write=False)
@@ -123,10 +114,12 @@ def poisson_sample_array(
     """Poisson(mu) counts of ``size`` draws by CDF inversion.
 
     Consumes exactly one uniform per draw, in order, and each count is the
-    one :func:`poisson_cdf` inverts that uniform to, so a scalar inversion
-    of the same stream reads the same counts.  At ``mu == 0`` the draws still
-    take ``size`` uniforms.  Calls of sizes a and b in a row equal one call
-    of size a + b, counts and stream state alike.
+    number of Poisson(mu) CDF steps below that uniform, so a scalar
+    inversion of the same stream reads the same counts.  Inversion keeps
+    each count an exact, platform-independent function of its uniform,
+    which vectorized library samplers do not guarantee.  At ``mu == 0`` the
+    draws still take ``size`` uniforms.  Calls of sizes a and b in a row
+    equal one call of size a + b, counts and stream state alike.
 
     ``out`` is an optional pair of length-``size`` buffers, float64 for the
     uniforms and intp for the counts; the counts buffer is filled and

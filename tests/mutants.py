@@ -1,0 +1,112 @@
+"""Mutation panel: named faults that the tests must catch.
+
+Each mutant replaces one exact text in one file under ``src/`` and names the
+tests that must then fail.  The panel applies each mutant to a temporary
+copy of ``src/``, runs its tests there with ``-x -q``, and reports a mutant
+whose tests still pass as a survivor.
+
+Run from anywhere:
+
+    python tests/mutants.py               # every mutant
+    python tests/mutants.py --only NAME   # one mutant
+
+The exit status is 1 when any mutant survives.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/
+    text: str  # occurs exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "emit-draws-at-mean-0",
+        "qntl/photonics.py",
+        "    if mean_photons == 0:\n        return np.zeros(size, np.intp)\n",
+        "",
+        ("tests/test_photonics.py::test_fixed_sources_leave_the_stream_alone",),
+    ),
+    Mutant(
+        "transmit-cumulative-survivors",
+        "qntl/photonics.py",
+        "return np.diff(survived[np.cumsum(photons)], prepend=0)",
+        "return survived[np.cumsum(photons)]",
+        ("tests/test_photonics.py::test_transmit_matches_array_reference",),
+    ),
+    Mutant(
+        "gate-click-before-channel",
+        "qntl/qkd.py",
+        "        if channel is not None:\n"
+        "            arrived = transmit(arrived, channel, rng)\n"
+        "        u = rng.random(size)\n",
+        "        u = rng.random(size)\n"
+        "        if channel is not None:\n"
+        "            arrived = transmit(arrived, channel, rng)\n",
+        ("tests/test_qkd.py::test_photon_gate_matches_scalar_draws",),
+    ),
+    Mutant(
+        "dos-no-patience-check",
+        "qntl/network/dos.py",
+        '        ("patience_ms", patience_ms, False),\n',
+        "",
+        ("tests/test_dos.py::test_simulate_rejects_negative_and_non_finite_inputs",),
+    ),
+)
+
+
+def survives(mutant: Mutant) -> bool:
+    """Apply ``mutant`` to a copy of ``src/`` and run its tests there."""
+    with tempfile.TemporaryDirectory(prefix="qntl-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.text) != 1:
+            raise SystemExit(f"{mutant.name}: text does not occur exactly once in {mutant.path}")
+        target.write_text(text.replace(mutant.text, mutant.replacement), encoding="utf-8")
+        # The ini's pythonpath would put the unmutated src/ first.
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   "-o", f"pythonpath={src}", *mutant.tests]
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
+        result = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
+    return result.returncode == 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", choices=[m.name for m in MUTANTS], help="run one mutant")
+    args = parser.parse_args(argv)
+    survivors = []
+    for mutant in MUTANTS:
+        if args.only and mutant.name != args.only:
+            continue
+        alive = survives(mutant)
+        print(f"{mutant.name}: {'SURVIVED' if alive else 'caught'}", flush=True)
+        if alive:
+            survivors.append(mutant.name)
+    if survivors:
+        print(f"{len(survivors)} survivor(s): {', '.join(survivors)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,13 +12,13 @@ import cmath
 from typing import Iterable, Sequence
 
 from qntl.quantum import CHSH_OPTIMAL_ANGLES, PureState, joint_probabilities
-from qntl.stats import poisson_cdf
+from qntl.stats import _guide_table
 
 
 def poisson_sample(mu, rng):
     """One Poisson(mu) count by bisect on the CDF steps at one
     ``rng.random()``; at mu == 0 it draws nothing and returns 0."""
-    steps = poisson_cdf(mu)  # checks the mean
+    steps = _guide_table(mu)[0]  # checks the mean
     if mu == 0.0:
         return 0
     return bisect.bisect_left(steps, rng.random())

@@ -266,6 +266,19 @@ def test_run_runtime_failure_is_exit_3(tmp_path, capsys):
     assert "qntl: ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--embryonic-timeout", "-5", "embryonic_timeout_ms"),
+    ("--service", "-500", "mean_service_ms"),
+    ("--legit-rate", "-3", "legit_rate_per_s"),
+    ("--legit-rate", "inf", "legit_rate_per_s"),
+    ("--duration", "inf", "duration_ms"),
+])
+def test_dos_rejects_bad_inputs_with_exit_3(flag, value, name, capsys):
+    assert main(["run", "dos", "--duration", "5000", flag, value, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qntl: ValueError: ") and name in err
+
+
 def test_config_file_unknown_key_is_named(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"experiment": "pns", "params": {"bogus": 1}}))

@@ -257,6 +257,30 @@ def test_simulate_validation():
         dos_simulate(1000.0, 5.0, 0.0, 10, Mitigation.none(), rng, n_legit_sources=0)
 
 
+@pytest.mark.parametrize("name, args, kwargs", [
+    ("legit_rate_per_s", (1000.0, -3.0, 0.0), {}),
+    ("legit_rate_per_s", (1000.0, math.inf, 0.0), {}),
+    ("attack_rate_per_s", (1000.0, 5.0, -1.0), {}),
+    ("attack_rate_per_s", (1000.0, 5.0, math.nan), {}),
+    ("duration_ms", (math.inf, 5.0, 0.0), {}),
+    ("mean_service_ms", (1000.0, 5.0, 0.0), {"mean_service_ms": -500.0}),
+    ("embryonic_timeout_ms", (1000.0, 5.0, 50.0), {"embryonic_timeout_ms": -5.0}),
+    ("patience_ms", (1000.0, 5.0, 0.0), {"patience_ms": -1.0}),
+])
+def test_simulate_rejects_negative_and_non_finite_inputs(name, args, kwargs):
+    with pytest.raises(ValueError, match=name):
+        dos_simulate(*args, 10, Mitigation.none(), stream(0, "dos-err"), **kwargs)
+
+
+def test_simulate_accepts_infinite_holding_times():
+    # An infinite patience, service mean or embryonic timeout is a limit,
+    # not an error: nobody abandons, or a server is never freed.
+    for key in ("mean_service_ms", "embryonic_timeout_ms", "patience_ms"):
+        result = dos_simulate(2000.0, 5.0, 5.0, 10, Mitigation.none(), stream(0, "dos-inf"),
+                              **{key: math.inf})
+        assert result.conservation_ok(), key
+
+
 # ---------------------------------------------------------------- reference
 
 # The simulator before it drew its arrivals, sources and service times as

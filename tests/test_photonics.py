@@ -20,16 +20,13 @@ from oracles import poisson_sample
 
 
 def emit_many(mean_photons, n, seed, label="photon-test"):
-    if mean_photons is None or mean_photons == 0.0:
-        return [emit_pulse(mean_photons, None) for _ in range(n)]
-    return [emit_pulse(mean_photons, u) for u in stream(seed, label).random(n).tolist()]
+    return emit_pulse(mean_photons, stream(seed, label), n).tolist()
 
 
-def send(mean_photons, channel, rng):
-    """One pulse through ``channel``, drawing its photon-number uniform and
-    then one uniform per photon from ``rng``."""
-    photons = emit_pulse(mean_photons, rng.random())
-    return transmit(photons, channel, rng.random(photons).tolist())
+def send(mean_photons, channel, rng, size):
+    """``size`` pulses through ``channel``: their photon-number uniforms,
+    then one uniform per photon, from ``rng``."""
+    return transmit(emit_pulse(mean_photons, rng, size), channel, rng)
 
 
 # ---------------------------------------------------------------- sources
@@ -49,21 +46,26 @@ def test_weak_coherent_mean_at_five():
     assert abs(sum(counts) / len(counts) - 5.0) < 0.05
 
 
+@pytest.mark.parametrize("mean_photons, photons", [(None, 1), (0.0, 0)])
+def test_fixed_sources_leave_the_stream_alone(mean_photons, photons):
+    rng, untouched = stream(6, "fixed-source"), stream(6, "fixed-source")
+    assert np.array_equal(emit_pulse(mean_photons, rng, 300), np.full(300, photons))
+    assert rng.bit_generator.state == untouched.bit_generator.state
+
+
 @pytest.mark.parametrize("mu", [1e-6, 0.5, 5.0, 700.0])
 def test_weak_coherent_count_is_the_scalar_inversion(mu):
-    # emit_pulse at each uniform reads what the scalar sampler reads from
-    # the same stream, one rng.random() per count.
-    uniforms = stream(4, "emit-inversion").random(2000).tolist()
-    ref_rng = stream(4, "emit-inversion")
-    assert [emit_pulse(mu, u) for u in uniforms] == [
-        poisson_sample(mu, ref_rng) for _ in uniforms
-    ]
+    # emit_pulse reads what the scalar sampler reads from the same stream,
+    # one rng.random() per count, and leaves the stream where it does.
+    rng, ref_rng = stream(4, "emit-inversion"), stream(4, "emit-inversion")
+    assert emit_pulse(mu, rng, 2000).tolist() == [poisson_sample(mu, ref_rng) for _ in range(2000)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_source_validation():
     for mu in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            emit_pulse(mu, 0.5)
+            emit_pulse(mu, stream(0, "source-err"), 4)
         with pytest.raises(ValueError):
             run_bb84(10, stream(0, "source-err"), mean_photons=mu)
 
@@ -78,13 +80,13 @@ def test_intensity_labels():
 # ---------------------------------------------------------------- loss
 
 def test_lossless_channel_preserves_pulse():
-    uniforms = stream(3, "lossless").random(7).tolist()
-    assert transmit(7, LossChannel(1.0), uniforms) == 7
+    photons = np.array([7, 0, 3])
+    assert transmit(photons, LossChannel(1.0), stream(3, "lossless")).tolist() == [7, 0, 3]
 
 
 def test_opaque_channel_absorbs_everything():
-    uniforms = stream(3, "opaque").random(7).tolist()
-    assert transmit(7, LossChannel(0.0), uniforms) == 0
+    photons = np.array([7, 0, 3])
+    assert transmit(photons, LossChannel(0.0), stream(3, "opaque")).tolist() == [0, 0, 0]
 
 
 def test_channel_validation():
@@ -97,55 +99,45 @@ def test_channel_validation():
 def test_poisson_thinning_closure():
     # Poisson(5) through a 50% channel must look exactly like Poisson(2.5)
     chan = LossChannel(0.5)
-    rng = stream(42, "thinning")
-    out = [send(5.0, chan, rng) for _ in range(10**5)]
+    out = send(5.0, chan, stream(42, "thinning"), 10**5)
     h = Histogram.from_samples(out, max_bin=12)
     p = chi_square_gof(h, lambda k: sp_poisson.pmf(k, 2.5))
     assert p > 0.01
-    assert abs(sum(out) / len(out) - 2.5) < 0.05
+    assert abs(out.mean() - 2.5) < 0.05
 
 
 def test_loss_monotonicity():
     means = []
     for i, eta in enumerate([1.0, 0.75, 0.5, 0.25, 0.0]):
         rng = stream(11, "loss-mono", trial=i)
-        total = 0
-        for _ in range(20000):
-            total += send(4.0, LossChannel(eta), rng)
-        means.append(total / 20000)
+        means.append(send(4.0, LossChannel(eta), rng, 20000).mean())
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
 def reference_transmit(photons, channel, rng):
-    """The array loss kernel: one array of ``photons`` uniforms."""
-    if photons == 0:
-        return 0
-    return int(np.count_nonzero(rng.random(photons) < channel.transmittance))
+    """The per-photon loss kernel: one ``rng.random()`` per photon, pulse
+    after pulse."""
+    return [sum(rng.random() < channel.transmittance for _ in range(n)) for n in photons]
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 0.9, 1.0])
 def test_transmit_matches_array_reference(eta):
-    # n scalar uniforms are the same draws as one array of n, so the
-    # survivors and the generator state both match the array kernel.
+    # One array of all the chunk's photon uniforms holds the same draws as
+    # one rng.random() per photon, so each pulse's survivors and the
+    # generator state both match, zero-photon pulses and an all-empty chunk
+    # (which draws nothing) included.
     channel = LossChannel(eta)
     for seed in range(20):
         rng, ref_rng = stream(seed, "transmit-ref"), stream(seed, "transmit-ref")
-        for photons in range(8):
-            survivors = transmit(photons, channel, [rng.random() for _ in range(photons)])
-            assert type(survivors) is int
-            assert survivors == reference_transmit(photons, channel, ref_rng)
+        for photons in ([0] * 5, [], [3, 0, 0, 7, 1, 0], list(range(8))):
+            survivors = transmit(np.array(photons, np.intp), channel, rng)
+            assert survivors.tolist() == reference_transmit(photons, channel, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_transmit_needs_one_uniform_per_photon():
-    with pytest.raises(ValueError, match="one uniform per photon"):
-        transmit(3, LossChannel(0.5), [0.1, 0.2])
 
 
 def test_transmit_is_deterministic():
     def run():
-        rng = stream(5, "det-loss")
-        return [transmit(50, LossChannel(0.3), rng.random(50).tolist()) for _ in range(100)]
+        return transmit(np.full(100, 50), LossChannel(0.3), stream(5, "det-loss")).tolist()
 
     assert run() == run()
 

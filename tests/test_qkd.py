@@ -504,9 +504,9 @@ class RecordingGenerator:
     def __init__(self, rng):
         self.rng, self.sizes = rng, []
 
-    def random(self, size):
+    def random(self, size, out=None):
         self.sizes.append(size)
-        return self.rng.random(size)
+        return self.rng.random(size, out=out)
 
     def integers(self, *args, **kwargs):
         return self.rng.integers(*args, **kwargs)
