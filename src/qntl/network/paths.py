@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 from typing import AbstractSet, Mapping
 
 from .topology import Topology
@@ -20,6 +21,10 @@ __all__ = [
     "route",
 ]
 
+# An endless run of zeros: ``map(ways.get, neighbours, _ZEROS)`` yields
+# ways.get(nbr, 0) for each neighbour and stops with the neighbours.
+_ZEROS = itertools.repeat(0)
+
 
 def _layered_walk(
     adjacency: Mapping[int, tuple[int, ...]],
@@ -27,23 +32,26 @@ def _layered_walk(
     target: int,
     seen: set[int],
     hop_bound: int | None,
-) -> tuple[int, int]:
-    """(hop distance, number of shortest paths) from source to target, or
-    (-1, 0) when unreachable within ``hop_bound``.  Each BFS layer carries
-    every node's path count (Brandes' sigma), summed from the layer before;
-    the target's own layer is never built, its count is summed over the
-    layer's meet with the target's neighbours (a set made once per walk).
-    The walk never enters ``seen`` and adds what it reaches."""
+) -> tuple[int, int, list[dict[int, int]]]:
+    """(hop distance, number of shortest paths, layers) from source to
+    target, or (-1, 0, layers) when unreachable within ``hop_bound``.  Each
+    BFS layer carries every node's path count (Brandes' sigma), summed from
+    the layer before; ``layers[k]`` holds the nodes k hops out.  The target's
+    own layer is never built, its count is summed over the last layer's meet
+    with the target's neighbours (a set made once per walk).  The walk never
+    enters ``seen`` and adds what it reaches."""
     if source == target:
-        return 0, 1
+        return 0, 1, []
     near = frozenset(adjacency.get(target, ()))
     layer = {source: 1}
+    layers = []
     depth = 0
     while layer and (hop_bound is None or depth < hop_bound):
         depth += 1
+        layers.append(layer)
         meet = layer.keys() & near
         if meet:
-            return depth, sum(map(layer.__getitem__, meet))
+            return depth, sum(map(layer.__getitem__, meet)), layers
         ahead: dict[int, int] = {}
         for node, node_ways in layer.items():
             for nbr in adjacency[node]:
@@ -53,19 +61,50 @@ def _layered_walk(
                     ahead[nbr] = node_ways
         seen.update(ahead)
         layer = ahead
-    return -1, 0
+    return -1, 0, layers
 
 
 @functools.lru_cache(maxsize=1)
-def _intact_walk(graph: Topology, source: int, target: int) -> tuple[int, int]:
+def _intact_walk(
+    graph: Topology, source: int, target: int
+) -> tuple[int, int, list[dict[int, int]]]:
     """The unblocked walk of the last pair asked; ``Topology`` hashes by identity."""
     return _layered_walk(graph.adjacency, source, target, {source}, None)
 
 
+@functools.lru_cache(maxsize=1)
+def _geodesic_dag(
+    graph: Topology, source: int, target: int
+) -> tuple[list[set[int]], frozenset[int]]:
+    """The shortest-path DAG of a connected pair, from its intact walk.
+
+    Returns the intermediate nodes level by level, ``levels[k]`` holding
+    those k + 1 hops from the source, and the set of them all.  Each level
+    is swept back from the one after it (the target's, first): its nodes'
+    neighbours in the walk's layer before.  A node's predecessors on the
+    DAG are exactly its neighbours in the level before, so no second BFS
+    and no per-node lists are needed.
+    """
+    adjacency = graph.adjacency
+    layers = _intact_walk(graph, source, target)[2]
+    levels = []
+    level = {target}
+    for before in layers[:0:-1]:
+        level = {pred for node in level for pred in adjacency[node] if pred in before}
+        levels.append(level)
+    levels.reverse()
+    return levels, frozenset().union(*levels)
+
+
 def hop_distance(graph: Topology, source: int, target: int) -> int:
-    """Minimum hop count between two nodes, or -1 when disconnected.  Its walk
-    also answers an intact :func:`count_viable_paths` call on the same pair."""
-    return _intact_walk(graph, int(source), int(target))[0]
+    """Minimum hop count between two nodes, or -1 when disconnected; a node
+    the topology lacks raises.  Its walk also answers the same pair's
+    :func:`count_viable_paths` calls."""
+    source = int(source)
+    target = int(target)
+    if source not in graph.adjacency or target not in graph.adjacency:
+        raise ValueError("source and target must be nodes of the topology")
+    return _intact_walk(graph, source, target)[0]
 
 
 def count_viable_paths(
@@ -80,27 +119,47 @@ def count_viable_paths(
     Compromised intermediates are excluded; a compromised endpoint makes the
     question meaningless and raises.  When ``hop_bound`` is given and even
     the best safe path exceeds it, the count is zero: detours longer than
-    the budget are not viable; a negative budget raises.  One layered walk
-    from the source carries exact per-node path counts and stops at the
-    target's layer, so it stays polynomial even when the count itself is
-    astronomically large.
+    the budget are not viable; a negative budget raises.
+
+    Blocking nodes never shortens a path, so within a budget no longer than
+    the intact distance d the viable paths are the intact geodesics that
+    avoid the compromised set.  Those are counted on the pair's geodesic DAG
+    (the intact walk's layers, swept back once per pair): the intact count
+    when no DAG node is compromised, otherwise one pass summing each safe
+    node's predecessors.  Only when every geodesic is blocked and the budget
+    allows a longer path does a blocked layered walk run.  Counts are exact
+    integers, so they stay polynomial even when astronomically large.
     """
     source = int(source)
     target = int(target)
     bound = None if hop_bound is None else int(hop_bound)
     if bound is not None and bound < 0:
         raise ValueError(f"hop bound must be >= 0, got {bound}")
-    blocked = set(compromised)
+    blocked = frozenset(compromised)
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
     adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
+    distance, ways, _ = _intact_walk(graph, source, target)
+    if distance < 0 or (bound is not None and bound < distance):
+        return 0
     if not blocked:
-        distance, ways = _intact_walk(graph, source, target)
-        return ways if bound is None or distance <= bound else 0
-    blocked.add(source)
-    return _layered_walk(adjacency, source, target, blocked, bound)[1]
+        return ways
+    levels, nodes = _geodesic_dag(graph, source, target)
+    if nodes.isdisjoint(blocked):
+        return ways
+    ways_to = {source: 1}
+    for level in levels:
+        ways_to = {
+            node: sum(map(ways_to.get, adjacency[node], _ZEROS))
+            for node in level
+            if node not in blocked
+        }
+    count = sum(ways_to.values())
+    if count or bound == distance:
+        return count
+    return _layered_walk(adjacency, source, target, {source, *blocked}, bound)[1]
 
 
 @functools.lru_cache(maxsize=1)

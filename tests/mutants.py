@@ -68,6 +68,52 @@ MUTANTS: tuple[Mutant, ...] = (
         "",
         ("tests/test_dos.py::test_simulate_rejects_negative_and_non_finite_inputs",),
     ),
+    Mutant(
+        "dag-pass-ignores-compromised",
+        "qntl/network/paths.py",
+        "            if node not in blocked\n",
+        "",
+        ("tests/test_network.py::test_counts_match_blocked_walk_oracle[grid]",
+         "tests/test_network.py::test_cut_disconnects_count"),
+    ),
+    Mutant(
+        "dag-disjoint-shortcut-always",
+        "qntl/network/paths.py",
+        "if nodes.isdisjoint(blocked):",
+        "if True:",
+        ("tests/test_network.py::test_counts_match_blocked_walk_oracle[erdos-renyi]",
+         "tests/test_network.py::test_count_falls_back_when_every_geodesic_is_blocked"),
+    ),
+    Mutant(
+        "count-bound-at-distance-is-zero",
+        "qntl/network/paths.py",
+        "bound < distance)",
+        "bound <= distance)",
+        ("tests/test_network.py::test_counts_match_blocked_walk_oracle[tree]",
+         "tests/test_network.py::test_hop_bound_excludes_detours"),
+    ),
+    Mutant(
+        "decay-bisect-left",
+        "qntl/network/experiments.py",
+        "from bisect import bisect_right\n",
+        "from bisect import bisect_left as bisect_right\n",
+        ("tests/test_network.py::test_decay_rows_match_per_row_reference",),
+    ),
+    Mutant(
+        "decay-one-endpoint-rank",
+        "qntl/network/experiments.py",
+        "min(rank[u], rank[v])",
+        "rank[u]",
+        ("tests/test_network.py::test_decay_rows_match_per_row_reference",),
+    ),
+    Mutant(
+        "decay-no-break-at-zero",
+        "qntl/network/experiments.py",
+        "                        if not pair_counts[k]:\n"
+        "                            break\n",
+        "",
+        ("tests/test_network.py::test_decay_rows_match_per_row_reference",),
+    ),
 )
 
 

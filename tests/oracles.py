@@ -5,12 +5,15 @@ match, and the correlator and CHSH combination are the analytic side of the
 entanglement checks (acceptance criterion 5).  Each works on a
 :class:`qntl.quantum.PureState` through the package's public calls.  The
 scalar Poisson sampler is the one-uniform-at-a-time reference for the
-array sampler and for the photon gate.
+array sampler and for the photon gate.  The blocked layered walk is the
+per-(pair, fraction) path count that ``count_viable_paths`` replaced with
+passes over each pair's shortest-path DAG.
 """
 import bisect
 import cmath
 from typing import Iterable, Sequence
 
+from qntl.network import Topology
 from qntl.quantum import CHSH_OPTIMAL_ANGLES, PureState, joint_probabilities
 from qntl.stats import _guide_table
 
@@ -22,6 +25,40 @@ def poisson_sample(mu, rng):
     if mu == 0.0:
         return 0
     return bisect.bisect_left(steps, rng.random())
+
+
+def count_by_blocked_walk(topology: Topology, source, target, compromised=frozenset(),
+                          hop_bound=None) -> int:
+    """Minimum-hop paths from source to target that avoid ``compromised``,
+    counted only when they take at most ``hop_bound`` hops.
+
+    One BFS from the source that never enters a compromised node; each
+    layer carries every node's path count, summed from the layer before,
+    and the walk stops at the first layer that meets the target's
+    neighbours.  Endpoints are taken as valid and safe.
+    """
+    if source == target:
+        return 1
+    adjacency = topology.adjacency
+    near = frozenset(adjacency[target])
+    seen = {source, *compromised}
+    layer = {source: 1}
+    depth = 0
+    while layer and (hop_bound is None or depth < hop_bound):
+        depth += 1
+        meet = layer.keys() & near
+        if meet:
+            return sum(layer[node] for node in meet)
+        ahead = {}
+        for node, ways in layer.items():
+            for nbr in adjacency[node]:
+                if nbr in ahead:
+                    ahead[nbr] += ways
+                elif nbr not in seen:
+                    ahead[nbr] = ways
+        seen.update(ahead)
+        layer = ahead
+    return 0
 
 
 def apply_phase(state: PureState, qubit_index: int, theta: float) -> PureState:

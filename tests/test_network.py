@@ -31,6 +31,8 @@ from qntl.network.experiments import _moments
 from qntl.network.topology import _preferential_edges
 from qntl.stats import stream
 
+from oracles import count_by_blocked_walk
+
 
 def with_untrusted(topology, node_ids):
     """Copy of the topology with the listed nodes flagged untrusted."""
@@ -430,6 +432,15 @@ def test_hop_distance():
     assert hop_distance(lonely, 0, 2) == -1
 
 
+def test_unknown_nodes_raise_like_count_and_route():
+    topo = generate_topology("grid", 0)
+    message = "source and target must be nodes of the topology"
+    for source, target in ((0, 999), (999, 0), (999, 999)):
+        for call in (hop_distance, count_viable_paths, route):
+            with pytest.raises(ValueError, match=message):
+                call(topo, source, target)
+
+
 def test_intact_memo_keys_on_the_topology():
     # Same node ids, different edges: a walk remembered for one topology
     # must not answer for the other.
@@ -462,6 +473,56 @@ def test_intact_memo_leaves_blocked_walks_alone():
         assert count_viable_paths(topo, 0, 99, removed) == paths
         expected = paths if distance == 18 else 0
         assert count_viable_paths(topo, 0, 99, removed, hop_bound=18) == expected
+
+
+FAMILIES = ["grid", "erdos-renyi", "waxman", "hexagonal", "tree", "barabasi-albert"]
+DEFAULT_FRACTIONS = [round(0.1 * i, 10) for i in range(9)]
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_counts_match_blocked_walk_oracle(kind):
+    # The decay sweep's compromise sets (nested prefixes of one permutation
+    # per trial, at the default fractions) under the bounds around each
+    # pair's intact distance d.  Above d, a pair whose geodesics are all
+    # blocked falls back to a longer path, which a tree never has.
+    rng = stream(3, f"dag-oracle-{kind}")
+    fallbacks = 0
+    for _ in range(4):
+        topo = generate_topology(kind, int(rng.integers(0, 2**63)))
+        n = topo.n_nodes
+        shuffled = rng.permutation(n).tolist()
+        nested = [frozenset(shuffled[: math.floor(f * n)]) for f in DEFAULT_FRACTIONS]
+        for source, target in rng.integers(0, n, size=(15, 2)).tolist():
+            d = hop_distance(topo, source, target)
+            for compromised in nested:
+                if source in compromised or target in compromised:
+                    break
+                for bound in (None, d - 1, d, d + 1):
+                    if bound is not None and bound < 0:
+                        continue
+                    expected = count_by_blocked_walk(topo, source, target, compromised, bound)
+                    assert count_viable_paths(topo, source, target, compromised, bound) == expected
+                    fallbacks += bound is None and expected > 0 and d > 0 and not (
+                        count_by_blocked_walk(topo, source, target, compromised, d)
+                    )
+    assert fallbacks or kind == "tree"
+
+
+def test_count_falls_back_when_every_geodesic_is_blocked():
+    # 11 and 33 are four hops apart on the 10x10 grid.  Every geodesic
+    # leaves 11 through 12 or 21, so with both blocked only detours remain,
+    # and the grid is bipartite: the shortest are six hops long.
+    topo = generate_topology("grid", 0)
+    blocked = frozenset({12, 21})
+    assert hop_distance(topo, 11, 33) == 4
+    assert count_viable_paths(topo, 11, 33, hop_bound=4) == 6
+    for bound in (4, 5):
+        assert count_viable_paths(topo, 11, 33, blocked, bound) == 0
+    expected = count_by_blocked_walk(topo, 11, 33, blocked)
+    assert expected > 0
+    assert count_by_blocked_walk(topo, 11, 33, blocked, hop_bound=5) == 0
+    for bound in (None, 6, 9):
+        assert count_viable_paths(topo, 11, 33, blocked, bound) == expected
 
 
 # ---------------------------------------------------------------- routing
