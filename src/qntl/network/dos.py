@@ -259,17 +259,18 @@ def dos_simulate(
         for t, src in zip(arrival, source):
             arrivals_of.setdefault(src, []).append(t)
 
-        def window_count(src: int, now: float) -> int:
-            """Arrivals from ``src`` within the trailing suspicion window."""
-            times = arrivals_of[src]
-            return bisect_right(times, now) - bisect_left(times, now - SUSPICION_WINDOW_MS)
-
         def take(now: float) -> int:
-            line = min(
-                lines.values(), key=lambda line: (window_count(source[line[0]], now), line[0])
-            )
-            j = line.popleft()
-            if not line:
+            # The line whose source has the fewest arrivals in the trailing
+            # window, the older head first among equal counts.
+            since = now - SUSPICION_WINDOW_MS
+            best = best_count = None
+            for src, line in lines.items():
+                times = arrivals_of[src]
+                count = bisect_right(times, now) - bisect_left(times, since)
+                if best is None or count < best_count or count == best_count and line[0] < best[0]:
+                    best, best_count = line, count
+            j = best.popleft()
+            if not best:
                 del lines[source[j]]
             return j
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .paths import count_viable_paths, hop_distance, route
-from .topology import Topology, TopologyKind, generate_topology
+from .topology import LATTICE_KINDS, Topology, TopologyKind, generate_topology
 
 __all__ = [
     "DecayRow",
@@ -69,9 +69,10 @@ def untrusted_node_experiment(
 ) -> DecayTable:
     """Measure viable-path decay as nodes become untrusted.
 
-    Per trial: generate the family's topology, with its default parameters,
-    from a fresh seed (random families thus resample their graph each
-    trial), draw one random permutation of its nodes 0..n-1 and
+    Per trial: draw a fresh seed and generate the family's topology from it,
+    with its default parameters (random families thus resample their graph
+    each trial; a lattice, the same for every seed, is built in the first
+    trial and reused), draw one random permutation of its nodes 0..n-1 and
     ``pairs_per_trial`` endpoint pairs, then for every fraction f compromise
     the first floor(f * n) permutation entries.  A pair whose endpoint is
     compromised contributes zero; otherwise it contributes
@@ -99,9 +100,13 @@ def untrusted_node_experiment(
         # connected pairs again by intact distance.
         counts: list[list[int]] = []
         by_distance: dict[int, list[list[int]]] = {}
+        topology = None
         for _ in range(trials):
+            # A lattice's edges do not depend on the seed, so it is built
+            # once; every trial still draws its seed, keeping the stream.
             topo_seed = int(rng.integers(0, 2**63))
-            topology = generate_topology(kind, topo_seed)
+            if topology is None or kind not in LATTICE_KINDS:
+                topology = generate_topology(kind, topo_seed)
             n = topology.n_nodes
             shuffled = rng.permutation(n).tolist()
             rank = dict(zip(shuffled, range(n)))

@@ -12,10 +12,9 @@ fields behave identically everywhere downstream.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +23,7 @@ from ..stats import stream
 
 __all__ = [
     "TopologyKind",
+    "LATTICE_KINDS",
     "NodeInfo",
     "Topology",
     "DEFAULT_PARAMS",
@@ -41,6 +41,9 @@ class TopologyKind(str, Enum):
     TREE = "tree"
     BARABASI_ALBERT = "barabasi-albert"
 
+
+# The deterministic families: their edges do not depend on the seed.
+LATTICE_KINDS = frozenset({TopologyKind.GRID, TopologyKind.HEXAGONAL, TopologyKind.TREE})
 
 # Size parameters give roughly hundred-node networks across all families.
 DEFAULT_PARAMS: dict[TopologyKind, dict[str, float | int]] = {
@@ -80,14 +83,15 @@ class Topology:
 
     def __post_init__(self) -> None:
         nodes = dict(self.nodes)
-        edges = [(u, v) if u < v else (v, u) for u, v in self.edges]
-        edges.sort()
-        loops = [u for u, v in edges if u == v]
-        if loops:
-            raise ValueError(f"self-loop on node {loops[0]}")
-        if len(set(edges)) != len(edges):
-            edge = next(a for a, b in zip(edges, edges[1:]) if a == b)
-            raise ValueError(f"duplicate edge {edge}")
+        edges = self.edges
+        if not _ascending(edges):
+            edges = sorted((u, v) if u < v else (v, u) for u, v in edges)
+            loops = [u for u, v in edges if u == v]
+            if loops:
+                raise ValueError(f"self-loop on node {loops[0]}")
+            if len(set(edges)) != len(edges):
+                edge = next(a for a, b in zip(edges, edges[1:]) if a == b)
+                raise ValueError(f"duplicate edge {edge}")
         # Sorted (u < v) edges reach each node's neighbours in ascending
         # order: the smaller ones as u ascends, then the larger as v does.
         adjacency: dict[int, list[int]] = {node_id: [] for node_id in nodes}
@@ -106,6 +110,23 @@ class Topology:
         return len(self.nodes)
 
 
+def _ascending(edges: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the edges are tuples (u, v) with u < v in strictly ascending
+    order, so that they hold no self-loop or duplicate and normalising and
+    sorting them would change nothing.  One pass, for generated edge lists,
+    which come this way."""
+    previous = ()  # below every edge
+    try:
+        for edge in edges:
+            u, v = edge
+            if u >= v or edge <= previous:
+                return False
+            previous = edge
+    except TypeError:  # an edge that is not a tuple, such as a list
+        return False
+    return True
+
+
 def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
     sizes = ("branching", "height") if kind is TopologyKind.TREE else ("rows", "cols")
     a, b = (int(params[key]) for key in sizes)
@@ -117,7 +138,7 @@ def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, 
 @functools.lru_cache(maxsize=8)
 def _lattice(kind: TopologyKind, a: int, b: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Deterministic lattice families, relabeled to 0..n-1 by sorted position,
-    built once per (family, size).
+    built once per (family, size), with the edges (u < v) sorted.
 
     The tree is numbered in level order.  The hexagonal lattice has node
     columns i = 0..cols of 2*rows + 2 nodes j, less one corner at each end;
@@ -136,7 +157,7 @@ def _lattice(kind: TopologyKind, a: int, b: int) -> tuple[int, tuple[tuple[int, 
     labels = {cell: k for k, cell in enumerate(cells)}
     links = [((i, j), (i, j + 1)) for i, j in cells]
     links += [((i, j), (i + 1, j)) for i, j in cells if kind is TopologyKind.GRID or i % 2 == j % 2]
-    return len(cells), tuple((labels[u], labels[v]) for u, v in links if v in labels)
+    return len(cells), tuple(sorted((labels[u], labels[v]) for u, v in links if v in labels))
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,7 +193,11 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
     if n < k + 2:
         raise ValueError(f"need at least k + 2 = {k + 2} nodes, got {n}")
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
-    degrees = [k] * (k + 1)
+    # Each node once per unit of its degree, in node order, so ascending.
+    # Slot int(x) of x = u * total belongs to the node that bisect_right
+    # finds for x in the cumulative degrees, which are integers: the same
+    # uniform picks the same node.  A target's new slot joins its block.
+    slots = [node for node in range(k + 1) for _ in range(k)]
     # Uniforms come from a buffer refilled with the fewest draws still to come
     # (one per missing target, here and at every later node), which one draw
     # per attempt would make anyway, so the stream is the same.
@@ -180,18 +205,17 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
     position = 0
     for new in range(k + 1, n):
         targets: set[int] = set()
-        cumulative = list(accumulate(degrees))
-        total = cumulative[-1]
+        total = len(slots)
         while len(targets) < k:
             if position == len(draws):
                 draws = rng.random(k - len(targets) + k * (n - 1 - new)).tolist()
                 position = 0
-            targets.add(bisect_right(cumulative, draws[position] * total))
+            targets.add(slots[int(draws[position] * total)])
             position += 1
         for t in sorted(targets):
             edges.append((t, new))
-            degrees[t] += 1
-        degrees.append(k)
+            insort(slots, t)
+        slots += [new] * k
     return edges
 
 
@@ -219,7 +243,7 @@ def generate_topology(
         merged[key] = value
     rng = stream(seed, f"topology:{kind.value}")
 
-    if kind in (TopologyKind.GRID, TopologyKind.HEXAGONAL, TopologyKind.TREE):
+    if kind in LATTICE_KINDS:
         n, edges = _lattice_edges(kind, merged)
     elif kind is TopologyKind.ERDOS_RENYI:
         n = int(merged["n"])

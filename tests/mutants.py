@@ -1,16 +1,18 @@
 """Mutation panel: named faults that the tests must catch.
 
 Each mutant replaces one exact text in one file under ``src/`` and names the
-tests that must then fail.  The panel applies each mutant to a temporary
-copy of ``src/``, runs its tests there with ``-x -q``, and reports a mutant
-whose tests still pass as a survivor.
+tests that must then fail, each of them on its own.  The panel applies each
+mutant to a temporary copy of ``src/`` and runs every named test there in a
+pytest process of its own (``-x -q``), so a test that stops catching its
+mutant shows even when another named test still does.  It prints one line
+per (mutant, test) pair and reports every pair whose test passes as missed.
 
 Run from anywhere:
 
     python tests/mutants.py               # every mutant
     python tests/mutants.py --only NAME   # one mutant
 
-The exit status is 1 when any mutant survives.
+The exit status is 1 when any named test misses its mutant.
 """
 from __future__ import annotations
 
@@ -114,11 +116,73 @@ MUTANTS: tuple[Mutant, ...] = (
         "",
         ("tests/test_network.py::test_decay_rows_match_per_row_reference",),
     ),
+    Mutant(
+        "decay-lattice-reuse-every-family",
+        "qntl/network/experiments.py",
+        "if topology is None or kind not in LATTICE_KINDS:",
+        "if topology is None:",
+        ("tests/test_network.py::test_decay_rows_match_per_row_reference",),
+    ),
+    Mutant(
+        "topology-ascending-skips-u-below-v",
+        "qntl/network/topology.py",
+        "if u >= v or edge <= previous:",
+        "if edge <= previous:",
+        ("tests/test_network.py::test_topology_validation",
+         "tests/test_network.py::test_topology_normalises_unsorted_reversed_edges"),
+    ),
+    Mutant(
+        "topology-ascending-allows-equal",
+        "qntl/network/topology.py",
+        "if u >= v or edge <= previous:",
+        "if u >= v or edge < previous:",
+        ("tests/test_network.py::test_topology_validation",),
+    ),
+    Mutant(
+        "topology-ascending-skips-order",
+        "qntl/network/topology.py",
+        "if u >= v or edge <= previous:",
+        "if u >= v:",
+        ("tests/test_network.py::test_topology_validation",
+         "tests/test_network.py::test_topology_normalises_unsorted_reversed_edges"),
+    ),
+    Mutant(
+        "preferential-no-new-node-slots",
+        "qntl/network/topology.py",
+        "        slots += [new] * k\n",
+        "",
+        ("tests/test_network.py::test_preferential_edges_match_numpy_reference",
+         "tests/test_network.py::test_barabasi_albert_exports_are_pinned"),
+    ),
+    Mutant(
+        "preferential-slots-in-attachment-order",
+        "qntl/network/topology.py",
+        "insort(slots, t)",
+        "slots.append(t)",
+        ("tests/test_network.py::test_preferential_edges_match_numpy_reference",
+         "tests/test_network.py::test_barabasi_albert_exports_are_pinned"),
+    ),
+    Mutant(
+        "suspicion-window-counts-all-arrivals",
+        "qntl/network/dos.py",
+        "bisect_left(times, since)",
+        "0",
+        ("tests/test_golden.py::test_rows_match_golden_pins",),
+    ),
+    Mutant(
+        "suspicion-newer-head-first",
+        "qntl/network/dos.py",
+        "line[0] < best[0]",
+        "line[0] > best[0]",
+        ("tests/test_golden.py::test_rows_match_golden_pins",),
+    ),
 )
 
 
-def survives(mutant: Mutant) -> bool:
-    """Apply ``mutant`` to a copy of ``src/`` and run its tests there."""
+def missed_by(mutant: Mutant) -> list[tuple[str, bool]]:
+    """Apply ``mutant`` to a copy of ``src/`` and run each of its tests
+    there alone: (test, whether it passed and so missed the mutant)."""
+    results = []
     with tempfile.TemporaryDirectory(prefix="qntl-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -127,31 +191,35 @@ def survives(mutant: Mutant) -> bool:
         if text.count(mutant.text) != 1:
             raise SystemExit(f"{mutant.name}: text does not occur exactly once in {mutant.path}")
         target.write_text(text.replace(mutant.text, mutant.replacement), encoding="utf-8")
-        # The ini's pythonpath would put the unmutated src/ first.
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   "-o", f"pythonpath={src}", *mutant.tests]
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
-        result = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
-    if result.returncode not in (0, 1):
-        raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
-    return result.returncode == 0
+        for test in mutant.tests:
+            # The ini's pythonpath would put the unmutated src/ first.
+            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                       "-o", f"pythonpath={src}", test]
+            result = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
+            if result.returncode not in (0, 1):
+                raise SystemExit(
+                    f"{mutant.name}: pytest exited {result.returncode} on {test}\n{result.stdout}"
+                )
+            results.append((test, result.returncode == 0))
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", choices=[m.name for m in MUTANTS], help="run one mutant")
     args = parser.parse_args(argv)
-    survivors = []
+    misses = []
     for mutant in MUTANTS:
         if args.only and mutant.name != args.only:
             continue
-        alive = survives(mutant)
-        print(f"{mutant.name}: {'SURVIVED' if alive else 'caught'}", flush=True)
-        if alive:
-            survivors.append(mutant.name)
-    if survivors:
-        print(f"{len(survivors)} survivor(s): {', '.join(survivors)}")
-    return 1 if survivors else 0
+        for test, missed in missed_by(mutant):
+            print(f"{mutant.name}: {test}: {'MISSED' if missed else 'caught'}", flush=True)
+            if missed:
+                misses.append(f"{mutant.name} by {test}")
+    if misses:
+        print(f"{len(misses)} missed: {', '.join(misses)}")
+    return 1 if misses else 0
 
 
 if __name__ == "__main__":

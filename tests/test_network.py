@@ -210,13 +210,17 @@ def test_generation_quality_ranges():
 
 
 def test_topology_validation():
+    # Edges already ascending with u < v skip normalisation, so the cases
+    # ascending up to one bad edge must still fall through to these checks.
     nodes = {i: NodeInfo() for i in range(2)}
-    with pytest.raises(ValueError, match="self-loop on node 0"):
-        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 0)))
+    for edges in (((0, 1), (0, 0)), ((0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="self-loop on node 0"):
+            Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
     with pytest.raises(ValueError, match=r"edge \(0, 3\) references an unknown node"):
         Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (3, 0)))
-    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
-        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (1, 0)))
+    for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1))):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
 
 
 def test_topology_normalises_unsorted_reversed_edges():
@@ -230,6 +234,17 @@ def test_topology_normalises_unsorted_reversed_edges():
         assert nbrs == tuple(sorted(nbrs))
         assert set(nbrs) == {u + v - node_id for u, v in edges if node_id in (u, v)}
     assert topo.adjacency[0] == (1, 2, 4, 5)
+    # Ascending up to one edge: reversed last, or out of order with u < v.
+    for edges, expected in (
+        (((0, 1), (0, 2), (1, 3), (3, 2)), ((0, 1), (0, 2), (1, 3), (2, 3))),
+        (((0, 1), (1, 2), (0, 3)), ((0, 1), (0, 3), (1, 2))),
+    ):
+        topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
+        assert topo.edges == expected
+        assert topo.adjacency[0] == tuple(v for u, v in expected if u == 0)
+    # Lists are not edges as stored: they are normalised to tuples.
+    topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=([0, 1], [1, 2]))
+    assert topo.edges == ((0, 1), (1, 2)) and type(topo.edges[0]) is tuple
 
 
 def test_generated_topologies_share_no_node_map():
@@ -700,9 +715,10 @@ def reference_decay_rows(kinds, fractions, trials, pairs_per_trial, rng):
 
 def test_decay_rows_match_per_row_reference(monkeypatch):
     # Same rows and the same count_viable_paths calls, in the same order.
-    # Random families resample per trial; near-equal fractions give equal
-    # compromise sets, and 0.99 compromises nearly every endpoint.
-    kinds = ["grid", "erdos-renyi", "waxman", "tree", "barabasi-albert"]
+    # Random families resample per trial and the reference builds every
+    # lattice anew each trial; near-equal fractions give equal compromise
+    # sets, and 0.99 compromises nearly every endpoint.
+    kinds = ["grid", "erdos-renyi", "waxman", "hexagonal", "tree", "barabasi-albert"]
     fractions = [0.0, 0.004, 0.009, 0.2, 0.5, 0.99]
     calls = {"reference": [], "candidate": []}
     original = count_viable_paths
