@@ -4,8 +4,8 @@ diversion by a node that lies about its quality figures.
 The decay experiment measures how the number of viable minimum-hop paths
 between random endpoint pairs falls as a growing fraction of nodes becomes
 untrusted.  Compromise sets are nested (prefixes of one per-trial
-permutation), and viability carries the intact-path hop budget, so each
-sampled pair's count is non-increasing in the fraction by construction.
+permutation), and a viable path is one of the pair's intact geodesics, so
+each sampled pair's count is non-increasing in the fraction by construction.
 The sweep relies on that: once a pair's count reaches zero, its later
 fractions record zero without counting again.
 """
@@ -75,10 +75,10 @@ def untrusted_node_experiment(
     trial and reused), draw one random permutation of its nodes 0..n-1 and
     ``pairs_per_trial`` endpoint pairs, then for every fraction f compromise
     the first floor(f * n) permutation entries.  A pair whose endpoint is
-    compromised contributes zero; otherwise it contributes
-    the number of minimum-hop paths avoiding the compromised set, within the
-    pair's intact hop distance.  Pairs disconnected even intact contribute
-    zero throughout and appear only in the aggregate rows.
+    compromised contributes zero; otherwise it contributes the number of its
+    intact minimum-hop paths that avoid the compromised set.  Pairs
+    disconnected even intact contribute zero throughout and appear only in
+    the aggregate rows.
 
     ``fractions`` must be strictly ascending within [0, 1].
     """
@@ -123,9 +123,7 @@ def untrusted_node_experiment(
                     # on, and after the first zero count, stay zero (see the
                     # module docstring).
                     for k in range(bisect_right(cuts, min(rank[u], rank[v]))):
-                        pair_counts[k] = count_viable_paths(
-                            topology, u, v, compromised_sets[k], hop_bound=intact_distance
-                        )
+                        pair_counts[k] = count_viable_paths(topology, u, v, compromised_sets[k])
                         if not pair_counts[k]:
                             break
                     by_distance.setdefault(intact_distance, []).append(pair_counts)

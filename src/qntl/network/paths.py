@@ -1,8 +1,8 @@
 """Path counting and route selection.
 
-The viability metric counts minimum-hop paths that avoid compromised nodes,
-optionally under a hop budget; it is the quantity whose decay the
-untrusted-node experiment tracks.  Routing minimizes advertised trust
+The viability metric counts a pair's intact minimum-hop paths whose
+intermediate nodes are all uncompromised; it is the quantity whose decay
+the untrusted-node experiment tracks.  Routing minimizes advertised trust
 weight with fully deterministic tie-breaking, so a route is a pure function
 of the topology and inputs.
 """
@@ -26,32 +26,28 @@ __all__ = [
 _ZEROS = itertools.repeat(0)
 
 
-def _layered_walk(
-    adjacency: Mapping[int, tuple[int, ...]],
-    source: int,
-    target: int,
-    seen: set[int],
-    hop_bound: int | None,
+@functools.lru_cache(maxsize=1)
+def _intact_walk(
+    graph: Topology, source: int, target: int
 ) -> tuple[int, int, list[dict[int, int]]]:
     """(hop distance, number of shortest paths, layers) from source to
-    target, or (-1, 0, layers) when unreachable within ``hop_bound``.  Each
-    BFS layer carries every node's path count (Brandes' sigma), summed from
-    the layer before; ``layers[k]`` holds the nodes k hops out.  The target's
-    own layer is never built, its count is summed over the last layer's meet
-    with the target's neighbours (a set made once per walk).  The walk never
-    enters ``seen`` and adds what it reaches."""
+    target, or (-1, 0, layers) when disconnected, for the last pair asked;
+    ``Topology`` hashes by identity.  Each BFS layer carries every node's
+    path count (Brandes' sigma), summed from the layer before; ``layers[k]``
+    holds the nodes k hops out.  The target's own layer is never built: its
+    count sums the last layer's meet with the target's neighbours."""
     if source == target:
         return 0, 1, []
-    near = frozenset(adjacency.get(target, ()))
+    adjacency = graph.adjacency
+    near = frozenset(adjacency[target])
+    seen = {source}
     layer = {source: 1}
     layers = []
-    depth = 0
-    while layer and (hop_bound is None or depth < hop_bound):
-        depth += 1
+    while layer:
         layers.append(layer)
         meet = layer.keys() & near
         if meet:
-            return depth, sum(map(layer.__getitem__, meet)), layers
+            return len(layers), sum(map(layer.__getitem__, meet)), layers
         ahead: dict[int, int] = {}
         for node, node_ways in layer.items():
             for nbr in adjacency[node]:
@@ -62,14 +58,6 @@ def _layered_walk(
         seen.update(ahead)
         layer = ahead
     return -1, 0, layers
-
-
-@functools.lru_cache(maxsize=1)
-def _intact_walk(
-    graph: Topology, source: int, target: int
-) -> tuple[int, int, list[dict[int, int]]]:
-    """The unblocked walk of the last pair asked; ``Topology`` hashes by identity."""
-    return _layered_walk(graph.adjacency, source, target, {source}, None)
 
 
 @functools.lru_cache(maxsize=1)
@@ -112,39 +100,29 @@ def count_viable_paths(
     source: int,
     target: int,
     compromised: AbstractSet[int] = frozenset(),
-    hop_bound: int | None = None,
 ) -> int:
-    """Count minimum-hop paths from source to target through safe nodes.
+    """Count the pair's intact minimum-hop paths that avoid every
+    compromised intermediate node.
 
-    Compromised intermediates are excluded; a compromised endpoint makes the
-    question meaningless and raises.  When ``hop_bound`` is given and even
-    the best safe path exceeds it, the count is zero: detours longer than
-    the budget are not viable; a negative budget raises.
-
-    Blocking nodes never shortens a path, so within a budget no longer than
-    the intact distance d the viable paths are the intact geodesics that
-    avoid the compromised set.  Those are counted on the pair's geodesic DAG
-    (the intact walk's layers, swept back once per pair): the intact count
-    when no DAG node is compromised, otherwise one pass summing each safe
-    node's predecessors.  Only when every geodesic is blocked and the budget
-    allows a longer path does a blocked layered walk run.  Counts are exact
-    integers, so they stay polynomial even when astronomically large.
+    ``source == target`` counts 1.  A disconnected pair counts 0, and so
+    does a pair whose geodesics are all blocked, whatever longer detours
+    remain; a compromised endpoint makes the question meaningless and
+    raises.  The count is the intact one when no node of the pair's
+    geodesic DAG (the intact walk's layers, swept back once per pair) is
+    compromised, otherwise one pass summing each safe node's predecessors.
+    Counts are exact integers, so they stay exact even when astronomically
+    large.
     """
     source = int(source)
     target = int(target)
-    bound = None if hop_bound is None else int(hop_bound)
-    if bound is not None and bound < 0:
-        raise ValueError(f"hop bound must be >= 0, got {bound}")
     blocked = frozenset(compromised)
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
     adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         raise ValueError("source and target must be nodes of the topology")
-    distance, ways, _ = _intact_walk(graph, source, target)
-    if distance < 0 or (bound is not None and bound < distance):
-        return 0
-    if not blocked:
+    ways = _intact_walk(graph, source, target)[1]
+    if not ways or not blocked:
         return ways
     levels, nodes = _geodesic_dag(graph, source, target)
     if nodes.isdisjoint(blocked):
@@ -156,10 +134,7 @@ def count_viable_paths(
             for node in level
             if node not in blocked
         }
-    count = sum(ways_to.values())
-    if count or bound == distance:
-        return count
-    return _layered_walk(adjacency, source, target, {source, *blocked}, bound)[1]
+    return sum(ways_to.values())
 
 
 @functools.lru_cache(maxsize=1)

@@ -84,15 +84,33 @@ MUTANTS: tuple[Mutant, ...] = (
         "if nodes.isdisjoint(blocked):",
         "if True:",
         ("tests/test_network.py::test_counts_match_blocked_walk_oracle[erdos-renyi]",
-         "tests/test_network.py::test_count_falls_back_when_every_geodesic_is_blocked"),
+         "tests/test_network.py::test_count_is_zero_when_every_geodesic_is_blocked"),
     ),
     Mutant(
-        "count-bound-at-distance-is-zero",
+        "walk-one-way-per-node",
         "qntl/network/paths.py",
-        "bound < distance)",
-        "bound <= distance)",
-        ("tests/test_network.py::test_counts_match_blocked_walk_oracle[tree]",
-         "tests/test_network.py::test_hop_bound_excludes_detours"),
+        "ahead[nbr] += node_ways",
+        "ahead[nbr] = node_ways",
+        ("tests/test_network.py::test_counts_and_distances_match_networkx",
+         "tests/test_network.py::test_counts_match_blocked_walk_oracle[grid]",
+         "tests/test_network.py::test_grid_corner_path_count",
+         "tests/test_network.py::test_intact_memo_answers_only_its_own_pair"),
+    ),
+    Mutant(
+        "route-no-hop-tie-break",
+        "qntl/network/paths.py",
+        "hops + 1",
+        "hops",
+        ("tests/test_network.py::test_uniform_weights_match_shortest_hop",
+         "tests/test_network.py::test_route_matches_brute_force_over_simple_paths"),
+    ),
+    Mutant(
+        "route-weights-mutated-in-place",
+        "qntl/network/paths.py",
+        "weights = {**weights, **{node: float(w) for node, w in advertised_weights.items()}}",
+        "weights.update({node: float(w) for node, w in advertised_weights.items()})",
+        ("tests/test_network.py::test_advertised_weights_override_only_listed_nodes",
+         "tests/test_golden.py::test_rows_match_golden_pins"),
     ),
     Mutant(
         "decay-bisect-left",
@@ -115,6 +133,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "                            break\n",
         "",
         ("tests/test_network.py::test_decay_rows_match_per_row_reference",),
+    ),
+    Mutant(
+        "decay-moments-on-float64",
+        "qntl/network/experiments.py",
+        "dtype=np.int64).T.copy()",
+        "dtype=np.float64).T.copy()",
+        ("tests/test_network.py::test_decay_moments_match_per_row_calls[long-rows]",),
     ),
     Mutant(
         "decay-lattice-reuse-every-family",
@@ -167,14 +192,26 @@ MUTANTS: tuple[Mutant, ...] = (
         "qntl/network/dos.py",
         "bisect_left(times, since)",
         "0",
-        ("tests/test_golden.py::test_rows_match_golden_pins",),
+        ("tests/test_golden.py::test_rows_match_golden_pins",
+         "tests/test_dos.py::test_suspicion_scheduler_matches_per_pick_reference"),
     ),
     Mutant(
         "suspicion-newer-head-first",
         "qntl/network/dos.py",
         "line[0] < best[0]",
         "line[0] > best[0]",
-        ("tests/test_golden.py::test_rows_match_golden_pins",),
+        ("tests/test_golden.py::test_rows_match_golden_pins",
+         "tests/test_dos.py::test_suspicion_scheduler_matches_per_pick_reference"),
+    ),
+    Mutant(
+        "dos-service-10pct-longer",
+        "qntl/network/dos.py",
+        "_exponential(mean_service_ms, n_legit, rng)",
+        "_exponential(1.1 * mean_service_ms, n_legit, rng)",
+        ("tests/test_dos.py::test_outcomes_match_per_arrival_reference[embryonic-cap-2-8-servers]",
+         "tests/test_dos.py::test_suspicion_scheduler_matches_per_pick_reference",
+         "tests/test_dos.py::test_unattacked_queue_matches_erlang_c_mean_wait",
+         "tests/test_golden.py::test_rows_match_golden_pins"),
     ),
 )
 

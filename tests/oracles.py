@@ -5,9 +5,10 @@ match, and the correlator and CHSH combination are the analytic side of the
 entanglement checks (acceptance criterion 5).  Each works on a
 :class:`qntl.quantum.PureState` through the package's public calls.  The
 scalar Poisson sampler is the one-uniform-at-a-time reference for the
-array sampler and for the photon gate.  The blocked layered walk is the
-per-(pair, fraction) path count that ``count_viable_paths`` replaced with
-passes over each pair's shortest-path DAG.
+array sampler and for the photon gate.  The blocked layered walk, bounded
+at a pair's intact hop distance, is the per-(pair, fraction) reference for
+``count_viable_paths``, which counts on each pair's shortest-path DAG;
+unbounded, it also counts the longer detours that the count leaves out.
 """
 import bisect
 import cmath

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,30 @@ def test_plot_svg_output(tmp_path):
     svgs = list(out_dir.glob("*.svg"))
     assert len(svgs) == 1
     assert svgs[0].read_text().lstrip().startswith("<svg")
+
+
+@pytest.mark.parametrize("run_args, figure, column, name", [
+    (["pns", "--pulses", "10000", "--strategies", "no-eve"], "fig3", "series", "baseline"),
+    (["topology-decay", "--kinds", "grid", "--fractions", "0,0.2", "--trials", "2",
+      "--pairs", "4"], "fig6b", "kind", "grid"),
+], ids=["pns-fig3", "decay-fig6b"])
+def test_plot_svg_escapes_names_from_the_report(tmp_path, run_args, figure, column, name):
+    # Series names, and the family in a per-family chart's title, are read
+    # from the report file: markup characters in them must not break the SVG.
+    report = tmp_path / "report.json"
+    assert main(["run", *run_args, "--seed", "1", "--format", "json", "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    for row in doc["rows"]:
+        if row[column] == name:
+            row[column] = "base & <line>"
+    report.write_text(json.dumps(doc))
+    out_dir = tmp_path / "plots"
+    assert main(["plot", figure, "--report", str(report), "--out-dir", str(out_dir),
+                 "--svg"]) == 0
+    svgs = sorted(out_dir.glob("*.svg"))
+    assert svgs
+    texts = [t.text for svg in svgs for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert any("base & <line>" in text for text in texts)
 
 
 def test_plot_decay_figures(tmp_path):

@@ -5,7 +5,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +16,9 @@ from scipy.stats import ttest_ind
 
 from distcheck import two_sample_p_value
 from qntl.network import Mitigation, MitigationKind, dos_simulate
-from qntl.network.dos import SUSPICION_WINDOW_MS, DosResult, _TokenBuckets
+from qntl.network.dos import (
+    SUSPICION_WINDOW_MS, DosResult, _arrival_times, _exponential, _TokenBuckets,
+)
 from qntl.stats import stream
 
 ALL_MITIGATIONS = (
@@ -527,3 +529,107 @@ def test_outcomes_match_per_arrival_reference(case):
         equal_var=False,
     ).pvalue
     assert p > alpha, f"{case} mean {MEAN_OUTCOME}: p={p:.3g}"
+
+
+def suspicion_per_pick(
+    duration_ms: float,
+    legit_rate_per_s: float,
+    attack_rate_per_s: float,
+    n_servers: int,
+    rng: np.random.Generator,
+    *,
+    n_legit_sources: int = 10,
+    n_attack_sources: int = 1,
+    mean_service_ms: float = 500.0,
+    embryonic_timeout_ms: float = 10_000.0,
+    patience_ms: float = 3_000.0,
+) -> DosResult:
+    """The suspicion scheduler one pick at a time, on ``dos_simulate``'s own
+    draws in its order: legitimate gaps, attack gaps, legitimate sources,
+    attack sources, legitimate service times.
+
+    Requests are numbered in arrival order, legitimate first at equal times.
+    Each time a server frees, every queued request is ranked by its
+    source's arrivals in the trailing ``SUSPICION_WINDOW_MS`` (counted by a
+    scan of that source's arrival times), then by its number.
+    """
+    legit = _arrival_times(legit_rate_per_s, duration_ms, rng).tolist()
+    attack = _arrival_times(attack_rate_per_s, duration_ms, rng).tolist()
+    sources = (
+        rng.integers(0, n_legit_sources, size=len(legit)).tolist()
+        + (n_legit_sources + rng.integers(0, n_attack_sources, size=len(attack))).tolist()
+    )
+    holding = _exponential(mean_service_ms, len(legit), rng).tolist()
+    holding += [embryonic_timeout_ms] * len(attack)
+    times = legit + attack
+    order = sorted(range(len(times)), key=times.__getitem__)
+    requests = [(times[k], sources[k], holding[k], k >= len(legit)) for k in order]
+    arrivals_of: dict[int, list[float]] = {}
+    for t, src, _, _ in requests:
+        arrivals_of.setdefault(src, []).append(t)
+
+    served, dropped, waits = [0, 0], [0, 0], []
+    free_at = [0.0] * n_servers
+    queue: list[int] = []
+    i = 0
+    while i < len(requests) or queue:
+        if queue and (i == len(requests) or free_at[0] <= requests[i][0]):
+            now = heapq.heappop(free_at)
+            while queue:
+                window = {
+                    src: sum(now - SUSPICION_WINDOW_MS <= t <= now for t in arrivals_of[src])
+                    for src in {requests[j][1] for j in queue}
+                }
+                j = min(queue, key=lambda j: (window[requests[j][1]], j))
+                queue.remove(j)
+                t, _, hold, is_attack = requests[j]
+                start = max(now, t)
+                if not is_attack and start - t > patience_ms:
+                    dropped[False] += 1
+                    continue
+                if not is_attack:
+                    waits.append(start - t)
+                served[is_attack] += 1
+                heapq.heappush(free_at, start + hold)
+                break
+            else:
+                heapq.heappush(free_at, now)
+            continue
+        queue.append(i)
+        i += 1
+
+    return DosResult(
+        duration_ms=float(duration_ms),
+        n_servers=int(n_servers),
+        mitigation=MitigationKind.SUSPICION_SCHEDULER.value,
+        legit_arrivals=len(legit),
+        attack_arrivals=len(attack),
+        legit_served=served[False],
+        attack_served=served[True],
+        legit_dropped=dropped[False],
+        attack_dropped=dropped[True],
+        legit_blocked=0,
+        attack_blocked=0,
+        legit_still_queued=0,
+        attack_still_queued=0,
+        mean_legit_wait_ms=float(np.mean(waits)) if waits else float("nan"),
+    )
+
+
+def test_suspicion_scheduler_matches_per_pick_reference():
+    # Exact: every counter and the mean wait (NaN equal to NaN, when
+    # attackers take every server first and no legitimate request is
+    # served), over seeds and source mixes, one of them with many sources a
+    # class so that equal window counts, and so the tie-break, are common.
+    # Four servers hold a backlog.
+    mixes = ({}, {"n_legit_sources": 5, "n_attack_sources": 5},
+             {"n_legit_sources": 12, "n_attack_sources": 8})
+    for index, sources in enumerate(mixes):
+        for seed in range(4):
+            args = (5_000.0, 20.0, 50.0, 4)
+            name = f"dos-per-pick-{index}-{seed}"
+            expected = suspicion_per_pick(*args, stream(seed, name), **sources)
+            result = dos_simulate(
+                *args, Mitigation.suspicion_scheduler(), stream(seed, name), **sources
+            )
+            np.testing.assert_equal(astuple(result), astuple(expected), f"{sources} {seed}")

@@ -329,16 +329,21 @@ def test_numpy_integer_compromised_nodes_count_like_python_ints():
             blocked = [n for n in drawn if n not in (source, target)]
             as_numpy = {np.int64(n) for n in blocked}
             as_int = {int(n) for n in blocked}
-            for bound in (None, 18):
-                expected = count_viable_paths(topo, source, target, as_int, bound)
-                assert count_viable_paths(topo, source, target, as_numpy, bound) == expected
+            expected = count_viable_paths(topo, source, target, as_int)
+            assert count_viable_paths(topo, source, target, as_numpy) == expected
 
 
-def test_hop_bound_excludes_detours():
-    topo = tiny_path_topology()
+def test_count_excludes_detours():
+    # 0 - 1 - 2 is the only geodesic; 0 - 3 - 4 - 2 is one hop longer.
+    nodes = {i: NodeInfo() for i in range(5)}
+    topo = Topology(
+        kind=TopologyKind.GRID, seed=0, nodes=nodes,
+        edges=((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)),
+    )
     assert count_viable_paths(topo, 0, 2) == 1
-    assert count_viable_paths(topo, 0, 2, hop_bound=1) == 0
-    assert count_viable_paths(topo, 0, 2, hop_bound=2) == 1
+    assert count_viable_paths(topo, 0, 2, {3}) == 1
+    assert count_viable_paths(topo, 0, 2, {1}) == 0
+    assert count_by_blocked_walk(topo, 0, 2, {1}) == 1
 
 
 def test_count_corner_cases():
@@ -349,40 +354,35 @@ def test_count_corner_cases():
         count_viable_paths(topo, 0, 2, {0})
     with pytest.raises(ValueError):
         count_viable_paths(topo, 0, 9)
-    # A negative budget is meaningless, intact or blocked, even for source = target.
-    for source, target, blocked in ((1, 1, ()), (0, 2, ()), (0, 2, {1})):
-        with pytest.raises(ValueError, match="hop bound"):
-            count_viable_paths(topo, source, target, blocked, hop_bound=-1)
+    with pytest.raises(TypeError):
+        count_viable_paths(topo, 0, 2, hop_bound=2)
 
 
 def test_count_is_monotone_in_compromise():
-    # Monotone under a fixed hop budget: growing the compromised set can
-    # only strike length-d paths, never mint new ones.  Unbounded counts may
-    # rise when blocking stretches the minimum distance itself.
+    # Growing the compromised set can only strike a pair's geodesics, never
+    # mint new ones.
     topo = generate_topology("erdos-renyi", 3, {"n": 40, "p": 0.15})
     rng = stream(6, "nested")
     node_ids = sorted(topo.nodes)
     for _ in range(100):
         u, v = rng.choice(len(node_ids), size=2, replace=False)
         u, v = node_ids[int(u)], node_ids[int(v)]
-        bound = hop_distance(topo, u, v)
-        if bound < 0:
+        if hop_distance(topo, u, v) < 0:
             continue
         order = [n for n in rng.permutation(node_ids) if n not in (u, v)]
         small = set(order[:5])
         large = set(order[:15])
-        constrained = count_viable_paths(topo, u, v, large, hop_bound=bound)
-        relaxed = count_viable_paths(topo, u, v, small, hop_bound=bound)
+        constrained = count_viable_paths(topo, u, v, large)
+        relaxed = count_viable_paths(topo, u, v, small)
         assert constrained <= relaxed
-        assert relaxed <= count_viable_paths(topo, u, v, hop_bound=bound)
+        assert relaxed <= count_viable_paths(topo, u, v)
 
 
 @st.composite
 def compromised_graphs(draw):
-    """A small graph, endpoints, a compromised set that spares them, and a
-    hop bound: None, 0, the intact distance or random.  The graph is either
-    random (often disconnected) or a full lattice of up to 4 x 4, where
-    long geodesics fan out and merge again."""
+    """A small graph, endpoints and a compromised set that spares them.  The
+    graph is either random (often disconnected) or a full lattice of up to
+    4 x 4, where long geodesics fan out and merge again."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 12))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -396,14 +396,7 @@ def compromised_graphs(draw):
     target = draw(st.integers(0, n - 1))
     others = [x for x in range(n) if x not in (source, target)]
     compromised = draw(st.sets(st.sampled_from(others))) if others else set()
-    intact = nx.Graph(edges)
-    intact.add_nodes_from(range(n))
-    if nx.has_path(intact, source, target):
-        intact_distance = nx.shortest_path_length(intact, source, target)
-    else:
-        intact_distance = None
-    hop_bound = draw(st.sampled_from([None, 0, intact_distance]) | st.integers(0, n))
-    return n, edges, source, target, compromised, hop_bound
+    return n, edges, source, target, compromised
 
 
 def _networkx_count(topo, source, target, compromised=frozenset()):
@@ -419,17 +412,18 @@ def _networkx_count(topo, source, target, compromised=frozenset()):
 @given(compromised_graphs())
 @settings(max_examples=300, deadline=None)
 def test_counts_and_distances_match_networkx(case):
-    # Oracle: networkx on the subgraph with the compromised nodes removed.
-    n, edges, source, target, compromised, hop_bound = case
+    # Oracle: networkx on the subgraph with the compromised nodes removed,
+    # whose shortest paths are viable when they are as short as intact ones.
+    n, edges, source, target, compromised = case
     nodes = {i: NodeInfo() for i in range(n)}
     topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
     safe_edges = tuple(e for e in edges if compromised.isdisjoint(e))
     survivors = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=safe_edges)
     distance, paths = _networkx_count(topo, source, target, compromised)
     assert hop_distance(survivors, source, target) == distance
-    if hop_bound is not None and distance > hop_bound and source != target:
+    if distance != _networkx_count(topo, source, target)[0]:
         paths = 0
-    count = count_viable_paths(topo, source, target, compromised, hop_bound)
+    count = count_viable_paths(topo, source, target, compromised)
     assert type(count) is int
     assert count == paths
 
@@ -467,14 +461,17 @@ def test_intact_memo_keys_on_the_topology():
             assert count_viable_paths(b, source, target) == _networkx_count(b, source, target)[1]
 
 
-def test_intact_memo_applies_the_hop_bound():
+def test_intact_memo_answers_only_its_own_pair():
+    # Each pair is asked twice in a row, then the next pair or the reversed
+    # one: a walk remembered for one must not answer for the other.
     topo = generate_topology("erdos-renyi", 9, {"n": 60, "p": 0.06})
-    for source, target in ((0, 59), (3, 40), (17, 18)):
+    pairs = ((0, 59), (3, 40), (17, 18))
+    for source, target in pairs + tuple((t, s) for s, t in pairs):
         distance, paths = _networkx_count(topo, source, target)
         assert distance > 0
-        for bound, expected in ((distance - 1, 0), (distance, paths), (None, paths)):
+        for _ in range(2):
             assert hop_distance(topo, source, target) == distance
-            assert count_viable_paths(topo, source, target, hop_bound=bound) == expected
+            assert count_viable_paths(topo, source, target) == paths
 
 
 def test_intact_memo_leaves_blocked_walks_alone():
@@ -485,9 +482,7 @@ def test_intact_memo_leaves_blocked_walks_alone():
         assert hop_distance(topo, 0, 99) == 18
         removed = frozenset(rng.choice(others, size=20, replace=False).tolist())
         distance, paths = _networkx_count(topo, 0, 99, removed)
-        assert count_viable_paths(topo, 0, 99, removed) == paths
-        expected = paths if distance == 18 else 0
-        assert count_viable_paths(topo, 0, 99, removed, hop_bound=18) == expected
+        assert count_viable_paths(topo, 0, 99, removed) == (paths if distance == 18 else 0)
 
 
 @pytest.mark.parametrize(
@@ -495,12 +490,13 @@ def test_intact_memo_leaves_blocked_walks_alone():
 )
 def test_counts_match_blocked_walk_oracle(kind):
     # The decay sweep's compromise sets (nested prefixes of one permutation
-    # per trial, at the default fractions) under the bounds around each
-    # pair's intact distance d.  Above d, a pair whose geodesics are all
-    # blocked falls back to a longer path, which a tree never has.
+    # per trial, at the default fractions), against the blocked walk bounded
+    # at each pair's intact distance d.  Every family but the tree, whose
+    # paths are unique, meets a pair whose geodesics are all blocked while a
+    # longer detour remains; such a pair counts 0.
     rng = stream(3, f"dag-oracle-{kind}")
     fractions = [round(0.1 * i, 10) for i in range(9)]
-    fallbacks = 0
+    detours = 0
     for _ in range(4):
         topo = generate_topology(kind, int(rng.integers(0, 2**63)))
         n = topo.n_nodes
@@ -511,31 +507,26 @@ def test_counts_match_blocked_walk_oracle(kind):
             for compromised in nested:
                 if source in compromised or target in compromised:
                     break
-                for bound in (None, d - 1, d, d + 1):
-                    if bound is not None and bound < 0:
-                        continue
-                    expected = count_by_blocked_walk(topo, source, target, compromised, bound)
-                    assert count_viable_paths(topo, source, target, compromised, bound) == expected
-                    if bound is None and expected and d > 0:
-                        fallbacks += not count_by_blocked_walk(topo, source, target, compromised, d)
-    assert fallbacks or kind == "tree"
+                count = count_viable_paths(topo, source, target, compromised)
+                assert count == count_by_blocked_walk(topo, source, target, compromised, d)
+                if not count and d > 0 and count_by_blocked_walk(topo, source, target, compromised):
+                    detours += 1
+    assert detours or kind == "tree"
 
 
-def test_count_falls_back_when_every_geodesic_is_blocked():
+def test_count_is_zero_when_every_geodesic_is_blocked():
     # 11 and 33 are four hops apart on the 10x10 grid.  Every geodesic
     # leaves 11 through 12 or 21, so with both blocked only detours remain,
     # and the grid is bipartite: the shortest are six hops long.
     topo = generate_topology("grid", 0)
     blocked = frozenset({12, 21})
     assert hop_distance(topo, 11, 33) == 4
-    assert count_viable_paths(topo, 11, 33, hop_bound=4) == 6
-    for bound in (4, 5):
-        assert count_viable_paths(topo, 11, 33, blocked, bound) == 0
-    expected = count_by_blocked_walk(topo, 11, 33, blocked)
-    assert expected > 0
+    assert count_viable_paths(topo, 11, 33) == 6
+    assert count_viable_paths(topo, 11, 33, blocked) == 0
+    detours = count_by_blocked_walk(topo, 11, 33, blocked)
+    assert detours > 0
+    assert count_by_blocked_walk(topo, 11, 33, blocked, hop_bound=6) == detours
     assert count_by_blocked_walk(topo, 11, 33, blocked, hop_bound=5) == 0
-    for bound in (None, 6, 9):
-        assert count_viable_paths(topo, 11, 33, blocked, bound) == expected
 
 
 # ---------------------------------------------------------------- routing
@@ -641,6 +632,8 @@ def test_advertised_weights_override_only_listed_nodes():
     assert honest == [0, 2, 3]
     lied = route(topo, 0, 3, advertised_weights={1: 0.0})
     assert lied == [0, 1, 3]
+    # A lie answers only the call that carries it.
+    assert route(topo, 0, 3) == honest
 
 
 # ---------------------------------------------------------------- decay
@@ -700,9 +693,7 @@ def reference_decay_rows(kinds, fractions, trials, pairs_per_trial, rng):
                     if u in compromised or v in compromised:
                         count = 0
                     if count:
-                        count = count_viable_paths(
-                            topology, u, v, compromised, hop_bound=intact_distance
-                        )
+                        count = count_viable_paths(topology, u, v, compromised)
                     aggregate[f].append(count)
                     if intact_distance >= 0:
                         by_distance.setdefault((f, intact_distance), []).append(count)
@@ -724,9 +715,9 @@ def test_decay_rows_match_per_row_reference(monkeypatch):
     original = count_viable_paths
 
     def recording(side):
-        def count(topology, u, v, compromised, hop_bound):
-            calls[side].append((u, v, len(compromised), hop_bound))
-            return original(topology, u, v, compromised, hop_bound=hop_bound)
+        def count(topology, u, v, compromised):
+            calls[side].append((u, v, len(compromised)))
+            return original(topology, u, v, compromised)
         return count
 
     monkeypatch.setattr(experiments, "count_viable_paths", recording("candidate"))
