@@ -8,7 +8,6 @@ readiness grade with its one-line rationale.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -18,7 +17,6 @@ from .config import ConfigError
 __all__ = [
     "CatalogEntry",
     "LAYERS",
-    "catalog_sha256",
     "load_catalog",
     "filter_catalog",
     "format_catalog_table",
@@ -47,11 +45,6 @@ class CatalogEntry:
 def _data_bytes() -> bytes:
     # data/ ships as package data, not a subpackage; address it via the parent
     return resources.files("qntl").joinpath("data/threat_catalog.json").read_bytes()
-
-
-def catalog_sha256() -> str:
-    """Checksum of the catalog file bytes, the value the pin test asserts."""
-    return hashlib.sha256(_data_bytes()).hexdigest()
 
 
 def load_catalog() -> tuple[CatalogEntry, ...]:

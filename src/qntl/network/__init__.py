@@ -15,9 +15,7 @@ from .topology import (
     NodeInfo,
     Topology,
     TopologyKind,
-    export_topology,
     generate_topology,
-    import_topology,
 )
 
 __all__ = [
@@ -38,7 +36,5 @@ __all__ = [
     "NodeInfo",
     "Topology",
     "TopologyKind",
-    "export_topology",
     "generate_topology",
-    "import_topology",
 ]

@@ -1,4 +1,4 @@
-"""Seeded network topology generation and a text interchange format.
+"""Seeded network topology generation.
 
 Six families are supported: three deterministic lattices (grid, hexagonal,
 tree) and three random families (Erdos-Renyi, Waxman, Barabasi-Albert), all
@@ -12,6 +12,7 @@ fields behave identically everywhere downstream.
 from __future__ import annotations
 
 import functools
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,8 +29,6 @@ __all__ = [
     "Topology",
     "DEFAULT_PARAMS",
     "generate_topology",
-    "export_topology",
-    "import_topology",
 ]
 
 
@@ -58,11 +57,9 @@ DEFAULT_PARAMS: dict[TopologyKind, dict[str, float | int]] = {
 
 @dataclass(frozen=True)
 class NodeInfo:
-    """Per-node bookkeeping: trust flag plus the two link-quality figures the
-    trust-weighted router consumes.  A node's id is its key in
-    :attr:`Topology.nodes`."""
+    """The two link-quality figures the trust-weighted router consumes.  A
+    node's id is its key in :attr:`Topology.nodes`."""
 
-    trusted: bool = True
     error_rate: float = 0.0
     response_time_ms: float = 0.0
 
@@ -75,8 +72,6 @@ class NodeInfo:
 class Topology:
     """An immutable node/edge set with derived adjacency."""
 
-    kind: TopologyKind
-    seed: int
     nodes: Mapping[int, NodeInfo]
     edges: tuple[tuple[int, int], ...]
     adjacency: Mapping[int, tuple[int, ...]] = field(init=False)
@@ -232,7 +227,8 @@ def generate_topology(
     ``params`` overrides the family defaults and rejects unknown keys.  The
     optional quality ranges draw per-node uniform error rates and response
     times (in node-id order, after the edge set), which the trust-weighted
-    router uses; omitted ranges leave the figures at zero.
+    router uses; each range needs 0 <= lo <= hi < inf, and omitted ranges
+    leave the figures at zero.
     """
     kind = TopologyKind(kind)
     merged = dict(DEFAULT_PARAMS[kind])
@@ -255,77 +251,17 @@ def generate_topology(
         n = int(merged["n"])
         edges = _preferential_edges(n, int(merged["k"]), rng)
 
-    error_rates = response_times = [0.0] * n
-    if error_rate_range is not None:
-        lo, hi = (float(error_rate_range[0]), float(error_rate_range[1]))
-        if not 0.0 <= lo <= hi:
-            raise ValueError("error rate range must satisfy 0 <= lo <= hi")
-        error_rates = rng.uniform(lo, hi, size=n).tolist()
-    if response_time_range is not None:
-        lo, hi = (float(response_time_range[0]), float(response_time_range[1]))
-        if not 0.0 <= lo <= hi:
-            raise ValueError("response time range must satisfy 0 <= lo <= hi")
-        response_times = rng.uniform(lo, hi, size=n).tolist()
+    figures = []
+    for name, bounds in (("error rate", error_rate_range), ("response time", response_time_range)):
+        if bounds is None:
+            figures.append([0.0] * n)
+            continue
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError(f"{name} range must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")
+        figures.append(rng.uniform(lo, hi, size=n).tolist())
 
     records = [NodeInfo()] * n  # frozen, so one default record serves every node
     if error_rate_range is not None or response_time_range is not None:
-        records = [NodeInfo(True, error_rate, response_time)
-                   for error_rate, response_time in zip(error_rates, response_times)]
-    return Topology(kind=kind, seed=int(seed), nodes=dict(enumerate(records)), edges=tuple(edges))
-
-
-def export_topology(topology: Topology) -> str:
-    """Serialize to the line-oriented text format.
-
-    Layout: one header line, one ``edge`` line per edge in sorted order, one
-    ``node`` line per node in id order.  Floats are written with repr, so
-    export -> import -> export is byte-identical.  Generation parameters are
-    not carried; the node and edge lists are the complete description.
-    """
-    lines = [f"nodes {topology.n_nodes} kind {topology.kind.value} seed {topology.seed}"]
-    for u, v in topology.edges:
-        lines.append(f"edge {u} {v}")
-    for node_id in sorted(topology.nodes):
-        info = topology.nodes[node_id]
-        lines.append(
-            f"node {node_id} trusted {int(info.trusted)} "
-            f"err {info.error_rate!r} rt {info.response_time_ms!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def import_topology(text: str) -> Topology:
-    """Parse the text format produced by :func:`export_topology`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty topology document")
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != "nodes" or header[2] != "kind" or header[4] != "seed":
-        raise ValueError(f"malformed header: {lines[0]!r}")
-    declared = int(header[1])
-    kind = TopologyKind(header[3])
-    seed = int(header[5])
-    nodes: dict[int, NodeInfo] = {}
-    edges: list[tuple[int, int]] = []
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "node":
-            if len(parts) != 8 or parts[2] != "trusted" or parts[4] != "err" or parts[6] != "rt":
-                raise ValueError(f"malformed node line: {line!r}")
-            node_id = int(parts[1])
-            if node_id in nodes:
-                raise ValueError(f"duplicate node {node_id}")
-            nodes[node_id] = NodeInfo(
-                trusted=bool(int(parts[3])),
-                error_rate=float(parts[5]),
-                response_time_ms=float(parts[7]),
-            )
-        elif parts[0] == "edge":
-            if len(parts) != 3:
-                raise ValueError(f"malformed edge line: {line!r}")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"unknown line type: {line!r}")
-    if len(nodes) != declared:
-        raise ValueError(f"header declares {declared} nodes, found {len(nodes)}")
-    return Topology(kind=kind, seed=seed, nodes=nodes, edges=tuple(edges))
+        records = list(map(NodeInfo, *figures))
+    return Topology(nodes=dict(enumerate(records)), edges=tuple(edges))

@@ -188,6 +188,14 @@ MUTANTS: tuple[Mutant, ...] = (
          "tests/test_network.py::test_barabasi_albert_exports_are_pinned"),
     ),
     Mutant(
+        "quality-range-allows-inf",
+        "qntl/network/topology.py",
+        "if not 0.0 <= lo <= hi < math.inf:",
+        "if not 0.0 <= lo <= hi:",
+        ("tests/test_network.py::test_generation_quality_ranges",
+         "tests/test_cli.py::test_diversion_rejects_an_infinite_quality_range[response-time]"),
+    ),
+    Mutant(
         "suspicion-window-counts-all-arrivals",
         "qntl/network/dos.py",
         "bisect_left(times, since)",

@@ -9,9 +9,12 @@ array sampler and for the photon gate.  The blocked layered walk, bounded
 at a pair's intact hop distance, is the per-(pair, fraction) reference for
 ``count_viable_paths``, which counts on each pair's shortest-path DAG;
 unbounded, it also counts the longer detours that the count leaves out.
+The catalog checksum is the value the catalog pin asserts.
 """
 import bisect
 import cmath
+import hashlib
+from importlib import resources
 from typing import Iterable, Sequence
 
 from qntl.network import Topology
@@ -113,3 +116,9 @@ def chsh_value(
     e_apb = correlation(state, ap, b, trace_out)
     e_apbp = correlation(state, ap, bp, trace_out)
     return abs(e_ab - e_abp + e_apb + e_apbp)
+
+
+def catalog_sha256():
+    """sha256 of the packaged threat catalog's bytes."""
+    data = resources.files("qntl").joinpath("data/threat_catalog.json").read_bytes()
+    return hashlib.sha256(data).hexdigest()

@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import poisson as sp_poisson
 
 from qntl import attacks, qkd
-from qntl.cli.catalog import catalog_sha256
 from qntl.cli.config import resolve_config
 from qntl.cli.report import rows_to_csv
 from qntl.cli.runners import EXPERIMENTS, get_experiment
@@ -23,7 +22,7 @@ from qntl.quantum import Basis, bell_pair, encoded_qubit
 from qntl.stats import stream
 
 from distcheck import chi_square_gof
-from oracles import chsh_value
+from oracles import catalog_sha256, chsh_value
 
 from pathlib import Path
 

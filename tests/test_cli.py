@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 import qntl
-from qntl.cli.catalog import catalog_sha256, filter_catalog, load_catalog
+from qntl.cli.catalog import filter_catalog, load_catalog
 from qntl.cli.config import (
     ConfigError, as_float, choice, float_list, int_list, names, parse_range, resolve_config,
 )
 from qntl.cli.main import main
 from qntl.cli.report import ExperimentReport, format_cell, rows_to_csv
 from qntl.cli.runners import EXPERIMENTS
+
+from oracles import catalog_sha256
 
 PINNED_SHA = Path(__file__).parent / "data" / "catalog.sha256"
 
@@ -276,6 +278,16 @@ def test_run_runtime_failure_is_exit_3(tmp_path, capsys):
 ])
 def test_dos_rejects_bad_inputs_with_exit_3(flag, value, name, capsys):
     assert main(["run", "dos", "--duration", "5000", flag, value, "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qntl: ValueError: ") and name in err
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--error-rate-range", "error rate range"),
+    ("--response-time-range", "response time range"),
+], ids=["error-rate", "response-time"])
+def test_diversion_rejects_an_infinite_quality_range(flag, name, capsys):
+    assert main(["run", "diversion", "--pairs", "5", flag, "0,inf"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("qntl: ValueError: ") and name in err
 

@@ -19,10 +19,8 @@ from qntl.network import (
     TopologyKind,
     count_viable_paths,
     diversion_experiment,
-    export_topology,
     generate_topology,
     hop_distance,
-    import_topology,
     route,
     untrusted_node_experiment,
 )
@@ -34,21 +32,10 @@ from qntl.stats import stream
 from oracles import count_by_blocked_walk
 
 
-def with_untrusted(topology, node_ids):
-    """Copy of the topology with the listed nodes flagged untrusted."""
-    nodes = {
-        node_id: replace(info, trusted=info.trusted and node_id not in node_ids)
-        for node_id, info in topology.nodes.items()
-    }
-    return Topology(kind=topology.kind, seed=topology.seed, nodes=nodes, edges=topology.edges)
-
-
 def tiny_path_topology():
     """0 - 1 - 2 chain used by the cut-vertex cases."""
     nodes = {i: NodeInfo() for i in range(3)}
-    return Topology(
-        kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (1, 2))
-    )
+    return Topology(nodes=nodes, edges=((0, 1), (1, 2)))
 
 
 # ---------------------------------------------------------------- generation
@@ -94,11 +81,24 @@ def test_generation_is_deterministic():
     assert a.edges != b.edges
 
 
+def export_text(topology, kind, seed):
+    """The pinned text layout: a ``nodes N kind K seed S`` header, one
+    ``edge u v`` line per edge in sorted order, then one ``node`` line per
+    node in id order, floats written with repr."""
+    lines = [f"nodes {topology.n_nodes} kind {kind} seed {seed}"]
+    lines += [f"edge {u} {v}" for u, v in topology.edges]
+    lines += [
+        f"node {node_id} trusted 1 err {info.error_rate!r} rt {info.response_time_ms!r}"
+        for node_id, info in sorted(topology.nodes.items())
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def exports_digest(kind):
     """sha256 over the concatenated exports of seeds 0-49 at default params."""
     digest = hashlib.sha256()
     for seed in range(50):
-        digest.update(export_topology(generate_topology(kind, seed)).encode())
+        digest.update(export_text(generate_topology(kind, seed), kind, seed).encode())
     return digest.hexdigest()
 
 
@@ -205,8 +205,12 @@ def test_generation_quality_ranges():
     rates_only = generate_topology("grid", 7, error_rate_range=(0.01, 0.05))
     assert [info.error_rate for info in rates_only.nodes.values()] == rates
     assert all(info.response_time_ms == 0.0 for info in rates_only.nodes.values())
-    with pytest.raises(ValueError):
-        generate_topology("grid", 7, error_rate_range=(0.5, 0.1))
+    # numpy cannot draw from an infinite range: the check must name the
+    # range before the draw does.
+    for key in ("error_rate_range", "response_time_range"):
+        for bounds in ((0.5, 0.1), (-1.0, 1.0), (0.0, math.inf), (math.inf, math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=key.replace("_", " ")):
+                generate_topology("grid", 7, **{key: bounds})
 
 
 def test_topology_validation():
@@ -215,12 +219,14 @@ def test_topology_validation():
     nodes = {i: NodeInfo() for i in range(2)}
     for edges in (((0, 1), (0, 0)), ((0, 0), (0, 1))):
         with pytest.raises(ValueError, match="self-loop on node 0"):
-            Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
+            Topology(nodes=nodes, edges=edges)
     with pytest.raises(ValueError, match=r"edge \(0, 3\) references an unknown node"):
-        Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (3, 0)))
+        Topology(nodes=nodes, edges=((0, 1), (3, 0)))
     for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1))):
         with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
-            Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
+            Topology(nodes=nodes, edges=edges)
+    with pytest.raises(TypeError):  # a topology holds only nodes and edges
+        Topology(kind=TopologyKind.GRID, nodes=nodes, edges=())
 
 
 def test_topology_normalises_unsorted_reversed_edges():
@@ -228,7 +234,7 @@ def test_topology_normalises_unsorted_reversed_edges():
     # filled from the normalised, sorted edge list.
     nodes = {i: NodeInfo() for i in range(6)}
     edges = ((5, 0), (3, 1), (0, 2), (4, 3), (2, 1), (5, 3), (1, 0), (4, 0))
-    topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
+    topo = Topology(nodes=nodes, edges=edges)
     assert topo.edges == tuple(sorted((min(e), max(e)) for e in edges))
     for node_id, nbrs in topo.adjacency.items():
         assert nbrs == tuple(sorted(nbrs))
@@ -239,56 +245,30 @@ def test_topology_normalises_unsorted_reversed_edges():
         (((0, 1), (0, 2), (1, 3), (3, 2)), ((0, 1), (0, 2), (1, 3), (2, 3))),
         (((0, 1), (1, 2), (0, 3)), ((0, 1), (0, 3), (1, 2))),
     ):
-        topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=edges)
+        topo = Topology(nodes=nodes, edges=edges)
         assert topo.edges == expected
         assert topo.adjacency[0] == tuple(v for u, v in expected if u == 0)
     # Lists are not edges as stored: they are normalised to tuples.
-    topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=([0, 1], [1, 2]))
+    topo = Topology(nodes=nodes, edges=([0, 1], [1, 2]))
     assert topo.edges == ((0, 1), (1, 2)) and type(topo.edges[0]) is tuple
 
 
 def test_generated_topologies_share_no_node_map():
+    # Every node of a generated topology without quality ranges holds one
+    # shared frozen record: a copy that replaces a node's record must leave
+    # the original and every later topology alone.
     first = generate_topology("grid", 0)
     second = generate_topology("grid", 1)
     assert first.nodes is not second.nodes
-    flagged = with_untrusted(first, {0, 3, 17})
-    assert not flagged.nodes[3].trusted
+    nodes = dict(first.nodes)
+    nodes[3] = replace(nodes[3], error_rate=0.5)
+    edited = Topology(nodes=nodes, edges=first.edges)
+    assert edited.nodes[3].error_rate == 0.5 and edited.nodes[4].error_rate == 0.0
+    with pytest.raises(AttributeError):
+        first.nodes[0].error_rate = 0.5
     later = generate_topology("grid", 2)
     for topo in (first, second, later):
-        assert all(info.trusted for info in topo.nodes.values())
-
-
-def test_export_import_round_trip():
-    topo = generate_topology(
-        "waxman", 11, error_rate_range=(0.0, 0.1), response_time_range=(5.0, 9.0)
-    )
-    topo = with_untrusted(topo, {2, 5})
-    text = export_topology(topo)
-    again = import_topology(text)
-    assert again.edges == topo.edges
-    assert again.nodes == topo.nodes
-    assert again.kind == topo.kind and again.seed == topo.seed
-    assert export_topology(again) == text
-
-
-def test_export_layout_is_edges_then_nodes():
-    lines = export_topology(tiny_path_topology()).splitlines()
-    assert lines[0].startswith("nodes 3 kind ")
-    kinds = [line.split()[0] for line in lines[1:]]
-    assert kinds == ["edge", "edge", "node", "node", "node"]
-
-
-def test_import_rejects_malformed_documents():
-    with pytest.raises(ValueError):
-        import_topology("")
-    with pytest.raises(ValueError):
-        import_topology("nodes 1 sort grid seed 0\n")
-    with pytest.raises(ValueError):
-        import_topology("nodes 2 kind grid seed 0\nwire 0 1\n")
-    with pytest.raises(ValueError):
-        import_topology(
-            "nodes 2 kind grid seed 0\nnode 0 trusted 1 err 0.0 rt 0.0\n"
-        )  # declared 2, found 1
+        assert all(info == NodeInfo() for info in topo.nodes.values())
 
 
 # ---------------------------------------------------------------- path counts
@@ -336,10 +316,7 @@ def test_numpy_integer_compromised_nodes_count_like_python_ints():
 def test_count_excludes_detours():
     # 0 - 1 - 2 is the only geodesic; 0 - 3 - 4 - 2 is one hop longer.
     nodes = {i: NodeInfo() for i in range(5)}
-    topo = Topology(
-        kind=TopologyKind.GRID, seed=0, nodes=nodes,
-        edges=((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)),
-    )
+    topo = Topology(nodes=nodes, edges=((0, 1), (0, 3), (1, 2), (2, 4), (3, 4)))
     assert count_viable_paths(topo, 0, 2) == 1
     assert count_viable_paths(topo, 0, 2, {3}) == 1
     assert count_viable_paths(topo, 0, 2, {1}) == 0
@@ -416,9 +393,9 @@ def test_counts_and_distances_match_networkx(case):
     # whose shortest paths are viable when they are as short as intact ones.
     n, edges, source, target, compromised = case
     nodes = {i: NodeInfo() for i in range(n)}
-    topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
+    topo = Topology(nodes=nodes, edges=tuple(edges))
     safe_edges = tuple(e for e in edges if compromised.isdisjoint(e))
-    survivors = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=safe_edges)
+    survivors = Topology(nodes=nodes, edges=safe_edges)
     distance, paths = _networkx_count(topo, source, target, compromised)
     assert hop_distance(survivors, source, target) == distance
     if distance != _networkx_count(topo, source, target)[0]:
@@ -432,12 +409,7 @@ def test_hop_distance():
     topo = tiny_path_topology()
     assert hop_distance(topo, 0, 1) == 1
     assert hop_distance(topo, 0, 2) == 2
-    lonely = Topology(
-        kind=TopologyKind.GRID,
-        seed=0,
-        nodes={i: NodeInfo() for i in range(3)},
-        edges=((0, 1),),
-    )
+    lonely = Topology(nodes={i: NodeInfo() for i in range(3)}, edges=((0, 1),))
     assert hop_distance(lonely, 0, 2) == -1
 
 
@@ -567,8 +539,8 @@ def test_route_matches_brute_force_over_simple_paths():
         edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         errors = rng.choice([0.0, 0.25, 0.5], size=n).tolist()
         times = rng.choice([0.0, 25.0], size=n).tolist()
-        nodes = {i: NodeInfo(True, errors[i], times[i]) for i in range(n)}
-        topo = Topology(kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=tuple(edges))
+        nodes = {i: NodeInfo(errors[i], times[i]) for i in range(n)}
+        topo = Topology(nodes=nodes, edges=tuple(edges))
         lie = {i: 0.0 for i in range(n) if rng.random() < 1 / 3}
         weights = {i: lie.get(i, errors[i] + times[i] / 50.0) for i in range(n)}
         graph = nx.Graph(edges)
@@ -586,19 +558,12 @@ def test_route_avoids_bad_intermediate():
         2: NodeInfo(),
         3: NodeInfo(),
     }
-    topo = Topology(
-        kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3))
-    )
+    topo = Topology(nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3)))
     assert route(topo, 0, 3) == [0, 2, 3]
 
 
 def test_route_none_when_disconnected():
-    lonely = Topology(
-        kind=TopologyKind.GRID,
-        seed=0,
-        nodes={i: NodeInfo() for i in range(3)},
-        edges=((0, 1),),
-    )
+    lonely = Topology(nodes={i: NodeInfo() for i in range(3)}, edges=((0, 1),))
     assert route(lonely, 0, 2) is None
 
 
@@ -625,9 +590,7 @@ def test_advertised_weights_override_only_listed_nodes():
         2: NodeInfo(error_rate=0.1),
         3: NodeInfo(),
     }
-    topo = Topology(
-        kind=TopologyKind.GRID, seed=0, nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3))
-    )
+    topo = Topology(nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3)))
     honest = route(topo, 0, 3)
     assert honest == [0, 2, 3]
     lied = route(topo, 0, 3, advertised_weights={1: 0.0})
