@@ -126,15 +126,16 @@ class PnsExperimentResult:
         return float(np.abs(self.zscores[label]).max())
 
 
-# Pulses per chunk of a pns series: 2**15 uniforms (256 KiB) stay in cache.
-_PNS_CHUNK = 1 << 15
+# Draws per chunk of a pns series or of the Trojan random-shift phases:
+# 2**15 uniforms (256 KiB) stay in cache.
+_CHUNK = 1 << 15
 
 
 def _series_histogram(
     mean: float, strategy: PnsStrategy, rng: np.random.Generator, n_pulses: int, max_bin: int
 ) -> Histogram:
     """Histogram of the counts that ``strategy`` forwards from ``n_pulses``
-    Poisson(mean) pulses, drawn and counted ``_PNS_CHUNK`` pulses at a time
+    Poisson(mean) pulses, drawn and counted ``_CHUNK`` pulses at a time
     into one pair of buffers.
 
     Consecutive chunks consume the uniforms of one whole draw, in order, so
@@ -147,11 +148,11 @@ def _series_histogram(
     """
     mapped = strategy.variant in (PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES)
     top = max_bin + 1 if mapped else max_bin
-    size = min(_PNS_CHUNK, n_pulses)
+    size = min(_CHUNK, n_pulses)
     uniforms, drawn = np.empty(size), np.empty(size, np.intp)
     counts = np.zeros(top + 1, dtype=np.int64)
-    for start in range(0, n_pulses, _PNS_CHUNK):
-        k = min(_PNS_CHUNK, n_pulses - start)
+    for start in range(0, n_pulses, _CHUNK):
+        k = min(_CHUNK, n_pulses - start)
         emitted = poisson_sample_array(mean, rng, k, out=(uniforms[:k], drawn[:k]))
         counts += Histogram.from_samples(emitted, max_bin=top).counts
     if mapped:
@@ -258,7 +259,11 @@ def trojan_gain_experiment(
 
     Draws, in order: one multinomial over those three cases per block of
     photons between checkpoints, then, for the random-shift policy only, one
-    uniform phase in [0, 2*pi) per correct diagonal guess.
+    uniform phase in [0, 2*pi) per correct diagonal guess.  The phases come
+    ``_CHUNK`` at a time through one buffer, so memory stays O(chunk +
+    checkpoints) at any photon count; consecutive chunks consume the stream
+    as one whole draw would, and the running sum carried into each chunk's
+    first element makes every read equal the whole-array sequential sum.
     """
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     if checkpoints.ndim != 1 or checkpoints.size == 0:
@@ -269,17 +274,25 @@ def trojan_gain_experiment(
     wrong, rect, diag = rng.multinomial(blocks, [0.5, 0.25, 0.25]).T
     diag_seen = np.cumsum(diag)
     if policy.variant is TrojanVariant.RANDOM_SHIFT:
-        # read[k] is the summed gain of the first k phases 2*pi*u, each
-        # cos^2(pi*u) worked out in place; u * pi is exactly half of
-        # u * (2 * pi), since scaling by 2 is exact.
-        read = np.zeros(int(diag_seen[-1]) + 1)
-        gains = read[1:]
-        rng.random(out=gains)
-        np.multiply(gains, math.pi, out=gains)
-        np.cos(gains, out=gains)
-        np.square(gains, out=gains)
-        np.cumsum(read, out=read)
-        diag_gain = read[diag_seen]
+        # Phase i's gain cos^2(pi*u) is worked out in place; u * pi is
+        # exactly half of u * (2 * pi), since scaling by 2 is exact.
+        # diag_gain[j] is the summed gain of the first diag_seen[j] phases.
+        total = int(diag_seen[-1])
+        buffer = np.empty(min(_CHUNK, total))
+        diag_gain = np.zeros(diag_seen.size)
+        carry = 0.0
+        for start in range(0, total, _CHUNK):
+            gains = buffer[: min(_CHUNK, total - start)]
+            rng.random(out=gains)
+            np.multiply(gains, math.pi, out=gains)
+            np.cos(gains, out=gains)
+            np.square(gains, out=gains)
+            gains[0] += carry
+            np.cumsum(gains, out=gains)
+            carry = gains[-1]
+            # The checkpoints whose diag_seen lies in (start, start + size].
+            lo, hi = np.searchsorted(diag_seen, (start, start + gains.size), side="right")
+            diag_gain[lo:hi] = gains[diag_seen[lo:hi] - start - 1]
     else:
         diag_gain = diag_seen * math.cos(0.5 * policy.shift) ** 2  # no-shift's shift is 0.0
     return np.cumsum(0.5 * wrong + rect) + diag_gain

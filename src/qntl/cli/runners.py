@@ -513,8 +513,8 @@ def _run_decay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
 
 def _as_float_pair(raw: Any) -> list[float]:
     values = float_list(raw)
-    if len(values) != 2 or values[0] > values[1]:
-        raise ConfigError(f"expected 'lo,hi' with lo <= hi, got {raw!r}")
+    if len(values) != 2 or not 0.0 <= values[0] <= values[1] < math.inf:
+        raise ConfigError(f"expected 'lo,hi' with 0 <= lo <= hi < inf, got {raw!r}")
     return values
 
 

@@ -192,8 +192,28 @@ MUTANTS: tuple[Mutant, ...] = (
         "qntl/network/topology.py",
         "if not 0.0 <= lo <= hi < math.inf:",
         "if not 0.0 <= lo <= hi:",
-        ("tests/test_network.py::test_generation_quality_ranges",
-         "tests/test_cli.py::test_diversion_rejects_an_infinite_quality_range[response-time]"),
+        ("tests/test_network.py::test_generation_quality_ranges",),
+    ),
+    Mutant(
+        "float-pair-allows-inf",
+        "qntl/cli/runners.py",
+        "not 0.0 <= values[0] <= values[1] < math.inf",
+        "not 0.0 <= values[0] <= values[1]",
+        ("tests/test_cli.py::test_diversion_rejects_an_infinite_quality_range[response-time]",),
+    ),
+    Mutant(
+        "trojan-phase-carry-dropped",
+        "qntl/attacks.py",
+        "            gains[0] += carry\n",
+        "",
+        ("tests/test_attacks.py::test_random_shift_gains_are_the_phase_formula_bit_for_bit",),
+    ),
+    Mutant(
+        "trojan-checkpoint-side-flipped",
+        "qntl/attacks.py",
+        "(start, start + gains.size), side=\"right\")",
+        "(start, start + gains.size), side=\"left\")",
+        ("tests/test_attacks.py::test_random_shift_gains_are_the_phase_formula_bit_for_bit",),
     ),
     Mutant(
         "suspicion-window-counts-all-arrivals",

@@ -1,5 +1,6 @@
 """Tests for the attack models and their experiment drivers."""
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.stats import binom as sp_binom
 from scipy.stats import poisson as sp_poisson
 
 from qntl.attacks import (
-    _PNS_CHUNK,
+    _CHUNK,
     PnsStrategy,
     PnsVariant,
     TrojanPolicy,
@@ -175,7 +176,7 @@ def reference_pns_histograms(n_pulses, mu, strategies, rng, max_bin=20):
     return hists
 
 
-@pytest.mark.parametrize("n", [10_000, _PNS_CHUNK, _PNS_CHUNK + 1, 3 * _PNS_CHUNK - 1])
+@pytest.mark.parametrize("n", [10_000, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 1])
 def test_pns_chunks_match_one_whole_draw(n):
     strategies = [
         PnsStrategy.no_eve(),
@@ -210,7 +211,7 @@ def test_mapped_histograms_equal_the_per_pulse_transform_at_the_overflow_edge(ma
         PnsStrategy.always_minus_one(),
         PnsStrategy.block_singles(),
     ]
-    n = _PNS_CHUNK + 7
+    n = _CHUNK + 7
     want = reference_pns_histograms(n, 5.0, strategies, stream(8, "pns-edge"), max_bin)
     result = pns_experiment(n, 5.0, strategies, stream(8, "pns-edge"), max_bin=max_bin)
     got = [result.baseline, *(result.histograms[s.label()] for s in strategies)]
@@ -427,15 +428,43 @@ def test_trojan_matches_per_photon_reference():
 
 
 def test_random_shift_gains_are_the_phase_formula_bit_for_bit():
-    # The in-place phase block reads cos(0.5 * (u * 2 pi)) ** 2 exactly.
-    checkpoints = np.array([1, 7, 500, 20_000, 20_001])
-    got = trojan_gain_experiment(checkpoints, TrojanPolicy.random_shift(), stream(3, "phases"))
-    rng = stream(3, "phases")
-    wrong, rect, diag = rng.multinomial(np.diff(checkpoints, prepend=0), [0.5, 0.25, 0.25]).T
-    diag_seen = np.cumsum(diag)
-    phases = rng.random(int(diag_seen[-1])) * (2.0 * math.pi)
-    read = np.concatenate(([0.0], np.cumsum(np.cos(0.5 * phases) ** 2)))
-    assert np.array_equal(got, np.cumsum(0.5 * wrong + rect) + read[diag_seen])
+    # The chunked in-place phases read cos(0.5 * (u * 2 pi)) ** 2 summed over
+    # one whole draw, and leave the stream where that draw does: at sparse
+    # checkpoints within one chunk, at every photon across more than three
+    # chunks (so every chunk boundary is read), and with no correct diagonal
+    # guess, where no phase is drawn.
+    cases = [
+        (3, np.array([1, 7, 500, 20_000, 20_001])),
+        (3, np.arange(1, 16 * _CHUNK + 1)),
+        (1, np.array([1, 2, 3, 4])),
+    ]
+    phase_counts = []
+    for seed, checkpoints in cases:
+        rng = stream(seed, "phases")
+        got = trojan_gain_experiment(checkpoints, TrojanPolicy.random_shift(), rng)
+        want = stream(seed, "phases")
+        wrong, rect, diag = want.multinomial(np.diff(checkpoints, prepend=0), [0.5, 0.25, 0.25]).T
+        diag_seen = np.cumsum(diag)
+        phases = want.random(int(diag_seen[-1])) * (2.0 * math.pi)
+        read = np.concatenate(([0.0], np.cumsum(np.cos(0.5 * phases) ** 2)))
+        assert np.array_equal(got, np.cumsum(0.5 * wrong + rect) + read[diag_seen])
+        assert rng.bit_generator.state == want.bit_generator.state
+        phase_counts.append(int(diag_seen[-1]))
+    assert phase_counts[1] > 3 * _CHUNK and phase_counts[2] == 0
+
+
+def test_random_shift_memory_does_not_grow_with_photons():
+    # 10**7 photons hold about 2.5 * 10**6 phases, 20 MB as one array; the
+    # chunk buffer and the per-checkpoint arrays stay far below 2 MB.
+    checkpoints = np.arange(1, 1001) * 10_000
+    rng = stream(0, "trojan-memory")
+    tracemalloc.start()
+    try:
+        trojan_gain_experiment(checkpoints, TrojanPolicy.random_shift(), rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"peak {peak} bytes"
 
 
 def test_trojan_policy_validation():

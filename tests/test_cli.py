@@ -282,14 +282,15 @@ def test_dos_rejects_bad_inputs_with_exit_3(flag, value, name, capsys):
     assert err.startswith("qntl: ValueError: ") and name in err
 
 
-@pytest.mark.parametrize("flag, name", [
-    ("--error-rate-range", "error rate range"),
-    ("--response-time-range", "response time range"),
+@pytest.mark.parametrize("flag, key", [
+    ("--error-rate-range", "error_rate_range"),
+    ("--response-time-range", "response_time_range"),
 ], ids=["error-rate", "response-time"])
-def test_diversion_rejects_an_infinite_quality_range(flag, name, capsys):
-    assert main(["run", "diversion", "--pairs", "5", flag, "0,inf"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("qntl: ValueError: ") and name in err
+def test_diversion_rejects_an_infinite_quality_range(flag, key, capsys):
+    for value in ("0,inf", "-1,1"):
+        assert main(["run", "diversion", "--pairs", "5", f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qntl: bad value for {key!r}: ") and value in err
 
 
 def test_config_file_unknown_key_is_named(tmp_path, capsys):
