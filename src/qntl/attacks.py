@@ -3,9 +3,10 @@ probes, interlock spoofing, intercept-resend, and code-aware noise.
 
 Intercept-resend is a hook that a protocol calls once on the state ids of
 all its flying qubits; the entangling probe is a map that a protocol applies
-once to its pair state.  The splitting and interlock models draw a whole
-experiment's per-pulse or per-exchange variates as arrays, and a splitting
-strategy maps emitted photon counts to the counts it forwards.  The
+once to its pair state.  The splitting model draws each series' pulses in
+fixed-size chunks and the interlock model a whole experiment's exchanges as
+arrays.  A splitting strategy skims each photon with its intercept
+probability, then maps the skimmed counts to the counts it forwards.  The
 Trojan-horse and repetition-code models draw the counts they report, one
 draw per block of photons or per cell; the repetition-code experiment
 returns its logical-error count alone.
@@ -56,22 +57,27 @@ class PnsVariant(Enum):
 
 @dataclass(frozen=True)
 class PnsStrategy:
-    """Photon-number splitting behavior at the tap point.
+    """Photon-number splitting behavior at the tap point: skim each photon
+    independently with probability ``intercept_probability``, then forward
+    :func:`pns_transform_counts` of the photons left.
 
-    no-eve forwards pulses untouched; random-intercept skims each photon
-    independently with the given probability; always-minus-one takes exactly
-    one photon when there is one to take; block-singles suppresses every
-    pulse carrying fewer than two photons and forwards exactly one photon of
-    each multi-photon pulse (the signature the decoy-state test looks for).
+    Only random intercept skims; every other variant's intercept probability
+    is 0.0, and a nonzero one raises.  no-eve forwards pulses untouched;
+    always-minus-one takes exactly one photon when there is one to take;
+    block-singles suppresses every pulse carrying fewer than two photons and
+    forwards exactly one photon of each multi-photon pulse (the signature the
+    decoy-state test looks for).
     """
 
     variant: PnsVariant
-    intercept_probability: float = 0.5
+    intercept_probability: float = 0.0
 
     def __post_init__(self) -> None:
         q = float(self.intercept_probability)
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"intercept probability must lie in [0, 1], got {q}")
+        if q and self.variant is not PnsVariant.RANDOM_INTERCEPT:
+            raise ValueError(f"{self.variant.value} skims no photon, got probability {q}")
         object.__setattr__(self, "intercept_probability", q)
 
     @classmethod
@@ -97,20 +103,15 @@ class PnsStrategy:
 
 
 def pns_transform_counts(counts: np.ndarray, strategy: PnsStrategy) -> np.ndarray:
-    """Vectorized semantics of the strategies that act on the emitted count:
-    the photon counts forwarded from ``counts``.
-
-    Random intercept is not such a map: it skims each photon independently,
-    so its forwarded counts are drawn directly as Poisson(mu * (1 - q)).
-    """
+    """Vectorized count map of ``strategy``: the photon counts it forwards
+    from the skimmed ``counts``.  No-eve and random intercept forward every
+    photon left after the skim."""
     counts = np.asarray(counts, dtype=np.int64)
-    if strategy.variant is PnsVariant.NO_EVE:
-        return counts
     if strategy.variant is PnsVariant.ALWAYS_MINUS_ONE:
         return np.maximum(counts - 1, 0)
     if strategy.variant is PnsVariant.BLOCK_SINGLES:
         return (counts >= 2).astype(np.int64)
-    raise ValueError("random intercept thins each photon; draw Poisson(mu * (1 - q)) instead")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -140,25 +141,25 @@ def _series_histogram(
 
     Consecutive chunks consume the uniforms of one whole draw, in order, so
     neither the histogram nor the stream's final state depends on the chunk
-    size.  Random intercept forwards the counts drawn at its thinned mean.
-    Always-minus-one and block-singles map the summed histogram of the
-    emitted counts, binned one past ``max_bin`` so that the counts the map
-    sends to ``max_bin - 1`` stay apart from those it sends to the overflow
-    bin; the counts are integers, so this equals mapping every pulse.
+    size.  Skimming each photon of a Poisson(mean) pulse with probability q
+    leaves exactly Poisson(mean * (1 - q)) photons, so the counts are drawn
+    at that mean.  The count map then acts on their summed histogram,
+    binned one past ``max_bin`` so that the counts the map sends to
+    ``max_bin - 1`` stay apart from those it sends to the overflow bin; the
+    counts are integers, so this equals mapping every pulse.
     """
-    mapped = strategy.variant in (PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES)
-    top = max_bin + 1 if mapped else max_bin
+    mean = mean * (1.0 - strategy.intercept_probability)
+    top = max_bin + 1
     size = min(_CHUNK, n_pulses)
     uniforms, drawn = np.empty(size), np.empty(size, np.intp)
-    counts = np.zeros(top + 1, dtype=np.int64)
+    skimmed = np.zeros(top + 1, dtype=np.int64)
     for start in range(0, n_pulses, _CHUNK):
         k = min(_CHUNK, n_pulses - start)
         emitted = poisson_sample_array(mean, rng, k, out=(uniforms[:k], drawn[:k]))
-        counts += Histogram.from_samples(emitted, max_bin=top).counts
-    if mapped:
-        forwarded = np.minimum(pns_transform_counts(np.arange(top + 1), strategy), max_bin)
-        emitted_counts, counts = counts, np.zeros(max_bin + 1, dtype=np.int64)
-        np.add.at(counts, forwarded, emitted_counts)
+        skimmed += Histogram.from_samples(emitted, max_bin=top).counts
+    forwarded = np.minimum(pns_transform_counts(np.arange(top + 1), strategy), max_bin)
+    counts = np.zeros(max_bin + 1, dtype=np.int64)
+    np.add.at(counts, forwarded, skimmed)
     return Histogram(counts=counts, total=n_pulses)
 
 
@@ -188,12 +189,7 @@ def pns_experiment(
     histograms: dict[str, Histogram] = {}
     zscores: dict[str, np.ndarray] = {}
     for strategy, label, child in zip(strategies, labels, children[1:]):
-        mean = mean_photons
-        if strategy.variant is PnsVariant.RANDOM_INTERCEPT:
-            # Skimming each photon of a Poisson(mu) pulse with probability q
-            # leaves exactly Poisson(mu * (1 - q)) photons.
-            mean = mean_photons * (1.0 - strategy.intercept_probability)
-        hist = _series_histogram(mean, strategy, child, n_pulses, max_bin)
+        hist = _series_histogram(mean_photons, strategy, child, n_pulses, max_bin)
         histograms[label] = hist
         zscores[label] = zscore_compare(hist, baseline)
     return PnsExperimentResult(baseline=baseline, histograms=histograms, zscores=zscores)
@@ -211,7 +207,12 @@ class TrojanVariant(Enum):
 
 @dataclass(frozen=True)
 class TrojanPolicy:
-    """Sender-side phase policy applied to diagonally encoded photons."""
+    """Sender-side phase policy applied to diagonally encoded photons.
+
+    Only the fixed-shift policy reads ``shift``; no-shift's is 0.0,
+    random-shift draws a phase per photon, and a nonzero shift on either
+    raises.
+    """
 
     variant: TrojanVariant
     shift: float = 0.0
@@ -220,6 +221,8 @@ class TrojanPolicy:
         theta = float(self.shift)
         if not 0.0 <= theta < 2.0 * math.pi:
             raise ValueError(f"phase shift must lie in [0, 2*pi), got {theta}")
+        if theta and self.variant is not TrojanVariant.FIXED_SHIFT:
+            raise ValueError(f"{self.variant.value} takes no fixed phase, got {theta}")
         object.__setattr__(self, "shift", theta)
 
     @classmethod

@@ -21,7 +21,6 @@ __all__ = [
     "parse_range",
     "as_int",
     "as_float",
-    "as_bool",
     "float_list",
     "int_list",
     "names",
@@ -117,17 +116,6 @@ def as_float(raw: Any) -> float:
     if math.isnan(value):
         raise ConfigError(f"expected a number, got {raw!r}")
     return value
-
-
-def as_bool(raw: Any) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 def _numbers(raw: Any, item: Callable[[Any], Any]) -> list:

@@ -21,7 +21,7 @@ import numpy as np
 from .. import attacks, network, photonics, qkd
 from ..stats import stream
 from .config import (
-    ConfigError, ParamSpec, as_bool, as_float, as_int, choice, float_list, int_list, names,
+    ConfigError, ParamSpec, as_float, as_int, choice, float_list, int_list, names,
 )
 
 __all__ = ["ExperimentDef", "EXPERIMENTS", "get_experiment"]
@@ -86,10 +86,9 @@ def _trojan_policy(token: str) -> attacks.TrojanPolicy:
     )
 
 
-def _optional_splitter(raw: Any) -> str:
+def _splitter_token(raw: Any) -> str:
     token = str(raw).strip()
-    if token != "none":
-        _splitter_strategy(token)
+    _splitter_strategy(token)
     return token
 
 
@@ -341,18 +340,12 @@ def _run_relay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
 
 _DECOY_SPECS = (
     ParamSpec("signal_mu", as_float, 0.5, "signal intensity"),
-    ParamSpec("decoy_mus", float_list, [0.1], "decoy intensities"),
-    ParamSpec("vacuum", as_bool, True, "include a vacuum intensity class"),
+    ParamSpec("decoy_mus", float_list, [0.1, 0.0], "decoy intensities; 0 is the vacuum class"),
     ParamSpec("pulses", as_int, 100_000, "pulses per intensity class"),
     ParamSpec("transmittance", as_float, 0.5, "channel transmittance"),
     ParamSpec("efficiency", as_float, 0.9, "detector efficiency"),
     ParamSpec("dark", as_float, 1e-5, "detector dark-count probability"),
-    ParamSpec(
-        "attack",
-        _optional_splitter,
-        "none",
-        "splitting attack, or none (same tokens as the pns scenario)",
-    ),
+    ParamSpec("attack", _splitter_token, "no-eve", "splitting strategy (the pns tokens)"),
     ParamSpec("threshold", as_float, 0.1, "relative gain deviation that raises the alarm"),
 )
 
@@ -363,19 +356,12 @@ def _run_decoy(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Sum
     intensities = [qkd.DecoyIntensity(photonics.SIGNAL, params["signal_mu"], pulses)]
     for i, mu in enumerate(params["decoy_mus"]):
         intensities.append(qkd.DecoyIntensity(photonics.decoy_label(i), mu, pulses))
-    if params["vacuum"]:
-        intensities.append(
-            qkd.DecoyIntensity(photonics.decoy_label(len(params["decoy_mus"])), 0.0, pulses)
-        )
     channel = photonics.LossChannel(params["transmittance"])
     detector = photonics.Detector(
         efficiency=params["efficiency"], dark_count_prob=params["dark"]
     )
-    attacker = None
-    if params["attack"] != "none":
-        attacker = _splitter_strategy(params["attack"])
     detected = qkd.simulate_decoy_transmissions(
-        intensities, channel, detector, rng, attacker=attacker
+        intensities, channel, detector, rng, attacker=_splitter_strategy(params["attack"])
     )
     analysis = qkd.decoy_state_analysis(
         intensities, detected, channel, detector, deviation_threshold=params["threshold"]

@@ -55,8 +55,8 @@ class LossChannel:
 
 @dataclass(frozen=True)
 class Detector:
-    """Threshold detector; both fields exist for decoy-state analysis and
-    default to the ideal values used everywhere else."""
+    """Threshold detector.  The fields default to an ideal detector; the
+    bb84 and decoy experiments set both."""
 
     efficiency: float = 1.0
     dark_count_prob: float = 0.0

@@ -581,17 +581,16 @@ def simulate_decoy_transmissions(
     Pulses are independent, so a class of n pulses clicks Binomial(n, Q)
     times, with Q = sum over k of P(k photons arrive) times the detector's
     click probability at k; each class takes one binomial draw, in order.
-    Without an attacker, each photon survives the loss channel
-    independently, so a Poisson(mu) pulse arrives as exactly
-    Poisson(mu * transmittance) photons.  With a splitting ``attacker``, the
-    attacker taps at the source, forwards her chosen photon numbers over a
-    lossless bypass (the strongest version of the attack: she replaces the
-    lossy fiber), and the channel transmittance never applies.  Random
-    intercept thins the same way, to Poisson(mu * (1 - q)); the other
-    strategies map the emitted Poisson(mu) counts through
-    :func:`pns_transform_counts`.  Each Poisson law is cut where its tail
-    falls below 1e-16 (:func:`qntl.stats.poisson_pmf`), which lowers Q by
-    less than that.
+    Without an attacker, or with the no-eve strategy, each photon survives
+    the loss channel independently, so a Poisson(mu) pulse arrives as
+    exactly Poisson(mu * transmittance) photons.  Any other splitting
+    ``attacker`` taps at the source and forwards her chosen photon numbers
+    over a lossless bypass (the strongest version of the attack: she
+    replaces the lossy fiber), so the channel transmittance never applies.
+    Her skim leaves Poisson(mu * (1 - q)) photons, and the arriving pmf is
+    that law pushed through :func:`pns_transform_counts`.  Each Poisson law
+    is cut where its tail falls below 1e-16 (:func:`qntl.stats.poisson_pmf`),
+    which lowers Q by less than that.
     """
     if not intensities:
         raise ValueError("need at least one intensity class")
@@ -610,14 +609,12 @@ def _click_probability(
 ) -> float:
     """Q, the click probability of one Poisson(mu) pulse: the arriving
     photon-number pmf weighted by the detector's click probability."""
-    if attacker is None:
+    if attacker is None or attacker.variant is PnsVariant.NO_EVE:
         arriving = poisson_pmf(mu * channel.transmittance)
-    elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
-        arriving = poisson_pmf(mu * (1.0 - attacker.intercept_probability))
     else:
-        emitted = poisson_pmf(mu)
-        forwarded = pns_transform_counts(np.arange(emitted.size), attacker)
-        arriving = np.bincount(forwarded, weights=emitted)
+        skimmed = poisson_pmf(mu * (1.0 - attacker.intercept_probability))
+        forwarded = pns_transform_counts(np.arange(skimmed.size), attacker)
+        arriving = np.bincount(forwarded, weights=skimmed)
     q = float(arriving @ detector.click_probability(np.arange(arriving.size)))
     return min(q, 1.0)  # the masses may sum past 1 by a few ulps
 

@@ -64,6 +64,24 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_qkd.py::test_photon_gate_matches_scalar_draws",),
     ),
     Mutant(
+        "decoy-no-eve-lossless-bypass",
+        "qntl/qkd.py",
+        "if attacker is None or attacker.variant is PnsVariant.NO_EVE:",
+        "if attacker is None:",
+        ("tests/test_qkd.py::test_decoy_honest_channel_passes",
+         "tests/test_cli.py::test_decoy_vacuum_is_a_zero_intensity_and_no_eve_is_no_attack",
+         "tests/test_golden.py::test_rows_match_golden_pins"),
+    ),
+    Mutant(
+        "pns-skim-dropped",
+        "qntl/attacks.py",
+        "    mean = mean * (1.0 - strategy.intercept_probability)\n",
+        "",
+        ("tests/test_attacks.py::test_pns_random_intercept_thins_poisson",
+         "tests/test_attacks.py::test_pns_chunks_match_one_whole_draw[10000]",
+         "tests/test_golden.py::test_rows_match_golden_pins"),
+    ),
+    Mutant(
         "dos-no-patience-check",
         "qntl/network/dos.py",
         '        ("patience_ms", patience_ms, False),\n',

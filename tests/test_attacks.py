@@ -69,8 +69,13 @@ def test_pns_strategy_validation():
         PnsStrategy.random_intercept(1.5)
     assert PnsStrategy.random_intercept(0.25).label() == "random-0.25"
     assert PnsStrategy.always_minus_one().label() == "always-minus-one"
-    with pytest.raises(ValueError):
-        pns_transform_counts([3], PnsStrategy.random_intercept(0.5))
+    # Random intercept skims first; its count map is the identity.
+    assert pns_transform_counts([3, 0], PnsStrategy.random_intercept(0.5)).tolist() == [3, 0]
+    # Only random intercept skims, so another variant's probability is refused.
+    assert PnsStrategy.block_singles().intercept_probability == 0.0
+    for variant in (PnsVariant.NO_EVE, PnsVariant.ALWAYS_MINUS_ONE, PnsVariant.BLOCK_SINGLES):
+        with pytest.raises(ValueError):
+            PnsStrategy(variant, 0.5)
 
 
 @given(
@@ -483,6 +488,11 @@ def test_trojan_policy_validation():
             phase_shifts=np.zeros(3),
         )
     assert TrojanPolicy.fixed_shift(1.5).label() == "fixed-1.5"
+    # Only fixed-shift reads its phase: a no-shift policy at 2.0 would be
+    # labelled no-shift but gain 0.573 a photon, not 0.75.
+    for variant in (TrojanVariant.NO_SHIFT, TrojanVariant.RANDOM_SHIFT):
+        with pytest.raises(ValueError):
+            TrojanPolicy(variant, 2.0)
 
 
 # ---------------------------------------------------------------- probe

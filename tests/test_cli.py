@@ -1,4 +1,5 @@
 """Tests for the command-line layer: config parsing, reports, catalog, plots."""
+import hashlib
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from qntl.cli.runners import EXPERIMENTS
 
 from oracles import catalog_sha256
 
+GOLDEN_PINS = Path(__file__).parent / "data" / "rows.sha256"
 PINNED_SHA = Path(__file__).parent / "data" / "catalog.sha256"
 
 
@@ -242,6 +244,8 @@ def test_run_rejects_unknown_experiment_and_flags(tmp_path, capsys):
         (["diversion", "--response-time-scale", "nan"], "response_time_scale"),
         (["decoy", "--decoy-mus", "0.1,nan"], "decoy_mus"),
         (["dos", {"patience": float("nan")}], "patience"),
+        # decoy takes exactly the pns tokens; "no attack" is no-eve
+        (["decoy", "--attack", "none"], "attack"),
     ],
 )
 def test_bad_value_diagnostic_names_the_key(argv, key, tmp_path, capsys):
@@ -253,6 +257,26 @@ def test_bad_value_diagnostic_names_the_key(argv, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"qntl: bad value for '{key}': ")
     assert len(err.splitlines()) == 1
+
+
+def test_decoy_vacuum_is_a_zero_intensity_and_no_eve_is_no_attack(tmp_path, capsys):
+    # The pinned default rows (2000 pulses, seed 7) hold signal 0.5, decoy
+    # 0.1 and a vacuum class: a 0 in --decoy-mus is that class, and no-eve
+    # draws the honest channel's clicks.
+    pins = dict(reversed(line.split()) for line in GOLDEN_PINS.read_text().splitlines())
+    base = ["--pulses", "2000", "--seed", "7"]
+    out = tmp_path / "rows.csv"
+    for extra in ([], ["--decoy-mus", "0.1,0"], ["--attack", "no-eve"]):
+        assert main(["run", "decoy", *base, *extra, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pins["decoy"], extra
+    report = run_json_report(tmp_path, "decoy", *base, "--attack", "no-eve")
+    assert report["summary"]["eavesdrop_detected"] is False
+    assert main(["run", "decoy", "--vacuum", "true"]) == 2
+    assert "--vacuum" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {"vacuum": True}}))
+    assert main(["run", "decoy", "--config", str(cfg)]) == 2
+    assert "'vacuum'" in capsys.readouterr().err
 
 
 def test_infinite_float_values_still_parse(capsys):

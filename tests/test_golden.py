@@ -95,7 +95,7 @@ ARRAY_CASES = {
     "decoy/random-0.5-eta-0.8": (
         "decoy", {"pulses": "2000", "attack": "random-0.5", "transmittance": "0.8"},
     ),
-    "decoy/two-decoys": ("decoy", {"pulses": "2000", "decoy_mus": "0.1,0.05"}),
+    "decoy/two-decoys": ("decoy", {"pulses": "2000", "decoy_mus": "0.1,0.05,0"}),
     "pns/mu-20": ("pns", {"pulses": "10000", "mu": "20", "max_bin": "60"}),
     "pns/multi-chunk": (
         "pns",

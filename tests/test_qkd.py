@@ -735,6 +735,8 @@ def decoy_run(attacker, n=10**5, mus=(0.5, 0.1), seed=42):
 
 def test_decoy_honest_channel_passes():
     analysis = decoy_run(attacker=None)
+    # No-eve is no attacker: the same seed draws the same clicks.
+    assert decoy_run(attacker=PnsStrategy.no_eve()) == analysis
     assert not analysis.eavesdrop_detected
     assert analysis.max_relative_deviation < 0.05
     for item in analysis.assessments:
