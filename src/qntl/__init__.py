@@ -8,8 +8,11 @@ network-scale topology, routing, and availability questions
 (:mod:`qntl.network`).  Every experiment is reproducible from a single seed
 through the stream discipline in :mod:`qntl.stats`, and the ``qntl``
 command line exposes the full catalog of scenarios.
+
+Each layer loads on first use (``qntl.qkd`` or ``import qntl.qkd``), so a
+command pays only for the layers it runs.
 """
-from . import attacks, cli, network, photonics, qkd, quantum, stats
+import importlib
 
 __version__ = "0.1.0"
 
@@ -23,3 +26,9 @@ __all__ = [
     "quantum",
     "stats",
 ]
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

@@ -179,6 +179,8 @@ def pns_experiment(
     """
     if n_pulses < 10_000:
         raise ValueError("distribution experiment needs at least 10^4 pulses")
+    if max_bin < 0:
+        raise ValueError(f"max_bin must be >= 0, got {max_bin}")
     if not strategies:
         raise ValueError("need at least one strategy")
     labels = [s.label() for s in strategies]

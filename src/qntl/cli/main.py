@@ -5,6 +5,10 @@ Three subcommands: ``run`` executes a named experiment and writes its report,
 into per-series plot data.  Exit status is 0 on success, 2 for configuration
 problems (unknown keys, bad values, malformed files), 3 for runtime failures;
 configuration diagnostics are single lines naming the offending key.
+
+Each command imports what it alone uses: ``run`` never loads the catalog
+or the plot stack, and the registry loads an experiment's layer only when
+that experiment runs.
 """
 from __future__ import annotations
 
@@ -13,15 +17,17 @@ import sys
 import time
 from typing import Any, Sequence
 
-from .catalog import catalog_json, filter_catalog, format_catalog_table, load_catalog
 from .config import ConfigError, load_config_file, resolve_config
-from .plotdata import FIGURES, emit_plotdata
 from .report import ExperimentReport
 from .runners import EXPERIMENTS, get_experiment
 
 __all__ = ["main"]
 
-_USAGE = """usage: qntl <command> ...
+
+def _usage() -> str:
+    from .plotdata import FIGURES
+
+    return """usage: qntl <command> ...
 
 commands:
   run <experiment>   execute an experiment and write its report
@@ -113,6 +119,8 @@ def _cmd_run(argv: Sequence[str]) -> int:
 
 
 def _cmd_catalog(argv: Sequence[str]) -> int:
+    from .catalog import catalog_json, filter_catalog, format_catalog_table, load_catalog
+
     parser = _Parser(prog="qntl catalog")
     parser.add_argument("--layer", default=None, help="show only one layer's entries")
     parser.add_argument("--format", default="text", choices=("text", "json"))
@@ -126,6 +134,8 @@ def _cmd_catalog(argv: Sequence[str]) -> int:
 
 
 def _cmd_plot(argv: Sequence[str]) -> int:
+    from .plotdata import FIGURES, emit_plotdata
+
     parser = _Parser(prog="qntl plot")
     parser.add_argument("figure", help="one of " + ", ".join(sorted(FIGURES)))
     parser.add_argument("--report", required=True, help="JSON report produced by 'run --format json'")
@@ -154,7 +164,7 @@ def _cmd_plot(argv: Sequence[str]) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
-        sys.stdout.write(_USAGE)
+        sys.stdout.write(_usage())
         return 0
     command, rest = argv[0], argv[1:]
     try:

@@ -8,21 +8,32 @@ byte.  Rows are plain tuples, and rows and summaries hold builtin scalars
 only, never numpy types, because both the CSV and JSON writers rely on
 builtin formatting: runners convert arrays with ``tolist()`` where they read
 them.
+
+Importing the registry loads no physics or network layer beyond the
+topology family names: each runner and token parser imports its layer in
+its body, and calls through the module attribute
+(``attacks.pns_experiment``), where a tracer can patch it.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
-from .. import attacks, network, photonics, qkd
+from ..defaults import (
+    CHSH_DETECTION_MARGIN, CHSH_TEST_FRACTION, DEFAULT_ABORT_THRESHOLD, DEFAULT_DISCLOSED_FRACTION,
+)
+from ..network.topology import TopologyKind
 from ..stats import stream
 from .config import (
     ConfigError, ParamSpec, as_float, as_int, choice, float_list, int_list, names,
 )
+
+if TYPE_CHECKING:
+    from .. import attacks, network, qkd
 
 __all__ = ["ExperimentDef", "EXPERIMENTS", "get_experiment"]
 
@@ -49,6 +60,8 @@ def _key_digest(bits: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def _splitter_strategy(token: str) -> attacks.PnsStrategy:
+    from .. import attacks
+
     if token == "no-eve":
         return attacks.PnsStrategy.no_eve()
     if token == "always-minus-one":
@@ -68,6 +81,8 @@ def _splitter_strategy(token: str) -> attacks.PnsStrategy:
 
 
 def _trojan_policy(token: str) -> attacks.TrojanPolicy:
+    from .. import attacks
+
     if token == "no-shift":
         return attacks.TrojanPolicy.no_shift()
     if token == "random-shift":
@@ -86,6 +101,11 @@ def _trojan_policy(token: str) -> attacks.TrojanPolicy:
     )
 
 
+def _label(checked: attacks.PnsStrategy | attacks.TrojanPolicy) -> str:
+    """Duplicate key of a checked strategy or policy: its row label."""
+    return checked.label()
+
+
 def _splitter_token(raw: Any) -> str:
     token = str(raw).strip()
     _splitter_strategy(token)
@@ -101,7 +121,7 @@ _PNS_SPECS = (
     ParamSpec("pulses", as_int, 100_000, "pulses per strategy"),
     ParamSpec(
         "strategies",
-        names("splitting strategies", _splitter_strategy, attacks.PnsStrategy.label),
+        names("splitting strategies", _splitter_strategy, _label),
         ["no-eve", "random-0.5", "always-minus-one"],
         "comma-separated splitting strategies to compare",
     ),
@@ -110,6 +130,8 @@ _PNS_SPECS = (
 
 
 def _run_pns(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import attacks
+
     strategies = [_splitter_strategy(t) for t in params["strategies"]]
     rng = stream(seed, "pns")
     result = attacks.pns_experiment(
@@ -139,7 +161,7 @@ _TROJAN_SPECS = (
     ParamSpec("photons", as_int, 100_000, "probe photons per policy"),
     ParamSpec(
         "policies",
-        names("probing policies", _trojan_policy, attacks.TrojanPolicy.label),
+        names("probing policies", _trojan_policy, _label),
         ["no-shift", "fixed-half-pi", "random-shift"],
         "comma-separated phase-shift policies to compare",
     ),
@@ -147,6 +169,8 @@ _TROJAN_SPECS = (
 
 
 def _run_trojan(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import attacks
+
     n = params["photons"]
     stride = max(n // 200, 1)
     checkpoints = list(range(stride, n + 1, stride))
@@ -172,9 +196,9 @@ def _run_trojan(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Su
 
 # Post-processing parameters that both key exchanges share.
 _KEY_SPECS = (
-    ParamSpec("disclosed_fraction", as_float, qkd.DEFAULT_DISCLOSED_FRACTION,
+    ParamSpec("disclosed_fraction", as_float, DEFAULT_DISCLOSED_FRACTION,
               "sifted fraction disclosed for error estimation"),
-    ParamSpec("abort_threshold", as_float, qkd.DEFAULT_ABORT_THRESHOLD,
+    ParamSpec("abort_threshold", as_float, DEFAULT_ABORT_THRESHOLD,
               "error rate above which the session aborts"),
 )
 
@@ -225,6 +249,8 @@ def _session_summary(session: qkd.QkdSession) -> Summary:
 
 
 def _run_bb84(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import attacks, photonics, qkd
+
     rng = stream(seed, "bb84")
     mean_photons = params["mu"] if params["source"] == "weak-coherent" else None
     channel = None
@@ -265,15 +291,17 @@ _E91_SPECS = (
         "none",
         "pair-source attack (probe entangles an ancilla with every pair)",
     ),
-    ParamSpec("chsh_fraction", as_float, qkd.CHSH_TEST_FRACTION,
+    ParamSpec("chsh_fraction", as_float, CHSH_TEST_FRACTION,
               "fraction of rounds spent on the correlation test"),
-    ParamSpec("detection_margin", as_float, qkd.CHSH_DETECTION_MARGIN,
+    ParamSpec("detection_margin", as_float, CHSH_DETECTION_MARGIN,
               "required margin above the classical bound"),
     *_KEY_SPECS,
 )
 
 
 def _run_e91(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import attacks, qkd
+
     rng = stream(seed, "e91")
     hook = attacks.probe_hook() if params["attack"] == "probe" else None
     session = qkd.run_e91(
@@ -319,6 +347,8 @@ _RELAY_SPECS = (
 
 
 def _run_relay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import qkd
+
     rng = stream(seed, "relay")
     key = rng.integers(0, 2, size=params["key_bits"], dtype=np.int8)
     result = qkd.run_relay_chain(key, params["relays"], rng)
@@ -351,6 +381,8 @@ _DECOY_SPECS = (
 
 
 def _run_decoy(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import photonics, qkd
+
     rng = stream(seed, "decoy")
     pulses = params["pulses"]
     intensities = [qkd.DecoyIntensity(photonics.SIGNAL, params["signal_mu"], pulses)]
@@ -403,6 +435,8 @@ _QEC_SPECS = (
 
 
 def _run_qec(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import attacks
+
     rng = stream(seed, "qec")
     columns = (
         "mode", "flip_probability", "blocks", "logical_errors", "logical_rate",
@@ -434,6 +468,8 @@ _INTERLOCK_SPECS = (
 
 
 def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import attacks
+
     rng = stream(seed, "interlock")
     trials = params["trials"]
     columns = ("message_bits", "trials", "detected", "detection_rate", "analytic_rate")
@@ -448,7 +484,7 @@ def _run_interlock(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows,
 # Untrusted-node path decay
 # ---------------------------------------------------------------------------
 
-_ALL_KINDS = [k.value for k in network.TopologyKind]
+_ALL_KINDS = [k.value for k in TopologyKind]
 
 
 _KIND_NAMES = names("topology kinds", choice("topology kind", _ALL_KINDS))
@@ -474,6 +510,8 @@ _DECAY_SPECS = (
 
 
 def _run_decay(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import network
+
     rng = stream(seed, "topology-decay")
     table = network.untrusted_node_experiment(
         params["kinds"], params["fractions"], params["trials"], params["pairs"], rng
@@ -520,6 +558,8 @@ _DIVERSION_SPECS = (
 
 
 def _run_diversion(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import network
+
     rng = stream(seed, "diversion")
     topo_seed = int(rng.integers(0, 2**63))
     topology = network.generate_topology(
@@ -584,6 +624,8 @@ _DOS_SPECS = (
 
 
 def _build_mitigation(params: Mapping[str, Any]) -> network.Mitigation:
+    from .. import network
+
     kind = params["mitigation"]
     if kind == "none":
         return network.Mitigation.none()
@@ -595,6 +637,8 @@ def _build_mitigation(params: Mapping[str, Any]) -> network.Mitigation:
 
 
 def _run_dos(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summary]:
+    from .. import network
+
     rng = stream(seed, "dos")
     result = network.dos_simulate(
         params["duration"],

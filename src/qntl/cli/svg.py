@@ -6,9 +6,9 @@ range, so callers just hand over named series of (x, y) points.
 """
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 __all__ = ["Series", "LineChart", "render_line_chart"]
 
@@ -65,6 +65,11 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+def _escape(text: str) -> str:
+    """Text content for the SVG: ``&``, ``<`` and ``>`` escaped, quotes kept."""
+    return html.escape(text, quote=False)
+
+
 def render_line_chart(chart: LineChart) -> str:
     xs = [p[0] for s in chart.series for p in s.points]
     ys = [p[1] for s in chart.series for p in s.points]
@@ -99,7 +104,7 @@ def render_line_chart(chart: LineChart) -> str:
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(chart.title)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(chart.title)}</text>',
     ]
 
     axis_y = _MARGIN_TOP + plot_h
@@ -120,7 +125,7 @@ def render_line_chart(chart: LineChart) -> str:
         )
         parts.append(
             f'<text x="{x:.1f}" y="{axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(_fmt(t))}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(_fmt(t))}</text>'
         )
 
     if chart.log_y:
@@ -142,19 +147,19 @@ def render_line_chart(chart: LineChart) -> str:
         )
         parts.append(
             f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
 
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(chart.x_label)}</text>"
+        f"{_escape(chart.x_label)}</text>"
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.1f})">'
-        f"{escape(chart.y_label)}</text>"
+        f"{_escape(chart.y_label)}</text>"
     )
 
     for i, series in enumerate(chart.series):
@@ -172,7 +177,7 @@ def render_line_chart(chart: LineChart) -> str:
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(series.name)}</text>'
+            f'font-size="11">{_escape(series.name)}</text>'
         )
 
     parts.append("</svg>")

@@ -25,6 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attacks import PnsStrategy, PnsVariant, pns_transform_counts
+from .defaults import (
+    CHSH_DETECTION_MARGIN, CHSH_TEST_FRACTION, DEFAULT_ABORT_THRESHOLD, DEFAULT_DISCLOSED_FRACTION,
+)
 from .photonics import Detector, LossChannel, detect, emit_pulse, transmit
 from .quantum import CHSH_OPTIMAL_ANGLES, Basis, PureState, bell_pair
 from .quantum import joint_probabilities, measure_qubit
@@ -38,11 +41,7 @@ from .stats import chsh_estimate, poisson_pmf, stream
 from .stats import poisson_sample_array  # noqa: F401
 
 __all__ = [
-    "DEFAULT_ABORT_THRESHOLD",
-    "DEFAULT_DISCLOSED_FRACTION",
     "DEFAULT_HASH_SEED",
-    "CHSH_TEST_FRACTION",
-    "CHSH_DETECTION_MARGIN",
     "ALICE_TEST_ANGLES",
     "BOB_TEST_ANGLES",
     "InFlightHook",
@@ -63,21 +62,12 @@ __all__ = [
     "decoy_state_analysis",
 ]
 
-# Abort when the disclosed-sample error rate exceeds this; the 11% figure is
-# the usual one-way post-processing limit for prepare-and-measure exchange.
-DEFAULT_ABORT_THRESHOLD = 0.11
-DEFAULT_DISCLOSED_FRACTION = 0.1
-
 # Seed for the Toeplitz hashing stream.  Fixed by convention: both ends must
 # derive the identical compression matrix, so it is public protocol state,
 # not secret randomness.
 DEFAULT_HASH_SEED = 0x9E3779B9
 
-# Entanglement-based exchange: fraction of rounds diverted to the CHSH test,
-# the analyzer settings used there, and the acceptance margin above the
-# classical bound of 2.
-CHSH_TEST_FRACTION = 0.25
-CHSH_DETECTION_MARGIN = 0.1
+# Entanglement-based exchange: the analyzer settings of the CHSH test rounds.
 ALICE_TEST_ANGLES = CHSH_OPTIMAL_ANGLES[:2]
 BOB_TEST_ANGLES = CHSH_OPTIMAL_ANGLES[2:]
 

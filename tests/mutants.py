@@ -198,6 +198,14 @@ MUTANTS: tuple[Mutant, ...] = (
          "tests/test_network.py::test_barabasi_albert_exports_are_pinned"),
     ),
     Mutant(
+        "preferential-new-node-degree-k-plus-1",
+        "qntl/network/topology.py",
+        "        slots += [new] * k\n",
+        "        slots += [new] * (k + 1)\n",
+        ("tests/test_network.py::test_preferential_edges_match_numpy_reference",
+         "tests/test_network.py::test_barabasi_albert_exports_are_pinned"),
+    ),
+    Mutant(
         "preferential-slots-in-attachment-order",
         "qntl/network/topology.py",
         "insort(slots, t)",
@@ -218,6 +226,24 @@ MUTANTS: tuple[Mutant, ...] = (
         "not 0.0 <= values[0] <= values[1] < math.inf",
         "not 0.0 <= values[0] <= values[1]",
         ("tests/test_cli.py::test_diversion_rejects_an_infinite_quality_range[response-time]",),
+    ),
+    Mutant(
+        "registry-loads-qkd-eagerly",
+        "qntl/cli/runners.py",
+        "from ..stats import stream\n",
+        "from .. import qkd  # noqa: F401\nfrom ..stats import stream\n",
+        ("tests/test_cli.py::test_import_loads_no_scipy_or_networkx",
+         "tests/test_cli.py::test_dos_run_loads_no_physics_module",
+         "tests/test_cli.py::test_pns_run_loads_no_qkd_photonics_or_network_module"),
+    ),
+    Mutant(
+        "main-loads-plotdata-eagerly",
+        "qntl/cli/main.py",
+        "from .report import ExperimentReport\n",
+        "from .plotdata import FIGURES, emit_plotdata  # noqa: F401\n"
+        "from .report import ExperimentReport\n",
+        ("tests/test_cli.py::test_no_run_loads_the_catalog_or_plot_stack",
+         "tests/test_cli.py::test_pns_run_loads_no_qkd_photonics_or_network_module"),
     ),
     Mutant(
         "trojan-phase-carry-dropped",
@@ -246,6 +272,14 @@ MUTANTS: tuple[Mutant, ...] = (
         "qntl/network/dos.py",
         "line[0] < best[0]",
         "line[0] > best[0]",
+        ("tests/test_golden.py::test_rows_match_golden_pins",
+         "tests/test_dos.py::test_suspicion_scheduler_matches_per_pick_reference"),
+    ),
+    Mutant(
+        "suspicion-seq-tie-break-dropped",
+        "qntl/network/dos.py",
+        "count < best_count or count == best_count and line[0] < best[0]",
+        "count < best_count",
         ("tests/test_golden.py::test_rows_match_golden_pins",
          "tests/test_dos.py::test_suspicion_scheduler_matches_per_pick_reference"),
     ),

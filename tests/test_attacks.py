@@ -232,6 +232,11 @@ def test_pns_experiment_validation():
         pns_experiment(10**4, 5.0, [], rng)
     with pytest.raises(ValueError):
         pns_experiment(10**4, 5.0, [PnsStrategy.no_eve(), PnsStrategy.no_eve()], rng)
+    with pytest.raises(ValueError, match="max_bin"):
+        pns_experiment(10**4, 5.0, [PnsStrategy.no_eve()], rng, max_bin=-1)
+    # Bin 0 alone is valid: every pulse lands in the tail bin.
+    result = pns_experiment(10**4, 5.0, [PnsStrategy.no_eve()], rng, max_bin=0)
+    assert result.baseline.counts.tolist() == [10**4]
 
 
 # ---------------------------------------------------------------- trojan horse

@@ -1,5 +1,6 @@
 """Tests for the command-line layer: config parsing, reports, catalog, plots."""
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -41,22 +42,99 @@ def _source_env():
     return env
 
 
-def test_import_loads_no_scipy_or_networkx():
-    # What every `qntl run` imports, in a fresh interpreter.  The registry
-    # alone also needs none of the command line's parser, reports or plots.
-    probe = (
-        "import sys, qntl\n"
-        "from qntl.cli.runners import EXPERIMENTS\n"
-        "unwanted = ('scipy', 'networkx', 'argparse', 'qntl.cli.main', 'qntl.cli.plotdata',\n"
-        "            'qntl.cli.svg', 'qntl.cli.catalog', 'qntl.cli.report')\n"
-        "print(' '.join(m for m in sys.modules\n"
-        "               if any(m == u or m.startswith(u + '.') for u in unwanted)))\n"
-    )
+# The layers a run may load on demand: physics, and the network layer past
+# the topology family names the registry reads.
+PHYSICS_MODULES = ("qntl.quantum", "qntl.photonics", "qntl.qkd", "qntl.attacks")
+NETWORK_MODULES = ("qntl.network.dos", "qntl.network.paths", "qntl.network.experiments")
+
+
+def _fresh_modules(code):
+    """The module names a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))\n"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True,
         check=True,
     )
-    assert result.stdout.split() == []
+    return set(result.stdout.split())
+
+
+def _loaded(modules, unwanted):
+    return sorted(m for m in modules if any(m == u or m.startswith(u + ".") for u in unwanted))
+
+
+def test_import_loads_no_scipy_or_networkx():
+    # What every `qntl run` imports, in a fresh interpreter.  The registry
+    # alone also needs none of the command line's parser, reports or plots,
+    # and no layer an experiment runs.
+    modules = _fresh_modules("import qntl\nfrom qntl.cli.runners import EXPERIMENTS")
+    unwanted = ("scipy", "networkx", "argparse", "qntl.cli.main", "qntl.cli.plotdata",
+                "qntl.cli.svg", "qntl.cli.catalog", "qntl.cli.report",
+                *PHYSICS_MODULES, *NETWORK_MODULES)
+    assert _loaded(modules, unwanted) == []
+
+
+def _run_all(*argvs):
+    lines = ["import contextlib, io", "from qntl.cli.main import main"]
+    for argv in argvs:
+        lines += ["with contextlib.redirect_stdout(io.StringIO()):",
+                  f"    assert main({['run', *argv]!r}) == 0"]
+    return _fresh_modules("\n".join(lines))
+
+
+def test_dos_run_loads_no_physics_module():
+    modules = _run_all(["dos", "--duration", "1000"])
+    assert "qntl.network.dos" in modules
+    assert _loaded(modules, PHYSICS_MODULES) == []
+
+
+def test_pns_run_loads_no_qkd_photonics_or_network_module():
+    modules = _run_all(["pns", "--pulses", "10000"])
+    assert "qntl.attacks" in modules
+    assert _loaded(modules, ("qntl.qkd", "qntl.photonics", *NETWORK_MODULES)) == []
+
+
+def test_no_run_loads_the_catalog_or_plot_stack():
+    modules = _run_all(
+        ["pns", "--pulses", "10000"], ["trojan", "--photons", "1000"],
+        ["bb84", "--rounds", "200"], ["e91", "--rounds", "200"], ["relay"],
+        ["decoy", "--pulses", "1000"], ["qec", "--blocks", "100"],
+        ["interlock", "--trials", "100"],
+        ["topology-decay", "--kinds", "grid", "--trials", "1", "--pairs", "2"],
+        ["diversion", "--pairs", "5"], ["dos", "--duration", "1000"],
+    )
+    assert set(PHYSICS_MODULES + NETWORK_MODULES) <= modules
+    unwanted = ("qntl.cli.plotdata", "qntl.cli.svg", "qntl.cli.catalog", "xml.sax")
+    assert _loaded(modules, unwanted) == []
+
+
+def test_layers_resolve_on_first_attribute_access():
+    modules = _fresh_modules(
+        "import qntl\n"
+        "assert qntl.qkd.__name__ == 'qntl.qkd'\n"
+        "route = qntl.network.route\n"
+        "from qntl.network.paths import route as home\n"
+        "assert route is home\n"
+        "for owner in (qntl, qntl.network):\n"
+        "    try:\n"
+        "        owner.no_such_name\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(owner)\n"
+    )
+    assert {"qntl.qkd", "qntl.network.paths"} <= modules
+    assert _loaded(modules, ("qntl.network.dos", "qntl.network.experiments")) == []
+
+
+def test_every_public_name_resolves_to_its_home():
+    import qntl.network as network
+
+    assert sorted(network._HOME) == sorted(network.__all__)
+    for name, home in network._HOME.items():
+        module = importlib.import_module(f"qntl.network.{home}")
+        assert getattr(network, name) is getattr(module, name), name
+    for name in qntl.__all__:
+        getattr(qntl, name)
 
 
 def test_python_dash_m_qntl_runs_the_cli(capsys):
@@ -291,6 +369,9 @@ def test_run_runtime_failure_is_exit_3(tmp_path, capsys):
     # pulses parses fine but the experiment itself refuses tiny samples
     assert main(["run", "pns", "--pulses", "100"]) == 3
     assert "qntl: ValueError" in capsys.readouterr().err
+    # A negative last bin is refused by name, not by an index error.
+    assert main(["run", "pns", "--pulses", "10000", "--max-bin", "-1"]) == 3
+    assert capsys.readouterr().err == "qntl: ValueError: max_bin must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -442,6 +523,23 @@ def test_plot_svg_output(tmp_path):
     svgs = list(out_dir.glob("*.svg"))
     assert len(svgs) == 1
     assert svgs[0].read_text().lstrip().startswith("<svg")
+
+
+def test_svg_text_escapes_as_xml_sax_did(monkeypatch):
+    # Oracle: the standard library's XML escape that the charts used before.
+    from xml.sax.saxutils import escape as sax_escape
+
+    from qntl.cli import svg
+
+    text = """Eve's "probe" & <tap> > 0"""
+    chart = svg.LineChart(
+        title=text, x_label=text + " x", y_label=text + " y",
+        series=(svg.Series(text, ((0.0, 1.0), (1.0, 3.0))), svg.Series("b & c", ((0.5, 2.0),))),
+    )
+    rendered = svg.render_line_chart(chart)
+    assert "Eve's \"probe\" &amp; &lt;tap&gt; &gt; 0" in rendered
+    monkeypatch.setattr(svg, "_escape", sax_escape)
+    assert svg.render_line_chart(chart) == rendered
 
 
 @pytest.mark.parametrize("run_args, figure, column, name", [
