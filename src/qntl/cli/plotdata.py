@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from ..network.experiments import AGGREGATE_DISTANCE
+from ..defaults import AGGREGATE_DISTANCE
 from .config import ConfigError
 from .report import ExperimentReport, rows_to_csv
 from .svg import LineChart, Series, render_line_chart

@@ -224,6 +224,12 @@ _BB84_SPECS = (
 )
 
 
+_SESSION_COLUMNS = (
+    "rounds", "sifted", "disclosed", "qber", "leaked", "final_bits",
+    "aborted", "eavesdrop_detected", "key_sha256",
+)
+
+
 def _session_row(session: qkd.QkdSession) -> tuple:
     return (
         session.n_rounds,
@@ -272,11 +278,7 @@ def _run_bb84(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summ
         disclosed_fraction=params["disclosed_fraction"],
         abort_threshold=params["abort_threshold"],
     )
-    columns = (
-        "rounds", "sifted", "disclosed", "qber", "leaked", "final_bits",
-        "aborted", "eavesdrop_detected", "key_sha256",
-    )
-    return columns, [_session_row(session)], _session_summary(session)
+    return _SESSION_COLUMNS, [_session_row(session)], _session_summary(session)
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +315,10 @@ def _run_e91(params: Mapping[str, Any], seed: int) -> tuple[Columns, Rows, Summa
         disclosed_fraction=params["disclosed_fraction"],
         abort_threshold=params["abort_threshold"],
     )
-    columns = (
-        "rounds", "test_rounds", "chsh", "sifted", "disclosed", "qber",
-        "leaked", "final_bits", "aborted", "eavesdrop_detected", "key_sha256",
-    )
     chsh = session.chsh_estimate if session.chsh_estimate is not None else float("nan")
-    row = (
-        session.n_rounds,
-        session.chsh_rounds,
-        chsh,
-        session.sifted_count,
-        session.disclosed_count,
-        session.qber_estimate,
-        session.leaked_bits,
-        session.final_key_bits,
-        session.aborted,
-        session.eavesdrop_detected,
-        _key_digest(session.final_key),
-    )
+    # bb84's columns and row, with the correlation test after the rounds.
+    columns = ("rounds", "test_rounds", "chsh", *_SESSION_COLUMNS[1:])
+    row = (session.n_rounds, session.chsh_rounds, chsh, *_session_row(session)[1:])
     summary = _session_summary(session)
     summary["chsh"] = chsh
     return columns, [row], summary

@@ -21,7 +21,6 @@ __all__ = [
     "count_viable_paths",
     "hop_distance",
     "route",
-    "DEFAULT_PARAMS",
     "NodeInfo",
     "Topology",
     "TopologyKind",
@@ -43,7 +42,6 @@ _HOME = {
     "count_viable_paths": "paths",
     "hop_distance": "paths",
     "route": "paths",
-    "DEFAULT_PARAMS": "topology",
     "NodeInfo": "topology",
     "Topology": "topology",
     "TopologyKind": "topology",

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..defaults import AGGREGATE_DISTANCE
 from .paths import count_viable_paths, hop_distance, route
 from .topology import LATTICE_KINDS, Topology, TopologyKind, generate_topology
 
@@ -29,8 +30,6 @@ __all__ = [
     "DiversionResult",
     "diversion_experiment",
 ]
-
-AGGREGATE_DISTANCE = -1
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def untrusted_node_experiment(
     """Measure viable-path decay as nodes become untrusted.
 
     Per trial: draw a fresh seed and generate the family's topology from it,
-    with its default parameters (random families thus resample their graph
+    at the family's fixed size (random families thus resample their graph
     each trial; a lattice, the same for every seed, is built in the first
     trial and reused), draw one random permutation of its nodes 0..n-1 and
     ``pairs_per_trial`` endpoint pairs, then for every fraction f compromise
@@ -180,11 +179,11 @@ class DiversionPair:
 
 @dataclass(frozen=True, eq=False)
 class DiversionResult:
-    """How much traffic falsified zero-cost advertisements attract.
+    """How much traffic a falsified zero-cost advertisement attracts.
 
-    ``baseline_fraction`` is how often routes pass through a hijacked node
+    ``baseline_fraction`` is how often routes pass through the hijacker
     when everyone advertises honestly; ``diverted_fraction`` when the
-    hijacked nodes advertise zero cost.  The gap is the attack's yield,
+    hijacker advertises zero cost.  The gap is the attack's yield,
     bought at ``mean_hop_stretch`` (a hop-count ratio vs the honest routes,
     1.0 meaning no inflation) averaged over all routed pairs.
     """
@@ -197,30 +196,26 @@ class DiversionResult:
 
 def diversion_experiment(
     topology: Topology,
-    hijackers: int | Iterable[int],
+    hijacker: int,
     n_pairs: int,
     rng: np.random.Generator,
     response_time_scale: float = 100.0,
 ) -> DiversionResult:
     """Route random pairs with honest and falsified weight advertisements.
 
-    ``hijackers`` may be a single node id or any iterable of them, including
-    none at all (the trivial control: both routings coincide).  Hijacked
-    nodes are excluded from the endpoint draw, since an endpoint sees its
-    own traffic anyway.  Diversion only has teeth when other nodes carry
+    The hijacker is excluded from the endpoint draw, since an endpoint sees
+    its own traffic anyway.  Diversion only has teeth when other nodes carry
     nonzero quality figures; generate the topology with quality ranges or
     the two routings coincide.
     """
-    hijacked = frozenset([hijackers] if isinstance(hijackers, int) else hijackers)
-    missing = hijacked - set(topology.nodes)
-    if missing:
-        raise ValueError(f"hijackers {sorted(missing)} are not nodes of the topology")
+    if hijacker not in topology.nodes:
+        raise ValueError(f"hijacker {hijacker!r} is not a node of the topology")
     if n_pairs <= 0:
         raise ValueError("need at least one pair")
-    candidates = [node for node in sorted(topology.nodes) if node not in hijacked]
+    candidates = [node for node in sorted(topology.nodes) if node != hijacker]
     if len(candidates) < 2:
         raise ValueError("topology too small for endpoint pairs")
-    lie = {node: 0.0 for node in hijacked}
+    lie = {hijacker: 0.0}
     pairs: list[DiversionPair] = []
     for _ in range(n_pairs):
         i, j = rng.choice(len(candidates), size=2, replace=False)
@@ -235,8 +230,8 @@ def diversion_experiment(
                 target=v,
                 honest_path=tuple(honest),
                 diverted_path=tuple(diverted),
-                honest_via_hijacker=not hijacked.isdisjoint(honest[1:-1]),
-                diverted_via_hijacker=not hijacked.isdisjoint(diverted[1:-1]),
+                honest_via_hijacker=hijacker in honest[1:-1],
+                diverted_via_hijacker=hijacker in diverted[1:-1],
             )
         )
     if not pairs:

@@ -5,9 +5,11 @@ tree) and three random families (Erdos-Renyi, Waxman, Barabasi-Albert), all
 built here, so that edge sets depend only on (seed, kind) and this package's
 own stream discipline, never on library internals.
 
-Nodes are integers 0..n-1.  Edges are stored normalized (u < v) and sorted,
-and the adjacency map is derived from them, so two topologies with equal
-fields behave identically everywhere downstream.
+Every family has one fixed size, roughly a hundred nodes.  Nodes are
+integers 0..n-1.  Edges are tuples (u, v) with u < v in strictly ascending
+order, as every generator emits them, and the adjacency map is derived from
+them, so two topologies with equal fields behave identically everywhere
+downstream.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ __all__ = [
     "LATTICE_KINDS",
     "NodeInfo",
     "Topology",
-    "DEFAULT_PARAMS",
     "generate_topology",
 ]
 
@@ -44,15 +45,20 @@ class TopologyKind(str, Enum):
 # The deterministic families: their edges do not depend on the seed.
 LATTICE_KINDS = frozenset({TopologyKind.GRID, TopologyKind.HEXAGONAL, TopologyKind.TREE})
 
-# Size parameters give roughly hundred-node networks across all families.
-DEFAULT_PARAMS: dict[TopologyKind, dict[str, float | int]] = {
-    TopologyKind.GRID: {"rows": 10, "cols": 10},
-    TopologyKind.ERDOS_RENYI: {"n": 100, "p": 0.2},
-    TopologyKind.WAXMAN: {"n": 100, "alpha": 0.1, "beta": 0.4},
-    TopologyKind.HEXAGONAL: {"rows": 6, "cols": 7},
-    TopologyKind.TREE: {"height": 4, "branching": 3},
-    TopologyKind.BARABASI_ALBERT: {"n": 100, "k": 3},
+# Sizes that give roughly hundred-node networks in every family: rows and
+# columns of the grid and the hexagonal lattice, branching and height of the
+# tree, as _lattice takes them.
+_LATTICE_SIZES = {
+    TopologyKind.GRID: (10, 10),
+    TopologyKind.HEXAGONAL: (6, 7),
+    TopologyKind.TREE: (3, 4),
 }
+# The random families: node count, Erdos-Renyi link probability, Waxman
+# alpha and beta, and Barabasi-Albert links per new node.
+_RANDOM_NODES = 100
+_ERDOS_RENYI_P = 0.2
+_WAXMAN_ALPHA, _WAXMAN_BETA = 0.1, 0.4
+_BARABASI_ALBERT_K = 3
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,9 @@ class NodeInfo:
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """An immutable node/edge set with derived adjacency."""
+    """An immutable node/edge set with derived adjacency.  The edges must
+    come as the generators emit them: tuples (u, v) with u < v, in strictly
+    ascending order."""
 
     nodes: Mapping[int, NodeInfo]
     edges: tuple[tuple[int, int], ...]
@@ -78,15 +86,8 @@ class Topology:
 
     def __post_init__(self) -> None:
         nodes = dict(self.nodes)
-        edges = self.edges
-        if not _ascending(edges):
-            edges = sorted((u, v) if u < v else (v, u) for u, v in edges)
-            loops = [u for u, v in edges if u == v]
-            if loops:
-                raise ValueError(f"self-loop on node {loops[0]}")
-            if len(set(edges)) != len(edges):
-                edge = next(a for a, b in zip(edges, edges[1:]) if a == b)
-                raise ValueError(f"duplicate edge {edge}")
+        edges = tuple(self.edges)
+        _ascending(edges)
         # Sorted (u < v) edges reach each node's neighbours in ascending
         # order: the smaller ones as u ascends, then the larger as v does.
         adjacency: dict[int, list[int]] = {node_id: [] for node_id in nodes}
@@ -97,7 +98,7 @@ class Topology:
         except KeyError:
             raise ValueError(f"edge ({u}, {v}) references an unknown node") from None
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adjacency", {k: tuple(v) for k, v in adjacency.items()})
 
     @property
@@ -105,29 +106,18 @@ class Topology:
         return len(self.nodes)
 
 
-def _ascending(edges: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the edges are tuples (u, v) with u < v in strictly ascending
-    order, so that they hold no self-loop or duplicate and normalising and
-    sorting them would change nothing.  One pass, for generated edge lists,
-    which come this way."""
+def _ascending(edges: tuple[tuple[int, int], ...]) -> None:
+    """Raise ValueError at the first edge that is not a tuple (u, v) with
+    u < v above the edge before it.  Every generator emits its edges this
+    way, and the form admits no self-loop or duplicate.  One pass."""
     previous = ()  # below every edge
-    try:
-        for edge in edges:
-            u, v = edge
-            if u >= v or edge <= previous:
-                return False
-            previous = edge
-    except TypeError:  # an edge that is not a tuple, such as a list
-        return False
-    return True
-
-
-def _lattice_edges(kind: TopologyKind, params: Mapping[str, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    sizes = ("branching", "height") if kind is TopologyKind.TREE else ("rows", "cols")
-    a, b = (int(params[key]) for key in sizes)
-    if a < 0 or b < 0:
-        raise ValueError(f"{kind.value} {sizes[0]} and {sizes[1]} must be >= 0, got {a} and {b}")
-    return _lattice(kind, a, b)
+    for edge in edges:
+        u, v = edge
+        if u >= v or type(edge) is not tuple or edge <= previous:
+            raise ValueError(
+                f"edge {edge!r} is not a tuple (u, v) with u < v above the edge before it"
+            )
+        previous = edge
 
 
 @functools.lru_cache(maxsize=8)
@@ -184,7 +174,8 @@ def _waxman_edges(n: int, alpha: float, beta: float, rng: np.random.Generator) -
 
 def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Degree-preferential attachment: a (k+1)-clique seed, then each new node
-    links to k distinct existing nodes chosen proportionally to degree."""
+    links to k distinct existing nodes chosen proportionally to degree.
+    Returns the edges sorted."""
     if n < k + 2:
         raise ValueError(f"need at least k + 2 = {k + 2} nodes, got {n}")
     edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
@@ -211,45 +202,35 @@ def _preferential_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[
             edges.append((t, new))
             insort(slots, t)
         slots += [new] * k
-    return edges
+    return sorted(edges)
 
 
 def generate_topology(
     kind: TopologyKind | str,
     seed: int,
-    params: Mapping[str, float | int] | None = None,
     *,
     error_rate_range: tuple[float, float] | None = None,
     response_time_range: tuple[float, float] | None = None,
 ) -> Topology:
     """Build a topology of the given family from its own labeled stream.
 
-    ``params`` overrides the family defaults and rejects unknown keys.  The
-    optional quality ranges draw per-node uniform error rates and response
-    times (in node-id order, after the edge set), which the trust-weighted
-    router uses; each range needs 0 <= lo <= hi < inf, and omitted ranges
-    leave the figures at zero.
+    The optional quality ranges draw per-node uniform error rates and
+    response times (in node-id order, after the edge set), which the
+    trust-weighted router uses; each range needs 0 <= lo <= hi < inf, and
+    omitted ranges leave the figures at zero.
     """
     kind = TopologyKind(kind)
-    merged = dict(DEFAULT_PARAMS[kind])
-    for key, value in (params or {}).items():
-        if key not in merged:
-            allowed = ", ".join(sorted(merged))
-            raise ValueError(f"unknown parameter {key!r} for {kind.value}; expected {allowed}")
-        merged[key] = value
     rng = stream(seed, f"topology:{kind.value}")
 
+    n = _RANDOM_NODES
     if kind in LATTICE_KINDS:
-        n, edges = _lattice_edges(kind, merged)
+        n, edges = _lattice(kind, *_LATTICE_SIZES[kind])
     elif kind is TopologyKind.ERDOS_RENYI:
-        n = int(merged["n"])
-        edges = _erdos_renyi_edges(n, float(merged["p"]), rng)
+        edges = _erdos_renyi_edges(n, _ERDOS_RENYI_P, rng)
     elif kind is TopologyKind.WAXMAN:
-        n = int(merged["n"])
-        edges = _waxman_edges(n, float(merged["alpha"]), float(merged["beta"]), rng)
+        edges = _waxman_edges(n, _WAXMAN_ALPHA, _WAXMAN_BETA, rng)
     else:
-        n = int(merged["n"])
-        edges = _preferential_edges(n, int(merged["k"]), rng)
+        edges = _preferential_edges(n, _BARABASI_ALBERT_K, rng)
 
     figures = []
     for name, bounds in (("error rate", error_rate_range), ("response time", response_time_range)):
@@ -264,4 +245,4 @@ def generate_topology(
     records = [NodeInfo()] * n  # frozen, so one default record serves every node
     if error_rate_range is not None or response_time_range is not None:
         records = list(map(NodeInfo, *figures))
-    return Topology(nodes=dict(enumerate(records)), edges=tuple(edges))
+    return Topology(nodes=dict(enumerate(records)), edges=edges)

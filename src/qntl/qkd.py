@@ -563,7 +563,7 @@ def simulate_decoy_transmissions(
     channel: LossChannel,
     detector: Detector,
     rng: np.random.Generator,
-    attacker: PnsStrategy | None = None,
+    attacker: PnsStrategy,
 ) -> list[int]:
     """Send each intensity class and return its receiver click count, in
     order.
@@ -571,9 +571,9 @@ def simulate_decoy_transmissions(
     Pulses are independent, so a class of n pulses clicks Binomial(n, Q)
     times, with Q = sum over k of P(k photons arrive) times the detector's
     click probability at k; each class takes one binomial draw, in order.
-    Without an attacker, or with the no-eve strategy, each photon survives
-    the loss channel independently, so a Poisson(mu) pulse arrives as
-    exactly Poisson(mu * transmittance) photons.  Any other splitting
+    With the no-eve strategy each photon survives the loss channel
+    independently, so a Poisson(mu) pulse arrives as exactly
+    Poisson(mu * transmittance) photons.  Any other splitting
     ``attacker`` taps at the source and forwards her chosen photon numbers
     over a lossless bypass (the strongest version of the attack: she
     replaces the lossy fiber), so the channel transmittance never applies.
@@ -595,11 +595,11 @@ def simulate_decoy_transmissions(
 
 
 def _click_probability(
-    mu: float, channel: LossChannel, detector: Detector, attacker: PnsStrategy | None
+    mu: float, channel: LossChannel, detector: Detector, attacker: PnsStrategy
 ) -> float:
     """Q, the click probability of one Poisson(mu) pulse: the arriving
     photon-number pmf weighted by the detector's click probability."""
-    if attacker is None or attacker.variant is PnsVariant.NO_EVE:
+    if attacker.variant is PnsVariant.NO_EVE:
         arriving = poisson_pmf(mu * channel.transmittance)
     else:
         skimmed = poisson_pmf(mu * (1.0 - attacker.intercept_probability))

@@ -1,10 +1,10 @@
 """Seeded randomness, counting statistics, and distribution-comparison tools.
 
 Every experiment in this package draws its randomness from a stream derived
-from a root seed, a text label, and a trial index.  The derivation mixes the
-label through SHA-256, so streams for different experiments (or different
-trials of the same experiment) are independent, and under one numpy version
-the same triple always reproduces the same draws.  The promise stops at that
+from a root seed and a text label.  The derivation mixes the label through
+SHA-256, so streams for different experiments (or different labels within
+one) are independent, and under one numpy version the same pair always
+reproduces the same draws.  The promise stops at that
 version: ``binomial``, ``multinomial``, ``choice``, ``permutation`` and
 ``spawn``, which callers also use, fall outside NumPy's
 stream-compatibility policy (NEP 19), so another numpy release may change
@@ -49,25 +49,24 @@ def _label_entropy(label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def stream(seed: int, label: str, trial: int = 0) -> np.random.Generator:
-    """Derive the RNG stream for ``(seed, label, trial)``.
+def stream(seed: int, label: str) -> np.random.Generator:
+    """Derive the RNG stream for ``(seed, label)``.
 
     Args:
         seed: root seed, 0 <= seed < 2**64.
         label: experiment or sub-experiment name.
-        trial: non-negative trial index within the labeled experiment.
 
     Returns:
         A ``numpy.random.Generator`` whose draws are a pure function of the
-        three inputs.
+        two inputs.
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if trial < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial}")
-    seq = np.random.SeedSequence(entropy=(int(seed), _label_entropy(label), int(trial)))
+    # The third entropy word was a trial index, always 0 in every run; it
+    # stays so that every stream draws as before.
+    seq = np.random.SeedSequence(entropy=(int(seed), _label_entropy(label), 0))
     return np.random.Generator(np.random.PCG64(seq))
 
 

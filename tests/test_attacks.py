@@ -516,7 +516,7 @@ def test_probe_gains_nothing_from_product_state():
 
 def test_probe_duplicates_receiver_bit():
     for trial in range(200):
-        rng = stream(11, "probe-dup", trial)
+        rng = stream(11, f"probe-dup-{trial}")
         state = probe_infiltrate(bell_pair())
         bob = measure_rotated(state, 1, Basis.RECTILINEAR.analyzer_angle, rng)
         eve = measure_rotated(bob.post_state, 2, Basis.RECTILINEAR.analyzer_angle, rng)

@@ -107,6 +107,25 @@ def test_no_run_loads_the_catalog_or_plot_stack():
     assert _loaded(modules, unwanted) == []
 
 
+def test_help_and_plot_load_no_network_layer(tmp_path):
+    # The usage text and a plot read the figure recipes, which share only a
+    # constant with the decay experiment, never the code that runs it.
+    report, out_dir = tmp_path / "report.json", tmp_path / "plots"
+    main(["run", "topology-decay", "--kinds", "grid", "--fractions", "0,0.2",
+          "--trials", "1", "--pairs", "2", "--seed", "7", "--format", "json",
+          "--out", str(report)])
+    modules = _fresh_modules(
+        "import contextlib, io\n"
+        "from qntl.cli.main import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['--help']) == 0\n"
+        f"    assert main(['plot', 'fig6a', '--report', {str(report)!r}, "
+        f"'--out-dir', {str(out_dir)!r}, '--svg']) == 0\n"
+    )
+    assert "qntl.cli.plotdata" in modules and (out_dir / "fig6a.svg").is_file()
+    assert _loaded(modules, NETWORK_MODULES) == []
+
+
 def test_layers_resolve_on_first_attribute_access():
     modules = _fresh_modules(
         "import qntl\n"

@@ -26,7 +26,7 @@ from qntl.network import (
 )
 from qntl.network import experiments
 from qntl.network.experiments import _moments
-from qntl.network.topology import _preferential_edges
+from qntl.network.topology import _erdos_renyi_edges, _lattice, _preferential_edges
 from qntl.stats import stream
 
 from oracles import count_by_blocked_walk
@@ -36,6 +36,13 @@ def tiny_path_topology():
     """0 - 1 - 2 chain used by the cut-vertex cases."""
     nodes = {i: NodeInfo() for i in range(3)}
     return Topology(nodes=nodes, edges=((0, 1), (1, 2)))
+
+
+def erdos_renyi(n, p, seed):
+    """An Erdos-Renyi topology of another size, drawn from the stream that
+    generate_topology gives the family."""
+    edges = _erdos_renyi_edges(n, p, stream(seed, "topology:erdos-renyi"))
+    return Topology(nodes={i: NodeInfo() for i in range(n)}, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------- generation
@@ -147,50 +154,45 @@ def reference_preferential_edges(n, k, rng):
 ))
 @settings(max_examples=200, deadline=None)
 def test_preferential_edges_match_numpy_reference(case):
-    # Same edges from the same draws: equal edge lists and equal generator
-    # state afterwards.
+    # Same edges from the same draws: equal edge sets, returned sorted, and
+    # equal generator state afterwards.
     n, k, seed = case
     rng_ref, rng_new = stream(seed, "preferential"), stream(seed, "preferential")
-    assert _preferential_edges(n, k, rng_new) == reference_preferential_edges(n, k, rng_ref)
+    assert _preferential_edges(n, k, rng_new) == sorted(reference_preferential_edges(n, k, rng_ref))
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-def test_generation_param_overrides_and_errors():
-    topo = generate_topology("grid", 0, {"rows": 3, "cols": 4})
-    assert topo.n_nodes == 12
-    with pytest.raises(ValueError):
-        generate_topology("grid", 0, {"height": 2})
-    with pytest.raises(ValueError):
-        generate_topology("barabasi-albert", 0, {"n": 4})  # below k + 2
+def test_generation_rejects_size_params():
+    # Each family has one fixed size; other sizes are for the edge builders.
+    for kind in TopologyKind:
+        with pytest.raises(TypeError):
+            generate_topology(kind, 0, {"n": 40})
+    with pytest.raises(ValueError, match="k \\+ 2"):
+        _preferential_edges(4, 3, stream(0, "preferential"))
 
 
 # Oracle: the networkx lattice generators, nodes relabeled 0..n-1 in sorted
-# order, over every size pair in range.
+# order, over every size pair in range (rows and cols, or branching and
+# height for the tree).
 NX_LATTICES = {
-    TopologyKind.GRID: (("rows", "cols"), range(13), nx.grid_2d_graph),
-    TopologyKind.HEXAGONAL: (("rows", "cols"), range(13), nx.hexagonal_lattice_graph),
-    TopologyKind.TREE: (("branching", "height"), range(6), nx.balanced_tree),
+    TopologyKind.GRID: (range(13), nx.grid_2d_graph),
+    TopologyKind.HEXAGONAL: (range(13), nx.hexagonal_lattice_graph),
+    TopologyKind.TREE: (range(6), nx.balanced_tree),
 }
 
 
 @pytest.mark.parametrize("kind", list(NX_LATTICES))
 def test_lattices_match_networkx(kind):
-    keys, sizes, generator = NX_LATTICES[kind]
+    sizes, generator = NX_LATTICES[kind]
     for a in sizes:
         for b in sizes:
             graph = generator(a, b)
             labels = {node: i for i, node in enumerate(sorted(graph.nodes()))}
-            expected = {tuple(sorted((labels[u], labels[v]))) for u, v in graph.edges()}
-            topo = generate_topology(kind, 0, dict(zip(keys, (a, b))))
-            assert topo.n_nodes == len(labels), (a, b)
-            assert set(topo.edges) == expected, (a, b)
-
-
-def test_lattice_negative_sizes_raise():
-    for kind, (keys, _, _) in NX_LATTICES.items():
-        for sizes in ((-1, 3), (3, -1), (-2, -2)):
-            with pytest.raises(ValueError, match=">= 0"):
-                generate_topology(kind, 0, dict(zip(keys, sizes)))
+            expected = sorted(tuple(sorted((labels[u], labels[v]))) for u, v in graph.edges())
+            n, edges = _lattice(kind, a, b)
+            assert n == len(labels), (a, b)
+            assert list(edges) == expected, (a, b)
+            Topology(nodes={i: NodeInfo() for i in range(n)}, edges=edges)
 
 
 def test_generation_quality_ranges():
@@ -214,43 +216,39 @@ def test_generation_quality_ranges():
 
 
 def test_topology_validation():
-    # Edges already ascending with u < v skip normalisation, so the cases
-    # ascending up to one bad edge must still fall through to these checks.
-    nodes = {i: NodeInfo() for i in range(2)}
-    for edges in (((0, 1), (0, 0)), ((0, 0), (0, 1))):
-        with pytest.raises(ValueError, match="self-loop on node 0"):
+    # Edges come only as the generators emit them: tuples (u, v) with u < v
+    # in strictly ascending order.  The first edge out of that form is named,
+    # wherever it stands.
+    nodes = {i: NodeInfo() for i in range(4)}
+    for edges, bad in (
+        (((0, 1), (1, 1)), r"\(1, 1\)"),  # self-loop
+        (((1, 1), (1, 2)), r"\(1, 1\)"),
+        (((0, 1), (2, 1)), r"\(2, 1\)"),  # reversed
+        (((1, 0), (1, 2)), r"\(1, 0\)"),
+        (((0, 1), (0, 1)), r"\(0, 1\)"),  # duplicate
+        (((0, 1), (1, 2), (0, 3)), r"\(0, 3\)"),  # unsorted
+        (([0, 1], [1, 2]), r"\[0, 1\]"),  # lists
+        (((0, 1), [1, 2]), r"\[1, 2\]"),
+    ):
+        with pytest.raises(ValueError, match=f"edge {bad} is not a tuple"):
             Topology(nodes=nodes, edges=edges)
-    with pytest.raises(ValueError, match=r"edge \(0, 3\) references an unknown node"):
-        Topology(nodes=nodes, edges=((0, 1), (3, 0)))
-    for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1))):
-        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
-            Topology(nodes=nodes, edges=edges)
+    with pytest.raises(ValueError, match=r"edge \(0, 7\) references an unknown node"):
+        Topology(nodes=nodes, edges=((0, 1), (0, 7)))
     with pytest.raises(TypeError):  # a topology holds only nodes and edges
         Topology(kind=TopologyKind.GRID, nodes=nodes, edges=())
 
 
-def test_topology_normalises_unsorted_reversed_edges():
+def test_topology_adjacency_is_sorted():
     # The adjacency tuples come out sorted with no per-node sort: they are
-    # filled from the normalised, sorted edge list.
+    # filled from the sorted edge list.
     nodes = {i: NodeInfo() for i in range(6)}
-    edges = ((5, 0), (3, 1), (0, 2), (4, 3), (2, 1), (5, 3), (1, 0), (4, 0))
-    topo = Topology(nodes=nodes, edges=edges)
-    assert topo.edges == tuple(sorted((min(e), max(e)) for e in edges))
+    edges = ((0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (3, 4), (3, 5))
+    topo = Topology(nodes=nodes, edges=list(edges))
+    assert topo.edges == edges
     for node_id, nbrs in topo.adjacency.items():
         assert nbrs == tuple(sorted(nbrs))
         assert set(nbrs) == {u + v - node_id for u, v in edges if node_id in (u, v)}
     assert topo.adjacency[0] == (1, 2, 4, 5)
-    # Ascending up to one edge: reversed last, or out of order with u < v.
-    for edges, expected in (
-        (((0, 1), (0, 2), (1, 3), (3, 2)), ((0, 1), (0, 2), (1, 3), (2, 3))),
-        (((0, 1), (1, 2), (0, 3)), ((0, 1), (0, 3), (1, 2))),
-    ):
-        topo = Topology(nodes=nodes, edges=edges)
-        assert topo.edges == expected
-        assert topo.adjacency[0] == tuple(v for u, v in expected if u == 0)
-    # Lists are not edges as stored: they are normalised to tuples.
-    topo = Topology(nodes=nodes, edges=([0, 1], [1, 2]))
-    assert topo.edges == ((0, 1), (1, 2)) and type(topo.edges[0]) is tuple
 
 
 def test_generated_topologies_share_no_node_map():
@@ -338,7 +336,7 @@ def test_count_corner_cases():
 def test_count_is_monotone_in_compromise():
     # Growing the compromised set can only strike a pair's geodesics, never
     # mint new ones.
-    topo = generate_topology("erdos-renyi", 3, {"n": 40, "p": 0.15})
+    topo = erdos_renyi(40, 0.15, 3)
     rng = stream(6, "nested")
     node_ids = sorted(topo.nodes)
     for _ in range(100):
@@ -363,12 +361,12 @@ def compromised_graphs(draw):
     if draw(st.booleans()):
         n = draw(st.integers(2, 12))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+        edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True)))
     else:
         rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 4))
         n = rows * cols
         edges = [(i, i + 1) for i in range(n) if (i + 1) % cols]
-        edges += [(i, i + cols) for i in range(n - cols)]
+        edges = sorted(edges + [(i, i + cols) for i in range(n - cols)])
     source = draw(st.integers(0, n - 1))
     target = draw(st.integers(0, n - 1))
     others = [x for x in range(n) if x not in (source, target)]
@@ -426,7 +424,7 @@ def test_intact_memo_keys_on_the_topology():
     # Same node ids, different edges: a walk remembered for one topology
     # must not answer for the other.
     grid = generate_topology("grid", 0)
-    other = generate_topology("erdos-renyi", 4, {"n": 100, "p": 0.05})
+    other = erdos_renyi(100, 0.05, 4)
     for a, b in ((grid, other), (other, grid)):
         for source, target in ((0, 99), (12, 87), (5, 6)):
             hop_distance(a, source, target)
@@ -436,7 +434,7 @@ def test_intact_memo_keys_on_the_topology():
 def test_intact_memo_answers_only_its_own_pair():
     # Each pair is asked twice in a row, then the next pair or the reversed
     # one: a walk remembered for one must not answer for the other.
-    topo = generate_topology("erdos-renyi", 9, {"n": 60, "p": 0.06})
+    topo = erdos_renyi(60, 0.06, 9)
     pairs = ((0, 59), (3, 40), (17, 18))
     for source, target in pairs + tuple((t, s) for s, t in pairs):
         distance, paths = _networkx_count(topo, source, target)
@@ -800,16 +798,6 @@ def test_decay_validation():
 
 # ---------------------------------------------------------------- diversion
 
-def test_diversion_without_hijackers_is_identity():
-    topo = generate_topology(
-        "grid", 3, error_rate_range=(0.0, 0.05), response_time_range=(10.0, 50.0)
-    )
-    result = diversion_experiment(topo, [], 50, stream(3, "div-none"))
-    assert result.baseline_fraction == 0.0
-    assert result.diverted_fraction == 0.0
-    assert result.mean_hop_stretch == 1.0
-
-
 def test_diversion_cut_vertex_intercepts_everything():
     result = diversion_experiment(tiny_path_topology(), 1, 10, stream(1, "div-cut"))
     assert result.baseline_fraction == 1.0
@@ -832,9 +820,12 @@ def test_diversion_central_node_attracts_traffic():
 
 def test_diversion_validation():
     topo = tiny_path_topology()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hijacker 99 is not a node"):
         diversion_experiment(topo, 99, 5, stream(0, "div-err"))
     with pytest.raises(ValueError):
         diversion_experiment(topo, 1, 0, stream(0, "div-err"))
-    with pytest.raises(ValueError):
-        diversion_experiment(topo, [0, 1], 5, stream(0, "div-err"))  # one endpoint left
+    with pytest.raises(TypeError):  # one hijacker, not a set of them
+        diversion_experiment(topo, {0, 1}, 5, stream(0, "div-err"))
+    pair = Topology(nodes={0: NodeInfo(), 1: NodeInfo()}, edges=((0, 1),))
+    with pytest.raises(ValueError, match="too small"):  # one endpoint left
+        diversion_experiment(pair, 0, 5, stream(0, "div-err"))

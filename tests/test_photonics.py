@@ -109,7 +109,7 @@ def test_poisson_thinning_closure():
 def test_loss_monotonicity():
     means = []
     for i, eta in enumerate([1.0, 0.75, 0.5, 0.25, 0.0]):
-        rng = stream(11, "loss-mono", trial=i)
+        rng = stream(11, f"loss-mono-{i}")
         means.append(send(4.0, LossChannel(eta), rng, 20000).mean())
     assert all(a > b for a, b in zip(means, means[1:]))
 

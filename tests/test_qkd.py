@@ -734,9 +734,11 @@ def decoy_run(attacker, n=10**5, mus=(0.5, 0.1), seed=42):
 
 
 def test_decoy_honest_channel_passes():
-    analysis = decoy_run(attacker=None)
-    # No-eve is no attacker: the same seed draws the same clicks.
-    assert decoy_run(attacker=PnsStrategy.no_eve()) == analysis
+    # No-eve is the honest fiber: its click probability is the model gain.
+    for mu in (0.0, 0.1, 0.5, 2.0):
+        got = _click_probability(mu, CHANNEL, IDEAL_DET, PnsStrategy.no_eve())
+        assert got == pytest.approx(1.0 - math.exp(-0.3 * mu), rel=1e-12)
+    analysis = decoy_run(attacker=PnsStrategy.no_eve())
     assert not analysis.eavesdrop_detected
     assert analysis.max_relative_deviation < 0.05
     for item in analysis.assessments:
@@ -773,7 +775,7 @@ def test_decoy_vacuum_class_gain_is_zero():
         DecoyIntensity(decoy_label(0), 0.0, 2000),
     ]
     detected = simulate_decoy_transmissions(
-        intensities, CHANNEL, IDEAL_DET, stream(3, "decoy-vac")
+        intensities, CHANNEL, IDEAL_DET, stream(3, "decoy-vac"), PnsStrategy.no_eve()
     )
     analysis = decoy_state_analysis(intensities, detected, CHANNEL, IDEAL_DET)
     vacuum = [a for a in analysis.assessments if a.mean_photons == 0.0][0]
@@ -786,7 +788,7 @@ def test_decoy_single_photon_yield_bound():
     # with unit efficiency and no dark counts the true yield is eta itself;
     # the two-intensity bound sits just below it, and a blocking attack
     # collapses the bound to zero
-    honest = decoy_run(attacker=None)
+    honest = decoy_run(attacker=PnsStrategy.no_eve())
     assert honest.single_photon_yield_lower_bound == pytest.approx(0.3, abs=0.05)
     blocked = decoy_run(attacker=PnsStrategy.block_singles())
     assert blocked.single_photon_yield_lower_bound < 0.05
@@ -828,7 +830,7 @@ def reference_decoy_clicks(intensities, channel, detector, rng, attacker):
     clicks = []
     for item in intensities:
         mu, n = item.mean_photons, item.n_pulses
-        if attacker is None:
+        if attacker.variant is PnsVariant.NO_EVE:
             arriving = poisson_sample_array(mu * channel.transmittance, rng, n)
         elif attacker.variant is PnsVariant.RANDOM_INTERCEPT:
             arriving = poisson_sample_array(mu * (1.0 - attacker.intercept_probability), rng, n)
@@ -842,7 +844,7 @@ def reference_decoy_clicks(intensities, channel, detector, rng, attacker):
 
 
 DECOY_ATTACKERS = {
-    "none": None,
+    "none": PnsStrategy.no_eve(),
     "block-singles": PnsStrategy.block_singles(),
     "random-0.5": PnsStrategy.random_intercept(0.5),
     "always-minus-one": PnsStrategy.always_minus_one(),
@@ -923,7 +925,7 @@ def test_decoy_splitting_matches_binomial_thinning():
 
         def candidate(rng):
             [clicks] = simulate_decoy_transmissions(
-                [DecoyIntensity(SIGNAL, mu, n)], CHANNEL, IDEAL_DET, rng
+                [DecoyIntensity(SIGNAL, mu, n)], CHANNEL, IDEAL_DET, rng, PnsStrategy.no_eve()
             )
             return np.array([n - clicks, clicks])
 
@@ -933,25 +935,26 @@ def test_decoy_splitting_matches_binomial_thinning():
 
 def test_decoy_validation():
     rng = stream(0, "decoy-err")
+    no_eve = PnsStrategy.no_eve()
     with pytest.raises(ValueError):
-        simulate_decoy_transmissions([], CHANNEL, IDEAL_DET, rng)
+        simulate_decoy_transmissions([], CHANNEL, IDEAL_DET, rng, no_eve)
+    with pytest.raises(TypeError):  # no-eve is a strategy, not a missing attacker
+        simulate_decoy_transmissions([DecoyIntensity(SIGNAL, 0.5, 1000)], CHANNEL, IDEAL_DET, rng)
     same_label = [DecoyIntensity(SIGNAL, 0.5, 1000), DecoyIntensity(SIGNAL, 0.1, 1000)]
     with pytest.raises(ValueError):
-        simulate_decoy_transmissions(same_label, CHANNEL, IDEAL_DET, rng)
+        simulate_decoy_transmissions(same_label, CHANNEL, IDEAL_DET, rng, no_eve)
     with pytest.raises(ValueError):
         DecoyIntensity(SIGNAL, -0.5, 1000)
     with pytest.raises(ValueError):
         DecoyIntensity(SIGNAL, 0.5, 0)
     few = [DecoyIntensity(SIGNAL, 0.5, 1000)]
     with pytest.raises(ValueError):
-        decoy_state_analysis(
-            few, simulate_decoy_transmissions(few, CHANNEL, IDEAL_DET, rng), CHANNEL, IDEAL_DET
-        )
+        clicks = simulate_decoy_transmissions(few, CHANNEL, IDEAL_DET, rng, no_eve)
+        decoy_state_analysis(few, clicks, CHANNEL, IDEAL_DET)
     thin = [DecoyIntensity(SIGNAL, 0.5, 999), DecoyIntensity(decoy_label(0), 0.1, 1000)]
     with pytest.raises(ValueError):
-        decoy_state_analysis(
-            thin, simulate_decoy_transmissions(thin, CHANNEL, IDEAL_DET, rng), CHANNEL, IDEAL_DET
-        )
+        clicks = simulate_decoy_transmissions(thin, CHANNEL, IDEAL_DET, rng, no_eve)
+        decoy_state_analysis(thin, clicks, CHANNEL, IDEAL_DET)
     pair = [DecoyIntensity(SIGNAL, 0.5, 1000), DecoyIntensity(decoy_label(0), 0.1, 1000)]
     with pytest.raises(ValueError):
         decoy_state_analysis(pair, [100], CHANNEL, IDEAL_DET)

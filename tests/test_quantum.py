@@ -117,8 +117,8 @@ def test_measurement_is_idempotent():
 def test_measurement_is_seed_deterministic():
     plus = encoded_qubit(0, Basis.DIAGONAL)
     rect = Basis.RECTILINEAR.analyzer_angle
-    bits_a = [measure_rotated(plus, 0, rect, stream(9, "det", t)).bit for t in range(64)]
-    bits_b = [measure_rotated(plus, 0, rect, stream(9, "det", t)).bit for t in range(64)]
+    bits_a = [measure_rotated(plus, 0, rect, stream(9, f"det-{t}")).bit for t in range(64)]
+    bits_b = [measure_rotated(plus, 0, rect, stream(9, f"det-{t}")).bit for t in range(64)]
     assert bits_a == bits_b
 
 
