@@ -4,8 +4,8 @@ probes, interlock spoofing, intercept-resend, and code-aware noise.
 Intercept-resend is a hook that a protocol calls once on the state ids of
 all its flying qubits; the entangling probe is a map that a protocol applies
 once to its pair state.  The splitting model draws each series' pulses in
-fixed-size chunks and the interlock model a whole experiment's exchanges as
-arrays.  A splitting strategy skims each photon with its intercept
+fixed-size chunks, and the interlock model draws one binomial count per
+message length.  A splitting strategy skims each photon with its intercept
 probability, then maps the skimmed counts to the counts it forwards.  The
 Trojan-horse and repetition-code models draw the counts they report, one
 draw per block of photons or per cell; the repetition-code experiment
@@ -347,24 +347,22 @@ def interlock_exchange(
     relay attacker must therefore commit to the sender's second half before
     seeing it; she guesses those message_bits/2 bits uniformly and is caught
     whenever the guess differs from the real half, i.e. with probability
-    1 - 2^(-message_bits/2).
+    1 - 2^(-message_bits/2) (Rivest and Shamir, "How to expose an
+    eavesdropper", CACM 27(4), 1984).  The exchanges are independent, so the
+    count is one binomial draw at that rate.
     """
-    k = int(message_bits)
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"message length must be an even integer >= 2, got {k}")
+    rate = interlock_detection_rate(message_bits)
     if trials < 1:
         raise ValueError(f"need at least one exchange, got {trials}")
-    half = k // 2
-    sent = rng.integers(0, 2, size=(trials, k), dtype=np.int8)
-    guesses = rng.integers(0, 2, size=(trials, half), dtype=np.int8)
-    return int(np.count_nonzero((sent[:, half:] != guesses).any(axis=1)))
+    return int(rng.binomial(trials, rate))
 
 
 def interlock_detection_rate(message_bits: int) -> float:
     """Analytic probability that a relay attacker is caught."""
-    if message_bits < 2 or message_bits % 2 != 0:
-        raise ValueError("message length must be an even integer >= 2")
-    return 1.0 - 2.0 ** (-(message_bits // 2))
+    k = int(message_bits)
+    if k < 2 or k % 2 != 0:
+        raise ValueError(f"message length must be an even integer >= 2, got {k}")
+    return 1.0 - 2.0 ** (-(k // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,6 @@ class LineChart:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -73,8 +71,6 @@ def _escape(text: str) -> str:
 def render_line_chart(chart: LineChart) -> str:
     xs = [p[0] for s in chart.series for p in s.points]
     ys = [p[1] for s in chart.series for p in s.points]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
 
     def ty(v: float) -> float:
         if chart.log_y:

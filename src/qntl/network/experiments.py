@@ -144,15 +144,9 @@ def _moments(counts: list[list[int]]) -> list[tuple[float, float]]:
 
     Each fraction's counts form one contiguous int64 row, reduced along its
     axis in the order, buffer chunks and precision of ``np.mean``/``np.std``
-    on that row's list, so the figures equal those calls' to the bit.  Counts
-    beyond int64 take the per-row calls, since NumPy gives their lists
-    another dtype.
+    on that row's list, so the figures equal those calls' to the bit.
     """
-    try:
-        table = np.array(counts, dtype=np.int64).T.copy()
-    except OverflowError:
-        columns = [list(column) for column in zip(*counts)]
-        return [(float(np.mean(c)), float(np.std(c))) for c in columns]
+    table = np.array(counts, dtype=np.int64).T.copy()
     return list(zip(table.mean(axis=1).tolist(), table.std(axis=1).tolist()))
 
 

@@ -36,8 +36,6 @@ def _intact_walk(
     path count (Brandes' sigma), summed from the layer before; ``layers[k]``
     holds the nodes k hops out.  The target's own layer is never built: its
     count sums the last layer's meet with the target's neighbours."""
-    if source == target:
-        return 0, 1, []
     adjacency = graph.adjacency
     near = frozenset(adjacency[target])
     seen = {source}
@@ -85,13 +83,13 @@ def _geodesic_dag(
 
 
 def hop_distance(graph: Topology, source: int, target: int) -> int:
-    """Minimum hop count between two nodes, or -1 when disconnected; a node
-    the topology lacks raises.  Its walk also answers the same pair's
-    :func:`count_viable_paths` calls."""
+    """Minimum hop count between two distinct nodes, or -1 when
+    disconnected; one node twice, or a node the topology lacks, raises.  Its
+    walk also answers the same pair's :func:`count_viable_paths` calls."""
     source = int(source)
     target = int(target)
-    if source not in graph.adjacency or target not in graph.adjacency:
-        raise ValueError("source and target must be nodes of the topology")
+    if source == target or source not in graph.adjacency or target not in graph.adjacency:
+        raise ValueError("source and target must be two distinct nodes of the topology")
     return _intact_walk(graph, source, target)[0]
 
 
@@ -104,14 +102,13 @@ def count_viable_paths(
     """Count the pair's intact minimum-hop paths that avoid every
     compromised intermediate node.
 
-    ``source == target`` counts 1.  A disconnected pair counts 0, and so
-    does a pair whose geodesics are all blocked, whatever longer detours
-    remain; a compromised endpoint makes the question meaningless and
-    raises.  The count is the intact one when no node of the pair's
-    geodesic DAG (the intact walk's layers, swept back once per pair) is
-    compromised, otherwise one pass summing each safe node's predecessors.
-    Counts are exact integers, so they stay exact even when astronomically
-    large.
+    A disconnected pair counts 0, and so does a pair whose geodesics are all
+    blocked, whatever longer detours remain; a compromised endpoint makes
+    the question meaningless and raises, as does one node twice.  The count
+    is the intact one when no node of the pair's geodesic DAG (the intact
+    walk's layers, swept back once per pair) is compromised, otherwise one
+    pass summing each safe node's predecessors.  Counts are exact integers,
+    so they stay exact even when astronomically large.
     """
     source = int(source)
     target = int(target)
@@ -119,8 +116,8 @@ def count_viable_paths(
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
     adjacency = graph.adjacency
-    if source not in adjacency or target not in adjacency:
-        raise ValueError("source and target must be nodes of the topology")
+    if source == target or source not in adjacency or target not in adjacency:
+        raise ValueError("source and target must be two distinct nodes of the topology")
     ways = _intact_walk(graph, source, target)[1]
     if not ways or not blocked:
         return ways
@@ -181,7 +178,7 @@ def route(
     response_time_scale: float = 100.0,
     advertised_weights: Mapping[int, float] | None = None,
 ) -> list[int] | None:
-    """Trust-weighted route from source to target, or None when unreachable.
+    """Trust-weighted route between two distinct nodes, or None if unreachable.
 
     The route minimizes the summed weight of its intermediate nodes (weight =
     error rate + response time / ``response_time_scale``), breaking ties by
@@ -194,10 +191,8 @@ def route(
     source = int(source)
     target = int(target)
     adjacency = graph.adjacency
-    if source not in adjacency or target not in adjacency:
-        raise ValueError("source and target must be nodes of the topology")
-    if source == target:
-        return [source]
+    if source == target or source not in adjacency or target not in adjacency:
+        raise ValueError("source and target must be two distinct nodes of the topology")
     weights = _trust_weights(graph, response_time_scale)
     if advertised_weights:
         weights = {**weights, **{node: float(w) for node, w in advertised_weights.items()}}

@@ -283,6 +283,35 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_attacks.py::test_random_shift_gains_are_the_phase_formula_bit_for_bit",),
     ),
     Mutant(
+        "interlock-rate-squared",
+        "qntl/attacks.py",
+        "rng.binomial(trials, rate)",
+        "rng.binomial(trials, rate * rate)",
+        ("tests/test_attacks.py::test_interlock_matches_per_call_reference",
+         "tests/test_acceptance.py::test_criterion_07_interlock_detection"),
+    ),
+    Mutant(
+        "measure-rotated-second-uniform",
+        "qntl/quantum.py",
+        "    return out0 if rng.random() < threshold else out1\n",
+        "    rng.random()\n    return out0 if rng.random() < threshold else out1\n",
+        ("tests/test_quantum.py::test_measure_rotated_matches_reference_kernel",),
+    ),
+    Mutant(
+        "measure-rotated-sin-sign-flipped",
+        "qntl/quantum.py",
+        "return np.array([[c, s], [-s, c]])",
+        "return np.array([[c, s], [s, c]])",
+        ("tests/test_quantum.py::test_measure_rotated_matches_reference_kernel",),
+    ),
+    Mutant(
+        "measure-rotated-amplitude-skew",
+        "qntl/quantum.py",
+        "            post /= math.sqrt(",
+        "            post[0] += 1e-11\n            post /= math.sqrt(",
+        ("tests/test_quantum.py::test_measure_rotated_matches_reference_kernel",),
+    ),
+    Mutant(
         "suspicion-window-counts-all-arrivals",
         "qntl/network/dos.py",
         "bisect_left(times, since)",

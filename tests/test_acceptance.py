@@ -258,7 +258,7 @@ def test_criterion_07_interlock_detection(check):
     results = []
     ok = True
     for k in (2, 8, 16):
-        rate = attacks.interlock_detection_rate(k)
+        rate = 1 - 2 ** (-k / 2)
         rng = stream(11, f"acc-interlock-{k}")
         hits = attacks.interlock_exchange(k, n, rng)
         sigma = math.sqrt(rate * (1.0 - rate) / n)

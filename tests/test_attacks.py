@@ -533,15 +533,16 @@ def test_probe_rejects_wrong_arity():
 def test_interlock_honest_exchange_is_clean():
     # An exchange whose relayed second half equals the real one looks like an
     # honest exchange and is never flagged; every other one is.  A twin
-    # stream replays the kernel's draws: all messages, then all guesses.
+    # stream replays the kernel's one draw: the clean exchanges number
+    # Binomial(trials, 2^(-k/2)), the caught ones the rest, and nothing
+    # else is drawn.
     k, trials = 4, 1000
-    caught = interlock_exchange(k, trials, stream(1, "interlock-h"))
-    twin = stream(1, "interlock-h")
-    sent = twin.integers(0, 2, size=(trials, k), dtype=np.int8)
-    guesses = twin.integers(0, 2, size=(trials, k // 2), dtype=np.int8)
-    clean = int(np.count_nonzero((sent[:, k // 2:] == guesses).all(axis=1)))
+    rng, twin = stream(1, "interlock-h"), stream(1, "interlock-h")
+    caught = interlock_exchange(k, trials, rng)
+    clean = trials - int(twin.binomial(trials, 1.0 - 2.0 ** (-k / 2)))
     assert 0 < clean < trials
     assert caught == trials - clean
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_interlock_detection_rates():
@@ -553,15 +554,27 @@ def test_interlock_detection_rates():
     assert interlock_exchange(64, trials, stream(0, "interlock-k64")) == trials
 
 
+def test_interlock_memory_does_not_grow_with_trials():
+    # One count is drawn per message length, so 10^5 exchanges of 64-bit
+    # messages hold no per-exchange array (which would take 9.6 MB as int8).
+    rng = stream(0, "interlock-memory")
+    tracemalloc.start()
+    try:
+        interlock_exchange(64, 10**5, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000, f"peak {peak} bytes"
+
+
 def test_interlock_validation():
     rng = stream(0, "interlock-err")
-    with pytest.raises(ValueError):
-        interlock_exchange(0, 10, rng)
-    with pytest.raises(ValueError):
-        interlock_exchange(7, 10, rng)
-    with pytest.raises(ValueError):
+    for k in (0, 7):
+        with pytest.raises(ValueError, match=f"even integer >= 2, got {k}$"):
+            interlock_exchange(k, 10, rng)
+    with pytest.raises(ValueError, match="got 0$"):
         interlock_exchange(8, 0, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 3$"):
         interlock_detection_rate(3)
 
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -559,6 +560,19 @@ def test_svg_text_escapes_as_xml_sax_did(monkeypatch):
     assert "Eve's \"probe\" &amp; &lt;tap&gt; &gt; 0" in rendered
     monkeypatch.setattr(svg, "_escape", sax_escape)
     assert svg.render_line_chart(chart) == rendered
+
+
+@pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log"])
+def test_svg_one_point_chart_widens_its_bounds(log_y):
+    # A one-fraction decay plot has equal x (and y) bounds; the chart widens
+    # each to a unit range, so both axes still get ticks.
+    from qntl.cli import svg
+
+    chart = svg.LineChart(title="t", x_label="x", y_label="y",
+                          series=(svg.Series("s", ((0.0, 5.0),)),), log_y=log_y)
+    labels = re.findall(r">([^<]*)</text>", svg.render_line_chart(chart))
+    y_ticks = ["1e1"] if log_y else ["0", "2", "4", "6"]
+    assert labels == ["t", "0", "0.2", "0.4", "0.6", "0.8", "1", *y_ticks, "x", "y", "s"]
 
 
 @pytest.mark.parametrize("run_args, figure, column, name", [
