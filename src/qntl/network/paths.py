@@ -2,9 +2,11 @@
 
 The viability metric counts a pair's intact minimum-hop paths whose
 intermediate nodes are all uncompromised; it is the quantity whose decay
-the untrusted-node experiment tracks.  Routing minimizes advertised trust
-weight with fully deterministic tie-breaking, so a route is a pure function
-of the topology and inputs.
+the untrusted-node experiment tracks.  Distances and counts come from one
+breadth-first walk per root of the last topology asked, shared by every
+pair rooted there and extended a layer at a time on demand.  Routing
+minimizes advertised trust weight with fully deterministic tie-breaking, so
+a route is a pure function of the topology and inputs.
 """
 from __future__ import annotations
 
@@ -27,42 +29,59 @@ _ZEROS = itertools.repeat(0)
 
 
 @functools.lru_cache(maxsize=1)
+def _walks(graph: Topology) -> dict[int, tuple[list[dict[int, int]], set[int]]]:
+    """The walks of the last topology asked, by root: each root's BFS
+    layers built so far and the nodes they hold.  ``Topology`` hashes by
+    identity, so the graph stays referenced while its table is cached."""
+    return {}
+
+
+@functools.lru_cache(maxsize=1)
 def _intact_walk(
     graph: Topology, source: int, target: int
 ) -> tuple[int, int, list[dict[int, int]]]:
-    """(hop distance, number of shortest paths, layers) from source to
-    target, or (-1, 0, layers) when disconnected, for the last pair asked;
-    ``Topology`` hashes by identity.  Each BFS layer carries every node's
-    path count (Brandes' sigma), summed from the layer before; ``layers[k]``
-    holds the nodes k hops out.  The target's own layer is never built: its
-    count sums the last layer's meet with the target's neighbours."""
+    """(hop distance, number of shortest paths, the source's layers short of
+    the target) for a pair, or (-1, 0, []) when disconnected.
+
+    Each BFS layer of the source's walk carries every node's path count
+    (Brandes' sigma), summed from the layer before; ``layers[k]`` holds the
+    nodes k hops out.  The built layers are scanned from the source out for
+    the first that meets the target's neighbours, whose meet sums to the
+    target's count; the walk grows a layer only when none does, and an
+    empty layer marks an exhausted root.  A root's layers are the same dicts
+    however late they are built, so no answer depends on the order of the
+    pairs.  This memo keeps the last pair, which the decay sweep asks once
+    per fraction.
+    """
     adjacency = graph.adjacency
+    table = _walks(graph)
+    if source not in table:
+        table[source] = [{source: 1}], {source}
+    layers, seen = table[source]
     near = frozenset(adjacency[target])
-    seen = {source}
-    layer = {source: 1}
-    layers = []
-    while layer:
-        layers.append(layer)
+    for distance, layer in enumerate(layers, 1):
         meet = layer.keys() & near
         if meet:
-            return len(layers), sum(map(layer.__getitem__, meet)), layers
-        ahead: dict[int, int] = {}
-        for node, node_ways in layer.items():
-            for nbr in adjacency[node]:
-                if nbr in ahead:
-                    ahead[nbr] += node_ways
-                elif nbr not in seen:
-                    ahead[nbr] = node_ways
-        seen.update(ahead)
-        layer = ahead
-    return -1, 0, layers
+            return distance, sum(map(layer.__getitem__, meet)), layers[:distance]
+        if distance == len(layers) and layer:
+            # Walk one layer further; the loop runs on into it.
+            ahead: dict[int, int] = {}
+            for node, node_ways in layer.items():
+                for nbr in adjacency[node]:
+                    if nbr in ahead:
+                        ahead[nbr] += node_ways
+                    elif nbr not in seen:
+                        ahead[nbr] = node_ways
+            seen.update(ahead)
+            layers.append(ahead)
+    return -1, 0, []
 
 
 @functools.lru_cache(maxsize=1)
 def _geodesic_dag(
     graph: Topology, source: int, target: int
 ) -> tuple[list[set[int]], frozenset[int]]:
-    """The shortest-path DAG of a connected pair, from its intact walk.
+    """The shortest-path DAG of a connected pair, from the source's walk.
 
     Returns the intermediate nodes level by level, ``levels[k]`` holding
     those k + 1 hops from the source, and the set of them all.  Each level
@@ -84,8 +103,9 @@ def _geodesic_dag(
 
 def hop_distance(graph: Topology, source: int, target: int) -> int:
     """Minimum hop count between two distinct nodes, or -1 when
-    disconnected; one node twice, or a node the topology lacks, raises.  Its
-    walk also answers the same pair's :func:`count_viable_paths` calls."""
+    disconnected; one node twice, or a node the topology lacks, raises.  It
+    reads one walk per root per topology, extended on demand, which also
+    answers :func:`count_viable_paths`."""
     source = int(source)
     target = int(target)
     if source == target or source not in graph.adjacency or target not in graph.adjacency:
@@ -184,9 +204,11 @@ def route(
     error rate + response time / ``response_time_scale``), breaking ties by
     hop count and then lexicographically.  ``advertised_weights`` models
     nodes lying about their quality figures: it overrides the weight of the
-    listed nodes.
+    listed nodes.  Dijkstra's search finds the minimum only over weights
+    that are not negative, so a NaN or non-positive scale, and an advertised
+    weight that is negative, NaN or for a node the topology lacks, raise.
     """
-    if response_time_scale <= 0.0:
+    if not response_time_scale > 0.0:
         raise ValueError("response time scale must be positive")
     source = int(source)
     target = int(target)
@@ -195,5 +217,11 @@ def route(
         raise ValueError("source and target must be two distinct nodes of the topology")
     weights = _trust_weights(graph, response_time_scale)
     if advertised_weights:
-        weights = {**weights, **{node: float(w) for node, w in advertised_weights.items()}}
+        lies = {node: float(w) for node, w in advertised_weights.items()}
+        for node, w in lies.items():
+            if node not in adjacency:
+                raise ValueError(f"advertised node {node} is not in the topology")
+            if not w >= 0.0:
+                raise ValueError(f"advertised weights must be >= 0, got {w} for node {node}")
+        weights = {**weights, **lies}
     return _dijkstra_trust(adjacency, weights, source, target)

@@ -116,6 +116,23 @@ MUTANTS: tuple[Mutant, ...] = (
          "tests/test_network.py::test_count_is_zero_when_every_geodesic_is_blocked"),
     ),
     Mutant(
+        "walk-scan-from-deepest-layer",
+        "qntl/network/paths.py",
+        "enumerate(layers, 1)",
+        "enumerate(itertools.islice(layers, len(layers) - 1, None), len(layers))",
+        ("tests/test_network.py::test_shared_walks_match_networkx[grid]",
+         "tests/test_network.py::test_shared_walks_match_networkx[disconnected]",
+         "tests/test_golden.py::test_rows_match_golden_pins"),
+    ),
+    Mutant(
+        "walk-table-shared-across-topologies",
+        "qntl/network/paths.py",
+        "table = _walks(graph)",
+        "table = _walks(None)",
+        ("tests/test_network.py::test_intact_memo_keys_on_the_topology",
+         "tests/test_network.py::test_shared_walks_match_networkx[grid]"),
+    ),
+    Mutant(
         "walk-one-way-per-node",
         "qntl/network/paths.py",
         "ahead[nbr] += node_ways",
@@ -136,8 +153,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "route-weights-mutated-in-place",
         "qntl/network/paths.py",
-        "weights = {**weights, **{node: float(w) for node, w in advertised_weights.items()}}",
-        "weights.update({node: float(w) for node, w in advertised_weights.items()})",
+        "weights = {**weights, **lies}",
+        "weights.update(lies)",
         ("tests/test_network.py::test_advertised_weights_override_only_listed_nodes",
          "tests/test_golden.py::test_rows_match_golden_pins"),
     ),

@@ -456,6 +456,51 @@ def test_intact_memo_leaves_blocked_walks_alone():
 
 
 @pytest.mark.parametrize(
+    "kind",
+    ["grid", "erdos-renyi", "waxman", "hexagonal", "tree", "barabasi-albert", "disconnected"],
+)
+def test_shared_walks_match_networkx(kind):
+    # Pairs that share their roots, asked in turn across the roots, each
+    # root's targets from the farthest (unreachable ones first) to the
+    # nearest: a near target is answered from layers a far one built.  Every
+    # pair is asked twice in a row, under nested compromise sets, and every
+    # other pair again at the end, after the other roots' pairs.  Halfway
+    # through, a pair of another graph on the same node ids replaces the
+    # table.
+    rng = stream(4, f"shared-walks-{kind}")
+    topo = erdos_renyi(60, 0.03, 5) if kind == "disconnected" else generate_topology(kind, 5)
+    n = topo.n_nodes
+    other = erdos_renyi(n, 0.05, 6)
+    graph = nx.Graph(topo.edges)
+    graph.add_nodes_from(topo.nodes)
+    queues = []
+    unreachable = 0
+    for root in rng.choice(n, size=3, replace=False).tolist():
+        hops = nx.single_source_shortest_path_length(graph, root)
+        targets = [t for t in rng.choice(n, size=8, replace=False).tolist() if t != root]
+        targets.sort(key=lambda t: -hops.get(t, n))
+        unreachable += sum(t not in hops for t in targets)
+        queues.append([(root, t) for t in targets])
+    assert bool(unreachable) == (kind == "disconnected")
+    sequence = [pair for turn in itertools.zip_longest(*queues) for pair in turn if pair]
+    order = rng.permutation(n).tolist()
+    nested = [frozenset(order[: n * k // 10]) for k in (0, 1, 3, 5)]
+    for step, (source, target) in enumerate(sequence + sequence[::2]):
+        if step == len(sequence) // 2:
+            assert hop_distance(other, source, target) == _networkx_count(other, source, target)[0]
+        distance = _networkx_count(topo, source, target)[0]
+        expected = []
+        for compromised in nested:
+            blocked = compromised - {source, target}
+            d, paths = _networkx_count(topo, source, target, blocked)
+            expected.append((blocked, paths if d == distance else 0))
+        for _ in range(2):
+            assert hop_distance(topo, source, target) == distance
+            for blocked, paths in expected:
+                assert count_viable_paths(topo, source, target, blocked) == paths
+
+
+@pytest.mark.parametrize(
     "kind", ["grid", "erdos-renyi", "waxman", "hexagonal", "tree", "barabasi-albert"]
 )
 def test_counts_match_blocked_walk_oracle(kind):
@@ -575,6 +620,27 @@ def test_route_trivia():
         route(topo, 0, 9)
     with pytest.raises(ValueError):
         route(topo, 0, 2, 0.0)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        route(topo, 0, 2, math.nan)
+
+
+def test_route_refuses_weights_that_break_its_minimum():
+    # Each node weighs 0.11.  A weight of -1 at node 3 makes 0-2-3-1-5
+    # (-0.78) lighter than 0-1-5 (0.11), which Dijkstra's search, settling
+    # 1 before it reaches 3, would miss.
+    nodes = {i: NodeInfo(error_rate=0.11) for i in range(6)}
+    topo = Topology(nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (1, 5), (2, 3)))
+    graph = nx.Graph(topo.edges)
+    assert brute_force_route(graph, {**dict.fromkeys(nodes, 0.11), 3: -1.0}, 0, 5) == [
+        0, 2, 3, 1, 5,
+    ]
+    assert route(topo, 0, 5) == [0, 1, 5]
+    for lie in ({3: -1.0}, {3: math.nan}, {3: -1e-300}):
+        with pytest.raises(ValueError, match="advertised weights must be >= 0"):
+            route(topo, 0, 5, advertised_weights=lie)
+    with pytest.raises(ValueError, match="advertised node 6 is not in the topology"):
+        route(topo, 0, 5, advertised_weights={6: 0.0})
+    assert route(topo, 0, 5, advertised_weights={3: 0.0, 4: 0.0}) == [0, 1, 5]
 
 
 def test_route_is_deterministic():
