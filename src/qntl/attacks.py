@@ -13,7 +13,6 @@ returns its logical-error count alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -395,22 +394,6 @@ def iid_logical_error_rate(p: float) -> float:
     return 3.0 * p * p - 2.0 * p**3
 
 
-def _block_failure_probability(p: float, mode: str) -> float:
-    """Probability that majority decoding of one block fails.
-
-    iid: the weight of the 8 flip patterns whose majority vote flips the
-    block.  burst-2: a fired burst flips two adjacent bits, which the vote
-    always gets wrong, and no other pattern occurs, so p.
-    """
-    if mode == "burst-2":
-        return p
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=3):
-        if sum(pattern) >= 2:
-            total += math.prod(p if flipped else 1.0 - p for flipped in pattern)
-    return total
-
-
 def qec_bitflip_experiment(
     n_blocks: int,
     flip_probability: float,
@@ -425,7 +408,8 @@ def qec_bitflip_experiment(
     which defeats the code exactly when it fires (logical rate p).  Blocks
     are independent and whether one decodes wrongly does not depend on its
     logical bit, so the error count is one Binomial(n_blocks, P) draw, with
-    P the per-block failure probability.
+    P the per-block failure probability: :func:`iid_logical_error_rate` for
+    iid, p for burst-2.
     """
     if n_blocks <= 0:
         raise ValueError("need at least one block")
@@ -434,4 +418,5 @@ def qec_bitflip_experiment(
         raise ValueError(f"flip probability must lie in [0, 1], got {p}")
     if mode not in ("iid", "burst-2"):
         raise ValueError(f"unknown noise mode {mode!r}")
-    return int(rng.binomial(n_blocks, _block_failure_probability(p, mode)))
+    failure = p if mode == "burst-2" else iid_logical_error_rate(p)
+    return int(rng.binomial(n_blocks, failure))

@@ -4,7 +4,8 @@ The viability metric counts a pair's intact minimum-hop paths whose
 intermediate nodes are all uncompromised; it is the quantity whose decay
 the untrusted-node experiment tracks.  Distances and counts come from one
 breadth-first walk per root of the last topology asked, shared by every
-pair rooted there and extended a layer at a time on demand.  Routing
+pair rooted there and extended a layer at a time on demand, and one memo
+per pair keeps its distance, count and shortest-path DAG.  Routing
 minimizes advertised trust weight with fully deterministic tie-breaking, so
 a route is a pure function of the topology and inputs.
 """
@@ -28,6 +29,11 @@ __all__ = [
 _ZEROS = itertools.repeat(0)
 
 
+def _check_pair(graph: Topology, source: int, target: int) -> None:
+    if source == target or source not in graph.adjacency or target not in graph.adjacency:
+        raise ValueError("source and target must be two distinct nodes of the topology")
+
+
 @functools.lru_cache(maxsize=1)
 def _walks(graph: Topology) -> dict[int, tuple[list[dict[int, int]], set[int]]]:
     """The walks of the last topology asked, by root: each root's BFS
@@ -37,11 +43,11 @@ def _walks(graph: Topology) -> dict[int, tuple[list[dict[int, int]], set[int]]]:
 
 
 @functools.lru_cache(maxsize=1)
-def _intact_walk(
+def _pair(
     graph: Topology, source: int, target: int
-) -> tuple[int, int, list[dict[int, int]]]:
-    """(hop distance, number of shortest paths, the source's layers short of
-    the target) for a pair, or (-1, 0, []) when disconnected.
+) -> tuple[int, int, list[set[int]], frozenset[int]]:
+    """(hop distance, number of shortest paths, DAG levels, DAG nodes) for
+    two distinct nodes, or (-1, 0, [], frozenset()) when disconnected.
 
     Each BFS layer of the source's walk carries every node's path count
     (Brandes' sigma), summed from the layer before; ``layers[k]`` holds the
@@ -50,9 +56,16 @@ def _intact_walk(
     target's count; the walk grows a layer only when none does, and an
     empty layer marks an exhausted root.  A root's layers are the same dicts
     however late they are built, so no answer depends on the order of the
-    pairs.  This memo keeps the last pair, which the decay sweep asks once
-    per fraction.
+    pairs.
+
+    The meet is the last level of the pair's shortest-path DAG, whose
+    intermediate nodes ``levels[k]`` holds k + 1 hops from the source.
+    Each level before is swept back from the one after it: its nodes'
+    neighbours in the walk's layer before, which are exactly their
+    predecessors on the DAG.  This memo keeps the last pair, which the
+    decay sweep asks once per fraction.
     """
+    _check_pair(graph, source, target)
     adjacency = graph.adjacency
     table = _walks(graph)
     if source not in table:
@@ -62,7 +75,12 @@ def _intact_walk(
     for distance, layer in enumerate(layers, 1):
         meet = layer.keys() & near
         if meet:
-            return distance, sum(map(layer.__getitem__, meet)), layers[:distance]
+            levels = [meet] if distance > 1 else []
+            for before in reversed(layers[1:distance - 1]):
+                level = levels[-1]
+                levels.append({pred for node in level for pred in adjacency[node] if pred in before})
+            levels.reverse()
+            return distance, sum(map(layer.__getitem__, meet)), levels, frozenset().union(*levels)
         if distance == len(layers) and layer:
             # Walk one layer further; the loop runs on into it.
             ahead: dict[int, int] = {}
@@ -74,43 +92,15 @@ def _intact_walk(
                         ahead[nbr] = node_ways
             seen.update(ahead)
             layers.append(ahead)
-    return -1, 0, []
-
-
-@functools.lru_cache(maxsize=1)
-def _geodesic_dag(
-    graph: Topology, source: int, target: int
-) -> tuple[list[set[int]], frozenset[int]]:
-    """The shortest-path DAG of a connected pair, from the source's walk.
-
-    Returns the intermediate nodes level by level, ``levels[k]`` holding
-    those k + 1 hops from the source, and the set of them all.  Each level
-    is swept back from the one after it (the target's, first): its nodes'
-    neighbours in the walk's layer before.  A node's predecessors on the
-    DAG are exactly its neighbours in the level before, so no second BFS
-    and no per-node lists are needed.
-    """
-    adjacency = graph.adjacency
-    layers = _intact_walk(graph, source, target)[2]
-    levels = []
-    level = {target}
-    for before in layers[:0:-1]:
-        level = {pred for node in level for pred in adjacency[node] if pred in before}
-        levels.append(level)
-    levels.reverse()
-    return levels, frozenset().union(*levels)
+    return -1, 0, [], frozenset()
 
 
 def hop_distance(graph: Topology, source: int, target: int) -> int:
     """Minimum hop count between two distinct nodes, or -1 when
     disconnected; one node twice, or a node the topology lacks, raises.  It
-    reads one walk per root per topology, extended on demand, which also
-    answers :func:`count_viable_paths`."""
-    source = int(source)
-    target = int(target)
-    if source == target or source not in graph.adjacency or target not in graph.adjacency:
-        raise ValueError("source and target must be two distinct nodes of the topology")
-    return _intact_walk(graph, source, target)[0]
+    reads the pair's memo, which one walk per root per topology, extended
+    on demand, fills for :func:`count_viable_paths` too."""
+    return _pair(graph, int(source), int(target))[0]
 
 
 def count_viable_paths(
@@ -125,25 +115,20 @@ def count_viable_paths(
     A disconnected pair counts 0, and so does a pair whose geodesics are all
     blocked, whatever longer detours remain; a compromised endpoint makes
     the question meaningless and raises, as does one node twice.  The count
-    is the intact one when no node of the pair's geodesic DAG (the intact
-    walk's layers, swept back once per pair) is compromised, otherwise one
-    pass summing each safe node's predecessors.  Counts are exact integers,
-    so they stay exact even when astronomically large.
+    is the intact one when no node of the pair's geodesic DAG (kept in the
+    pair's memo with its distance and intact count) is compromised,
+    otherwise one pass summing each safe node's predecessors.  Counts are
+    exact integers, so they stay exact even when astronomically large.
     """
     source = int(source)
     target = int(target)
     blocked = frozenset(compromised)
     if source in blocked or target in blocked:
         raise ValueError("source and target must not themselves be compromised")
+    _, ways, levels, nodes = _pair(graph, source, target)
+    if not ways or not blocked or nodes.isdisjoint(blocked):
+        return ways
     adjacency = graph.adjacency
-    if source == target or source not in adjacency or target not in adjacency:
-        raise ValueError("source and target must be two distinct nodes of the topology")
-    ways = _intact_walk(graph, source, target)[1]
-    if not ways or not blocked:
-        return ways
-    levels, nodes = _geodesic_dag(graph, source, target)
-    if nodes.isdisjoint(blocked):
-        return ways
     ways_to = {source: 1}
     for level in levels:
         ways_to = {
@@ -212,9 +197,8 @@ def route(
         raise ValueError("response time scale must be positive")
     source = int(source)
     target = int(target)
+    _check_pair(graph, source, target)
     adjacency = graph.adjacency
-    if source == target or source not in adjacency or target not in adjacency:
-        raise ValueError("source and target must be two distinct nodes of the topology")
     weights = _trust_weights(graph, response_time_scale)
     if advertised_weights:
         lies = {node: float(w) for node, w in advertised_weights.items()}

@@ -110,10 +110,18 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "dag-disjoint-shortcut-always",
         "qntl/network/paths.py",
-        "if nodes.isdisjoint(blocked):",
-        "if True:",
+        "nodes.isdisjoint(blocked)",
+        "True",
         ("tests/test_network.py::test_counts_match_blocked_walk_oracle[erdos-renyi]",
          "tests/test_network.py::test_count_is_zero_when_every_geodesic_is_blocked"),
+    ),
+    Mutant(
+        "dag-keeps-source-level",
+        "qntl/network/paths.py",
+        "levels = [meet] if distance > 1 else []",
+        "levels = [meet]",
+        ("tests/test_network.py::test_pair_dag_matches_networkx[tree]",
+         "tests/test_network.py::test_pair_dag_matches_networkx[disconnected]"),
     ),
     Mutant(
         "walk-scan-from-deepest-layer",

@@ -16,7 +16,6 @@ from qntl.attacks import (
     PnsVariant,
     TrojanPolicy,
     TrojanVariant,
-    _block_failure_probability,
     _series_histogram,
     iid_logical_error_rate,
     interlock_detection_rate,
@@ -625,8 +624,6 @@ def test_iid_rate_matches_pattern_enumeration():
 
     for p in (0.0, 0.05, 0.1, 0.3, 0.5, 1.0):
         assert iid_logical_error_rate(p) == pytest.approx(enumerated(p), abs=1e-12)
-        assert _block_failure_probability(p, "iid") == pytest.approx(3 * p**2 - 2 * p**3, abs=1e-12)
-        assert _block_failure_probability(p, "burst-2") == p
 
 
 def reference_qec_errors(n_blocks, p, mode, rng):

@@ -26,6 +26,7 @@ from qntl.network import (
 )
 from qntl.network import experiments
 from qntl.network.experiments import _moments
+from qntl.network.paths import _pair
 from qntl.network.topology import _erdos_renyi_edges, _lattice, _preferential_edges
 from qntl.stats import stream
 
@@ -498,6 +499,42 @@ def test_shared_walks_match_networkx(kind):
             assert hop_distance(topo, source, target) == distance
             for blocked, paths in expected:
                 assert count_viable_paths(topo, source, target, blocked) == paths
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["grid", "erdos-renyi", "waxman", "hexagonal", "tree", "barabasi-albert", "disconnected"],
+)
+def test_pair_dag_matches_networkx(kind):
+    # The pair memo's DAG against the intermediate nodes of networkx's
+    # shortest paths, grouped by hop from the source: levels[k] holds those
+    # k + 1 hops out.  Each root's targets run from the farthest (unreachable
+    # ones first) to a neighbour, so near pairs read layers a far one built.
+    # A neighbour has no level, and neither has an unreachable target.
+    rng = stream(6, f"pair-dag-{kind}")
+    topo = erdos_renyi(60, 0.03, 5) if kind == "disconnected" else generate_topology(kind, 7)
+    n = topo.n_nodes
+    graph = nx.Graph(topo.edges)
+    graph.add_nodes_from(topo.nodes)
+    linked = [x for x in topo.nodes if topo.adjacency[x]]
+    distances = set()
+    for root in rng.choice(linked, size=3, replace=False).tolist():
+        hops = nx.single_source_shortest_path_length(graph, root)
+        targets = [t for t in rng.choice(n, size=6, replace=False).tolist() if t != root]
+        targets.sort(key=lambda t: -hops.get(t, n))
+        for target in targets + [topo.adjacency[root][0]]:
+            distance, ways, levels, nodes = _pair(topo, root, target)
+            distances.add(distance)
+            if target not in hops:
+                assert (distance, ways, levels, nodes) == (-1, 0, [], frozenset())
+                continue
+            paths = list(nx.all_shortest_paths(graph, root, target))
+            expected = [set(hop) for hop in zip(*paths)][1:-1]
+            assert (distance, ways) == (hops[target], len(paths))
+            assert levels == expected
+            assert nodes == frozenset().union(*expected)
+    assert 1 in distances
+    assert (-1 in distances) == (kind == "disconnected")
 
 
 @pytest.mark.parametrize(
