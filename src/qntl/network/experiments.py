@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..defaults import AGGREGATE_DISTANCE
-from .paths import count_viable_paths, hop_distance, route
+from .paths import _keeps_honest_route, count_viable_paths, hop_distance, route
 from .topology import LATTICE_KINDS, Topology, TopologyKind, generate_topology
 
 __all__ = [
@@ -201,6 +201,11 @@ def diversion_experiment(
     its own traffic anyway.  Diversion only has teeth when other nodes carry
     nonzero quality figures; generate the topology with quality ranges or
     the two routings coincide.
+
+    The falsified search runs only when the honest route does not undercut
+    a lower bound on every route through the hijacker, which one search from
+    the hijacker gives; below it, the falsified search would return the
+    honest route (see ``paths._keeps_honest_route``).
     """
     if hijacker not in topology.nodes:
         raise ValueError(f"hijacker {hijacker!r} is not a node of the topology")
@@ -210,14 +215,18 @@ def diversion_experiment(
     if len(candidates) < 2:
         raise ValueError("topology too small for endpoint pairs")
     lie = {hijacker: 0.0}
+    keeps_honest = _keeps_honest_route(topology, hijacker, response_time_scale)
     pairs: list[DiversionPair] = []
     for _ in range(n_pairs):
         i, j = rng.choice(len(candidates), size=2, replace=False)
         u, v = candidates[int(i)], candidates[int(j)]
         honest = route(topology, u, v, response_time_scale)
-        diverted = route(topology, u, v, response_time_scale, advertised_weights=lie)
-        if honest is None or diverted is None:
+        if honest is None:
             continue
+        # The lie changes no connectivity, so this search finds a route too.
+        diverted = honest if keeps_honest(honest) else route(
+            topology, u, v, response_time_scale, advertised_weights=lie
+        )
         pairs.append(
             DiversionPair(
                 source=u,

@@ -7,14 +7,17 @@ breadth-first walk per root of the last topology asked, shared by every
 pair rooted there and extended a layer at a time on demand, and one memo
 per pair keeps its distance, count and shortest-path DAG.  Routing
 minimizes advertised trust weight with fully deterministic tie-breaking, so
-a route is a pure function of the topology and inputs.
+a route is a pure function of the topology and inputs.  One Dijkstra
+search from a hub bounds every route through it from below, which lets the
+diversion experiment skip a search whose answer the bound already fixes.
 """
 from __future__ import annotations
 
 import functools
 import heapq
 import itertools
-from typing import AbstractSet, Mapping
+import math
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .topology import Topology
 
@@ -176,6 +179,71 @@ def _dijkstra_trust(
     return None
 
 
+def _check_scale(response_time_scale: float) -> None:
+    if not response_time_scale > 0.0:
+        raise ValueError("response time scale must be positive")
+
+
+# How far below the hub bound an honest route's summed weight must lie for
+# :func:`_keeps_honest_route` to trust it without a search.  Each side of
+# the comparison is a float sum of at most n non-negative weights, so it is
+# off its exact value by at most about n * 2.2e-16 relative; 1e-9 covers
+# that for any topology under about a million nodes.  An exact tie falls
+# short of the strict ``<`` too, so ties are always searched.
+_BOUND_MARGIN = 1e-9
+
+
+def _hub_distances(graph: Topology, hub: int, response_time_scale: float) -> dict[int, float]:
+    """Least summed honest weight of the nodes strictly between ``hub`` and
+    each node the hub reaches; the hub itself and the nodes it cannot reach
+    are absent.  The hub's own weight never counts, so one Dijkstra search
+    from it gives the whole table whatever weight it advertises."""
+    _check_scale(response_time_scale)
+    adjacency = graph.adjacency
+    weights = _trust_weights(graph, response_time_scale)
+    heap = [(0.0, nbr) for nbr in adjacency[hub]]
+    heapq.heapify(heap)
+    distances: dict[int, float] = {}
+    while heap:
+        distance, node = heapq.heappop(heap)
+        if node in distances:
+            continue
+        distances[node] = distance
+        ahead = distance + weights[node]
+        for nbr in adjacency[node]:
+            if nbr != hub and nbr not in distances:
+                heapq.heappush(heap, (ahead, nbr))
+    return distances
+
+
+def _keeps_honest_route(
+    graph: Topology, hub: int, response_time_scale: float
+) -> Callable[[Sequence[int]], bool]:
+    """A test of honest routes that, when it holds, proves :func:`route`
+    would return the same route with ``hub`` advertising weight 0.
+
+    Only the hub's weight changes, so every walk from u through the hub to v
+    weighs at least ``via[u] + via[v]`` (``via`` from :func:`_hub_distances`,
+    +inf for a node the hub cannot reach), honest routes through the hub
+    included.  A route under that bound by ``_BOUND_MARGIN`` avoids the hub,
+    and no search entry through the hub can settle one of its nodes first:
+    continued along the route, it would be a walk through the hub under the
+    bound.  The weight is summed in path order, the float sequence that
+    :func:`_dijkstra_trust` accumulates.
+    """
+    via = _hub_distances(graph, hub, response_time_scale)
+    weights = _trust_weights(graph, response_time_scale)
+
+    def holds(path: Sequence[int]) -> bool:
+        weight = 0.0
+        for node in path[1:-1]:
+            weight += weights[node]
+        bound = via.get(path[0], math.inf) + via.get(path[-1], math.inf)
+        return weight < bound * (1.0 - _BOUND_MARGIN)
+
+    return holds
+
+
 def route(
     graph: Topology,
     source: int,
@@ -193,8 +261,7 @@ def route(
     that are not negative, so a NaN or non-positive scale, and an advertised
     weight that is negative, NaN or for a node the topology lacks, raise.
     """
-    if not response_time_scale > 0.0:
-        raise ValueError("response time scale must be positive")
+    _check_scale(response_time_scale)
     source = int(source)
     target = int(target)
     _check_pair(graph, source, target)

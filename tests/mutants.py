@@ -2,10 +2,11 @@
 
 Each mutant replaces one exact text in one file under ``src/`` and names the
 tests that must then fail, each of them on its own.  The panel applies each
-mutant to a temporary copy of ``src/`` and runs every named test there in a
-pytest process of its own (``-x -q``), so a test that stops catching its
-mutant shows even when another named test still does.  It prints one line
-per (mutant, test) pair and reports every pair whose test passes as missed.
+mutant to a temporary copy of ``src/`` and runs its named tests there in one
+pytest process, without ``-x``, reading each test's own outcome from the
+``-rA`` summary, so a test that stops catching its mutant shows even when
+another named test still does.  It prints one line per (mutant, test) pair
+and reports every pair whose test passes as missed.
 
 Run from anywhere:
 
@@ -165,6 +166,27 @@ MUTANTS: tuple[Mutant, ...] = (
         "weights.update(lies)",
         ("tests/test_network.py::test_advertised_weights_override_only_listed_nodes",
          "tests/test_golden.py::test_rows_match_golden_pins"),
+    ),
+    Mutant(
+        "diversion-bound-admits-ties",
+        "qntl/network/paths.py",
+        "return weight < bound * (1.0 - _BOUND_MARGIN)",
+        "return weight <= bound",
+        ("tests/test_network.py::test_diversion_searches_a_tie_with_the_hijacker",),
+    ),
+    Mutant(
+        "diversion-bound-never-fires",
+        "qntl/network/paths.py",
+        "return weight < bound * (1.0 - _BOUND_MARGIN)",
+        "return False",
+        ("tests/test_network.py::test_diversion_skips_most_falsified_searches_on_the_default_grid",),
+    ),
+    Mutant(
+        "hub-table-settles-the-hub",
+        "qntl/network/paths.py",
+        "if nbr != hub and nbr not in distances:",
+        "if nbr not in distances:",
+        ("tests/test_network.py::test_hub_distances_match_simple_path_enumeration",),
     ),
     Mutant(
         "decay-bisect-left",
@@ -392,9 +414,9 @@ MUTANTS: tuple[Mutant, ...] = (
 
 
 def missed_by(mutant: Mutant) -> list[tuple[str, bool]]:
-    """Apply ``mutant`` to a copy of ``src/`` and run each of its tests
-    there alone: (test, whether it passed and so missed the mutant)."""
-    results = []
+    """Apply ``mutant`` to a copy of ``src/`` and run its tests there in one
+    pytest process without ``-x``: (test, whether it passed and so missed
+    the mutant), read per node id from the ``-rA`` summary."""
     with tempfile.TemporaryDirectory(prefix="qntl-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -404,16 +426,27 @@ def missed_by(mutant: Mutant) -> list[tuple[str, bool]]:
             raise SystemExit(f"{mutant.name}: text does not occur exactly once in {mutant.path}")
         target.write_text(text.replace(mutant.text, mutant.replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
-        for test in mutant.tests:
-            # The ini's pythonpath would put the unmutated src/ first.
-            command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                       "-o", f"pythonpath={src}", test]
-            result = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
-            if result.returncode not in (0, 1):
-                raise SystemExit(
-                    f"{mutant.name}: pytest exited {result.returncode} on {test}\n{result.stdout}"
-                )
-            results.append((test, result.returncode == 0))
+        # The ini's pythonpath would put the unmutated src/ first.
+        command = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                   "-o", f"pythonpath={src}", *mutant.tests]
+        result = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
+    # The summary's lines read "PASSED <node id>" or "FAILED <node id> - <message>";
+    # a test's own output comes before it.
+    summary = result.stdout.rpartition("short test summary info")[2]
+    outcomes: list[tuple[str, str]] = []
+    for line in summary.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            outcomes.append((rest.split(" - ", 1)[0], word))
+    results = []
+    for test in mutant.tests:
+        # A named function without parameters in brackets covers all its cases.
+        words = [word for node, word in outcomes if node == test or node.startswith(test + "[")]
+        if not words:
+            raise SystemExit(f"{mutant.name}: no outcome for {test}\n{result.stdout}")
+        results.append((test, set(words) == {"PASSED"}))
     return results
 
 

@@ -26,7 +26,7 @@ from qntl.network import (
 )
 from qntl.network import experiments
 from qntl.network.experiments import _moments
-from qntl.network.paths import _pair
+from qntl.network.paths import _hub_distances, _pair
 from qntl.network.topology import _erdos_renyi_edges, _lattice, _preferential_edges
 from qntl.stats import stream
 
@@ -632,6 +632,34 @@ def test_route_matches_brute_force_over_simple_paths():
             assert route(topo, u, v, 50.0, advertised_weights=lie) == expected, (edges, u, v)
 
 
+def test_hub_distances_match_simple_path_enumeration():
+    # The weights are sums of 0, 1/4, 1/2, so every path sum is exact and
+    # the table must equal the enumeration to the bit.  Sparse draws leave
+    # some nodes out of the hub's component.
+    rng = stream(10, "hub-brute")
+    absent = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.35]
+        errors = rng.choice([0.0, 0.25, 0.5], size=n).tolist()
+        times = rng.choice([0.0, 25.0], size=n).tolist()
+        nodes = {i: NodeInfo(errors[i], times[i]) for i in range(n)}
+        topo = Topology(nodes=nodes, edges=tuple(edges))
+        graph = nx.Graph(edges)
+        graph.add_nodes_from(range(n))
+        hub = int(rng.integers(0, n))
+        expected = {}
+        for node in set(range(n)) - {hub}:
+            for path in nx.all_simple_paths(graph, hub, node):
+                cost = 0.0
+                for inner in path[1:-1]:
+                    cost += errors[inner] + times[inner] / 50.0
+                expected[node] = min(cost, expected.get(node, math.inf))
+        absent += n - 1 - len(expected)
+        assert _hub_distances(topo, hub, 50.0) == expected, (edges, hub)
+    assert absent > 0
+
+
 def test_route_avoids_bad_intermediate():
     # square 0-1-3, 0-2-3 with node 1 advertising certain failure
     nodes = {
@@ -923,6 +951,92 @@ def test_diversion_central_node_attracts_traffic():
         assert pair.stretch_ratio == (len(pair.diverted_path) - 1) / (
             len(pair.honest_path) - 1
         )
+
+
+QUALITY_RANGES = {
+    "cli": ((0.0, 0.05), (10.0, 50.0)),
+    "zero-width": ((0.0, 0.0), (0.0, 0.0)),
+    "equal-figures": ((0.02, 0.02), (30.0, 30.0)),
+    "times-only": ((0.0, 0.0), (10.0, 50.0)),
+}
+
+
+def assert_diverted_paths_are_searched(topo, hijacker, n_pairs, rng):
+    result = diversion_experiment(topo, hijacker, n_pairs, rng)
+    for pair in result.pairs:
+        u, v = pair.source, pair.target
+        assert list(pair.honest_path) == route(topo, u, v)
+        assert list(pair.diverted_path) == route(topo, u, v, advertised_weights={hijacker: 0.0})
+    return result
+
+
+@pytest.mark.parametrize("kind", [k.value for k in TopologyKind])
+def test_diversion_matches_a_full_falsified_search(kind):
+    # Every pair's diverted path is what a full search with the hijacker at
+    # zero weight returns, wherever the bound lets the experiment skip it.
+    for seed in range(3):
+        for name, (errors, times) in QUALITY_RANGES.items():
+            topo = generate_topology(
+                kind, seed, error_rate_range=errors, response_time_range=times
+            )
+            nodes = sorted(topo.nodes)
+            for hijacker in (nodes[len(nodes) // 2], nodes[seed]):
+                assert_diverted_paths_are_searched(
+                    topo, hijacker, 40, stream(seed, f"div-equal:{kind}:{name}")
+                )
+
+
+def test_diversion_matches_a_full_search_across_components():
+    # A sparse Erdos-Renyi draw (components of 38, 6, 2 and single nodes)
+    # with the hijacker in each of the two largest: its component misses
+    # some routed endpoints, which no route through it can reach.
+    edges = erdos_renyi(60, 0.03, 5).edges
+    rng = stream(5, "div-split")
+    errors = rng.uniform(0.0, 0.05, 60).tolist()
+    times = rng.uniform(10.0, 50.0, 60).tolist()
+    topo = Topology(nodes={i: NodeInfo(errors[i], times[i]) for i in range(60)}, edges=edges)
+    graph = nx.Graph(edges)
+    graph.add_nodes_from(range(60))
+    for reach in sorted(nx.connected_components(graph), key=len)[-2:]:
+        hijacker = max(sorted(reach), key=graph.degree)
+        result = assert_diverted_paths_are_searched(
+            topo, hijacker, 300, stream(5, "div-split-pairs")
+        )
+        assert any(pair.source not in reach for pair in result.pairs)
+        assert any(pair.diverted_via_hijacker for pair in result.pairs)
+
+
+def test_diversion_skips_most_falsified_searches_on_the_default_grid(monkeypatch):
+    # The CLI's default run: a bound that never fires would search twice
+    # for every pair.
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(bool(kwargs.get("advertised_weights")))
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "route", counted)
+    topo = generate_topology(
+        "grid", 42, error_rate_range=(0.0, 0.05), response_time_range=(10.0, 50.0)
+    )
+    result = diversion_experiment(topo, 50, 200, stream(42, "div-skip"))
+    assert len(result.pairs) == searches.count(False) == 200
+    assert searches.count(True) < len(result.pairs) / 4
+
+
+def test_diversion_searches_a_tie_with_the_hijacker():
+    # Diamond 0-1-3, 0-2-3.  Honestly 0-2-3 (weight 0) beats 0-1-3 (0.15);
+    # at zero weight the hijacker ties it, and the tie falls to the
+    # lexicographically smaller 0-1-3.  A bound that admitted ties would
+    # keep the honest route.
+    nodes = {0: NodeInfo(), 1: NodeInfo(0.05, 10.0), 2: NodeInfo(), 3: NodeInfo()}
+    topo = Topology(nodes=nodes, edges=((0, 1), (0, 2), (1, 3), (2, 3)))
+    result = assert_diverted_paths_are_searched(topo, 1, 30, stream(0, "tie"))
+    ends = [{pair.source, pair.target} for pair in result.pairs]
+    assert {0, 3} in ends
+    for pair in result.pairs:
+        expected = pair.source + pair.target == 3
+        assert pair.diverted_via_hijacker == expected and not pair.honest_via_hijacker
 
 
 def test_diversion_validation():
